@@ -17,6 +17,10 @@ K(t):
   skew-symmetric inputs; alpha is scaled by two internally so the
   integer machinery applies unchanged.
 
+The two monomial engines run one Hungarian loop and differ only in the
+weight scale, the shape of the block-diagonal witness (T = S^t for the
+symmetric one) and the step direction.
+
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
 feasibility plus objective equality is strong duality, and any
@@ -35,7 +39,6 @@ from .errors import (
     DimensionMismatch,
     LPInfeasible,
     NotComplementarySlack,
-    NotSkewSymmetric,
     NotSorted,
     WitnessUnavailable,
 )
@@ -43,6 +46,7 @@ from .mvsp import (
     SUBSPACE_CAP,
     FRWitness,
     Subspace,
+    _check_skew,
     block_diagonalize_witness,
     bruhat,
     count_subspaces,
@@ -156,14 +160,9 @@ class DualSolution:
         if self.mode == "monomial":
             Ac = target.pad_square()
             p = Ac.base.F.p
-            for k in range(Ac.base.n_terms):
-                M = linalg.matmul(
-                    linalg.matmul(self.P, Ac.base.term(k), p), self.Q, p
-                )
-                for i, j in zip(*np.nonzero(M)):
-                    if self.alpha[i] + self.beta[j] + Ac.c[k] > 0:
-                        return False
-            return True
+            M = linalg.matmul(linalg.matmul(self.P, Ac.base.terms, p), self.Q, p)
+            a, b, c = self.alpha, self.beta, Ac.c
+            return all(a[i] + b[j] + c[k] <= 0 for k, i, j in zip(*np.nonzero(M)))
         B = target
         try:
             for k in range(B.n_terms):
@@ -329,27 +328,33 @@ def _kappa2_direction(values, increment):
     return best
 
 
+def _two_sided_direction(X, Y, n):
+    """(1_X, -1_{not Y}): raise alpha on X, drop beta off Y."""
+    Xs, Ys = set(X), set(Y)
+    return [1 if i in Xs else 0 for i in range(n)], [0 if j in Ys else -1 for j in range(n)]
+
+
+def _step_bounds(M, alpha, beta, c, inc_a, inc_b) -> StepSizes:
+    """Bounds on kappa for alpha + kappa*inc_a, beta + kappa*inc_b, where
+    M is the stack P A_k Q: kappa1 keeps every support entry feasible,
+    kappa2 keeps alpha and beta sorted."""
+    k1 = POS_INF
+    for k, i, j in zip(*np.nonzero(M)):
+        inc = inc_a[i] + inc_b[j]
+        if inc > 0:
+            k1 = min(k1, -(alpha[i] + beta[j] + c[k]) // inc)
+    k2 = min(_kappa2_direction(alpha, inc_a), _kappa2_direction(beta, inc_b))
+    return StepSizes(k1, k2)
+
+
 def step_sizes(state: DualSolution, X, Y, Ac: WeightedSymbolicMatrix) -> StepSizes:
     """Feasibility and sortedness bounds for raising alpha on X and
     dropping beta off Y."""
-    Xs, Ys = set(X), set(Y)
     sq = Ac.pad_square()
     p = sq.base.F.p
-    k1 = POS_INF
-    for k in range(sq.base.n_terms):
-        M = linalg.matmul(linalg.matmul(state.P, sq.base.term(k), p), state.Q, p)
-        for i, j in zip(*np.nonzero(M)):
-            if int(i) in Xs and int(j) in Ys:
-                slack = -(state.alpha[i] + state.beta[j] + sq.c[k])
-                k1 = min(k1, slack)
-    n = state.n
-    inc_a = [1 if i in Xs else 0 for i in range(n)]
-    inc_b = [0 if j in Ys else -1 for j in range(n)]
-    k2 = min(
-        _kappa2_direction(state.alpha, inc_a),
-        _kappa2_direction(state.beta, inc_b),
-    )
-    return StepSizes(k1, k2)
+    M = linalg.matmul(linalg.matmul(state.P, sq.base.terms, p), state.Q, p)
+    inc_a, inc_b = _two_sided_direction(X, Y, state.n)
+    return _step_bounds(M, state.alpha, state.beta, sq.c, inc_a, inc_b)
 
 
 def _sorting_sigma(raw):
@@ -480,7 +485,8 @@ def deg_subdet(
     while True:
         At = _general_leading(B, alpha, P, beta, Q)
         w, exact = solver(At, rng)
-        assert exact, "leading-matrix witness must certify its value"
+        if not exact:
+            raise WitnessUnavailable("leading-matrix witness must certify its value")
         if not w.dominant:
             profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
@@ -520,17 +526,19 @@ def deg_subdet(
         if kappa1 == POS_INF:
             emit_neg(ell + 1)
             break
-        assert kappa1 >= 1, "witness zero block must clear the tight entries"
+        if kappa1 < 1:
+            raise AlgorithmStall("witness zero block must clear the tight entries")
 
         X = {bs.pi[i] for i in range(w.r)}
         Y = {bt.pi[j] for j in range(w.s)}
         alpha, P = renormalize(kappa1, X, alpha, bs.U, P, side="left")
         beta, Q = renormalize(kappa1, Y, beta, bt.U.T, Q, side="right")
         profile.meta["iterations"] += 1
-        assert profile.meta["iterations"] <= budget, (
-            f"{profile.meta['iterations']} iterations exceed the "
-            f"n(d - d0) = {budget} guarantee"
-        )
+        if profile.meta["iterations"] > budget:
+            raise AlgorithmStall(
+                f"{profile.meta['iterations']} iterations exceed the "
+                f"n(d - d0) = {budget} guarantee"
+            )
     profile.meta["r_star"] = ell
     return profile
 
@@ -541,73 +549,59 @@ def deg_det(B: RationalSymbolicMatrix, witness_solver="auto", rng=None):
 
 
 # ---------------------------------------------------------------------------
-# monomial engine (Hungarian)
+# monomial engines (Hungarian)
 
 
-def _tight_leading(Ac, alpha, beta, P, Q):
-    p = Ac.base.F.p
-    terms = []
-    for k in range(Ac.base.n_terms):
-        M = linalg.matmul(linalg.matmul(P, Ac.base.term(k), p), Q, p)
-        mask = np.zeros_like(M)
-        for i, j in zip(*np.nonzero(M)):
-            s = alpha[i] + beta[j] + Ac.c[k]
-            if s > 0:
-                raise AlgorithmStall(
-                    f"dual infeasible at entry ({i},{j}) of term {k}"
-                )
-            if s == 0:
-                mask[i, j] = 1
-        terms.append(M * mask)
-    return SymbolicMatrix(Ac.base.F, terms)
+def _hungarian(A, c, alpha, beta, scale, solver, blockdiag, direction, rng):
+    """The Hungarian loop shared by both monomial engines.
 
-
-def hungarian_deg_det(
-    Ac: WeightedSymbolicMatrix, witness_solver="auto", rng=None
-) -> DegreeProfile:
-    """All Delta_ell of A[c] with field-valued P, Q.
-
-    The dual never leaves the monomial world: alpha and beta move by
-    integer steps kappa = min(kappa1, kappa2), and the witness for the
-    tight leading matrix is made block-diagonal for the equal-value
-    partitions of alpha and beta so composing it into P, Q preserves
-    feasibility entry by entry.
+    A is square and c, alpha, beta are already multiplied by scale, so
+    every step is integral; values and duals shed the factor on the way
+    out.  Each round holds M = P A_k Q for the whole term stack: its
+    tight entries give the leading matrix, and once the block-diagonal
+    witness (S, T) is composed into P and Q, S M T bounds the step and
+    is the next round's M.  blockdiag(w, row_blocks, col_blocks, terms)
+    shapes the witness and direction(X, Y, n) gives the step direction
+    (inc_a, inc_b) of alpha and beta.
     """
-    rng = as_rng(rng)
-    solver = resolve_witness_solver(witness_solver)
-    sq = Ac.pad_square()
-    n = sq.base.n_rows
+    n = A.n_rows
     profile = DegreeProfile(n)
     profile.meta["solvers"].add(getattr(solver, "__name__", "custom"))
     if n == 0:
         return profile
-    F = sq.base.F
+    F = A.F
     p = F.p
-    c = list(sq.c)
-    d = max(c)
+    P = Q = linalg.identity(n)
+    M = A.terms
     cmin = min(c)
-    alpha = [0] * n
-    beta = [-d] * n
-    P = linalg.identity(n)
-    Q = linalg.identity(n)
     ell = 0
     hard_cap = 16 * n * n * n + 64
 
     def emit(lo, hi):
+        a, b = alpha, beta
+        if scale > 1:
+            a = [Fraction(x, scale) for x in alpha]
+            b = [Fraction(x, scale) for x in beta]
         for l in range(lo, hi + 1):
-            profile.values[l] = _bound(alpha, beta, l)
-            profile.duals[l] = DualSolution(
-                alpha, P.copy(), beta, Q.copy(), "monomial", F
-            )
+            profile.values[l] = _bound(alpha, beta, l) // scale
+            profile.duals[l] = DualSolution(a, P.copy(), b, Q.copy(), "monomial", F)
 
     def emit_neg(lo):
         for l in range(lo, n + 1):
             profile.values[l] = NEG_INF
 
     while True:
-        At = _tight_leading(sq, alpha, beta, P, Q)
+        tight = np.zeros_like(M)
+        for k, i, j in zip(*np.nonzero(M)):
+            s = alpha[i] + beta[j] + c[k]
+            if s > 0:
+                raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
+            if s == 0:
+                tight[k, i, j] = M[k, i, j]
+        At = SymbolicMatrix(F, tight)
         w, exact = solver(At, rng)
-        assert exact, "leading-matrix witness must certify its value"
+        if not exact:
+            raise WitnessUnavailable("leading-matrix witness must certify its value")
         if not w.dominant:
             profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
@@ -622,17 +616,17 @@ def hungarian_deg_det(
             emit_neg(ell + 1)
             break
 
-        bd = block_diagonalize_witness(
+        bd = blockdiag(
             w,
             OrderedPartition.from_values(alpha).blocks,
             OrderedPartition.from_values(beta).blocks,
-            terms=At,
+            At,
         )
         P = linalg.matmul(bd.S, P, p)
         Q = linalg.matmul(Q, bd.T, p)
-        X, Y = bd.row_set, bd.col_set
-        state = DualSolution(alpha, P, beta, Q, "monomial", F)
-        ks = step_sizes(state, X, Y, sq)
+        M = linalg.matmul(linalg.matmul(bd.S, M, p), bd.T, p)
+        inc_a, inc_b = direction(bd.row_set, bd.col_set, n)
+        ks = _step_bounds(M, alpha, beta, c, inc_a, inc_b)
         if ks.kappa1 == POS_INF:
             emit_neg(ell + 1)
             break
@@ -641,9 +635,8 @@ def hungarian_deg_det(
             raise AlgorithmStall(
                 f"step collapsed to {kappa}; positioning invariant broken"
             )
-        Xs, Ys = set(X), set(Y)
-        alpha = [alpha[i] + (kappa if i in Xs else 0) for i in range(n)]
-        beta = [beta[j] + (0 if j in Ys else -kappa) for j in range(n)]
+        alpha = [a + kappa * d for a, d in zip(alpha, inc_a)]
+        beta = [b + kappa * d for b, d in zip(beta, inc_b)]
         profile.meta["iterations"] += 1
         if profile.meta["iterations"] > hard_cap:
             raise AlgorithmStall(f"no convergence within {hard_cap} iterations")
@@ -654,20 +647,30 @@ def hungarian_deg_det(
     return profile
 
 
-# ---------------------------------------------------------------------------
-# symmetric half-integral engine
+def hungarian_deg_det(
+    Ac: WeightedSymbolicMatrix, witness_solver="auto", rng=None
+) -> DegreeProfile:
+    """All Delta_ell of A[c] with field-valued P, Q.
 
-
-def _check_skew(A: SymbolicMatrix):
-    if A.n_rows != A.n_cols:
-        raise NotSkewSymmetric(f"shape {A.shape}")
-    p = A.F.p
-    for k in range(A.n_terms):
-        M = A.term(k)
-        if ((M + M.T) % p).any() or M.diagonal().any():
-            raise NotSkewSymmetric(
-                "terms must be skew-symmetric with zero diagonal"
-            )
+    The dual never leaves the monomial world: alpha and beta move by
+    integer steps kappa = min(kappa1, kappa2), and the witness for the
+    tight leading matrix is made block-diagonal for the equal-value
+    partitions of alpha and beta so composing it into P, Q preserves
+    feasibility entry by entry.
+    """
+    sq = Ac.pad_square()
+    n = sq.base.n_rows
+    return _hungarian(
+        sq.base,
+        sq.c,
+        [0] * n,
+        [-max(sq.c)] * n,
+        1,
+        resolve_witness_solver(witness_solver),
+        block_diagonalize_witness,
+        _two_sided_direction,
+        as_rng(rng),
+    )
 
 
 def _symmetric_blockdiag(w: FRWitness, partition, terms):
@@ -703,117 +706,52 @@ def _symmetric_blockdiag(w: FRWitness, partition, terms):
     return out
 
 
+def _symmetric_direction(X, Y, n):
+    """(v, v) with v = 1_X - 1_{not Y}: +1 on the column set, 0 on the
+    rest of the row set, -1 outside."""
+    Xs, Ys = set(X), set(Y)
+    if not Ys <= Xs:
+        raise AlgorithmStall("column set escaped the row set on a skew input")
+    v = [1 if i in Ys else 0 if i in Xs else -1 for i in range(n)]
+    return v, v
+
+
+def _solver_symmetric(A, rng):
+    w, _, _ = mvsp_symmetric_exhaustive(A)
+    return w, True
+
+
 def symmetric_hungarian(A: SymbolicMatrix, c, witness_solver=None, rng=None) -> DegreeProfile:
     """One-sided profile for skew-symmetric A[c] with half-integral
-    alpha: internally alpha and c are doubled so every step is integer,
-    and emitted objectives shed the factor again.
+    alpha = beta: the shared loop runs on doubled weights so every step
+    is integer, and emitted values and duals shed the factor again.
 
     The dominant optimum of a skew leading matrix nests V inside U, so
-    a single transform serves both sides (T = S^t) and the step
-    direction is +1 on the V part, 0 on the rest of the U part, -1
-    outside.
+    a single transform serves both sides (T = S^t, which keeps Q = P^t)
+    and the step direction is +1 on the V part, 0 on the rest of the U
+    part, -1 outside.
     """
-    rng = as_rng(rng)
     _check_skew(A)
-    n = A.n_rows
-    profile = DegreeProfile(n)
-    if n == 0:
-        return profile
     if len(c) != A.n_terms:
         raise DimensionMismatch("one weight per term")
-    F = A.F
-    p = F.p
     c2 = [2 * int(ck) for ck in c]
-    d2 = max(c2)
-    cmin = min(int(ck) for ck in c)
-    a2 = [-(d2 // 2)] * n  # alpha starts at -max(c)/2, tight on the top terms
-    P = linalg.identity(n)
-    ell = 0
-    hard_cap = 16 * n * n * n + 64
-
-    def value_at(l):
-        # -2 * (sum of the l smallest alpha) = -(sum of the l smallest alpha2)
-        return -sum(sorted(a2)[:l])
-
-    def emit(lo, hi):
-        for l in range(lo, hi + 1):
-            profile.values[l] = value_at(l)
-            half = [Fraction(x, 2) for x in a2]
-            profile.duals[l] = DualSolution(
-                half, P.copy(), half, P.T.copy(), "monomial", F
-            )
-
-    def emit_neg(lo):
-        for l in range(lo, n + 1):
-            profile.values[l] = NEG_INF
-
-    def solve(At):
-        if witness_solver is not None:
-            return resolve_witness_solver(witness_solver)(At, rng)
-        w, _, _ = mvsp_symmetric_exhaustive(At)
-        return w, True
-
-    profile.meta["solvers"].add(
-        getattr(resolve_witness_solver(witness_solver), "__name__", "custom")
-        if witness_solver is not None
-        else "mvsp_symmetric_exhaustive"
+    a2 = [-max(c2) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
+    solver = (
+        _solver_symmetric
+        if witness_solver is None
+        else resolve_witness_solver(witness_solver)
     )
-
-    while True:
-        terms = []
-        for k in range(A.n_terms):
-            M = linalg.matmul(linalg.matmul(P, A.term(k), p), P.T, p)
-            mask = np.zeros_like(M)
-            for i, j in zip(*np.nonzero(M)):
-                s = a2[i] + a2[j] + c2[k]
-                if s > 0:
-                    raise AlgorithmStall(f"dual infeasible at ({i},{j}), term {k}")
-                if s == 0:
-                    mask[i, j] = 1
-            terms.append(M * mask)
-        At = SymbolicMatrix(F, terms)
-        w, exact = solve(At)
-        assert exact, "leading-matrix witness must certify its value"
-        lbar = w.value()
-        if lbar < ell:
-            raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
-        if lbar > ell:
-            emit(ell + 1, lbar)
-            ell = lbar
-        if ell == n:
-            break
-        if value_at(ell + 1) < (ell + 1) * cmin:
-            emit_neg(ell + 1)
-            break
-
-        bd = _symmetric_blockdiag(w, OrderedPartition.from_values(a2).blocks, At)
-        P = linalg.matmul(bd.S, P, p)
-        X, Y = set(bd.row_set), set(bd.col_set)
-        if not Y <= X:
-            raise AlgorithmStall("column set escaped the row set on a skew input")
-        v = [1 if i in Y else 0 if i in X else -1 for i in range(n)]
-        k1 = POS_INF
-        for k in range(A.n_terms):
-            M = linalg.matmul(linalg.matmul(P, A.term(k), p), P.T, p)
-            for i, j in zip(*np.nonzero(M)):
-                inc = v[i] + v[j]
-                if inc > 0:
-                    slack = -(a2[i] + a2[j] + c2[k])
-                    k1 = min(k1, slack // inc)
-        if k1 == POS_INF:
-            emit_neg(ell + 1)
-            break
-        if k1 < 1:
-            raise AlgorithmStall("tight entry survived inside the zero block")
-        kappa = min(k1, _kappa2_direction(a2, v))
-        if kappa < 1:
-            raise AlgorithmStall("step collapsed; positioning invariant broken")
-        a2 = [a2[i] + kappa * v[i] for i in range(n)]
-        profile.meta["iterations"] += 1
-        if profile.meta["iterations"] > hard_cap:
-            raise AlgorithmStall(f"no convergence within {hard_cap} iterations")
-    profile.meta["r_star"] = ell
-    return profile
+    return _hungarian(
+        A,
+        c2,
+        a2,
+        a2,
+        2,
+        solver,
+        lambda w, rows, cols, At: _symmetric_blockdiag(w, rows, At),
+        _symmetric_direction,
+        as_rng(rng),
+    )
 
 
 # ---------------------------------------------------------------------------

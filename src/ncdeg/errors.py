@@ -69,9 +69,5 @@ class LPInfeasible(NcdegError, ValueError):
     """The linear program has no feasible point."""
 
 
-class LPUnbounded(NcdegError, ValueError):
-    """The linear program is unbounded."""
-
-
 class ParseError(NcdegError, ValueError):
     """An instance file or literal could not be parsed."""

@@ -295,8 +295,3 @@ def dumps(inst: ParsedInstance) -> str:
         raise ParseError(f"unknown kind {kind!r}")
     doc = {"field": {"p": F.p}, "kind": kind, "payload": payload}
     return json.dumps(doc, indent=2) + "\n"
-
-
-def dump_instance(inst: ParsedInstance, path):
-    with open(path, "w") as fh:
-        fh.write(dumps(inst))

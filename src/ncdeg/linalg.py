@@ -1,8 +1,8 @@
 """Dense exact linear algebra over GF(p) on numpy int64 arrays.
 
-Entries are kept reduced into [0, p).  All moduli in this package satisfy
-p < 2^16, so any product of two entries fits in int64 and matmul inner sums
-stay exact for inner dimensions up to 2^31.
+Entries are kept reduced into [0, p).  GF refuses moduli p >= 2^16, so
+any product of two entries fits in int64 and matmul inner sums stay exact
+for inner dimensions up to 2^31.
 """
 
 import numpy as np
@@ -49,7 +49,9 @@ def zeros(m: int, n: int) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    if A.shape[1] != B.shape[0]:
+    """A @ B mod p; either side may be an (m, r, c) stack of matrices,
+    which multiplies every matrix of the stack."""
+    if A.shape[-1] != B.shape[-2]:
         raise DimensionMismatch(f"{A.shape} @ {B.shape}")
     return (A @ B) % p
 

@@ -26,7 +26,6 @@ from .errors import (
     NotSkewSymmetric,
     PartitionMismatch,
     Singular,
-    WitnessUnavailable,
 )
 from .scalar import GF
 from .symbolic import SymbolicMatrix, as_rng, default_trials
@@ -159,11 +158,8 @@ class FRWitness:
             return False
         if len(self.row_set) != self.r or len(self.col_set) != self.s:
             return False
-        for k in range(A.n_terms):
-            M = linalg.matmul(linalg.matmul(self.S, A.term(k), p), self.T, p)
-            if M[np.ix_(self.row_set, self.col_set)].any():
-                return False
-        return True
+        M = linalg.matmul(linalg.matmul(self.S, A.terms, p), self.T, p)
+        return not M[:, self.row_set][:, :, self.col_set].any()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,8 @@ def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
         spent += trials
         if best % d == 0:
             return best // d
-        assert spent < 64 * trials, f"blow-up rank stuck at {best}, not divisible by {d}"
+        if spent >= 64 * trials:
+            raise AlgorithmStall(f"blow-up rank stuck at {best}, not divisible by {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +263,7 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     p = A.F.p
     if Ubasis.shape[0] == 0:
         return linalg.identity(A.n_cols)
-    rows = [
-        linalg.matmul(Ubasis, A.term(k), p) for k in range(A.n_terms)
-    ]
-    W = np.concatenate(rows, axis=0)
+    W = linalg.matmul(Ubasis, A.terms, p).reshape(-1, A.n_cols)
     return linalg.nullspace(W, p)
 
 
@@ -311,18 +305,20 @@ def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SU
     return _witness_from_subspaces(sq, U, V, True), U, V
 
 
+def _check_skew(A: SymbolicMatrix):
+    if A.n_rows != A.n_cols:
+        raise NotSkewSymmetric(f"shape {A.shape}")
+    T = A.terms
+    if ((T + T.transpose(0, 2, 1)) % A.F.p).any() or T.diagonal(axis1=1, axis2=2).any():
+        raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
+
+
 def mvsp_symmetric_exhaustive(A: SymbolicMatrix, cap: int = SUBSPACE_CAP):
     """Dominant witness for a zero-diagonal skew-symmetric matrix, shaped
     so that T = S transposed: the dominant optimum has U containing V, and
     S lists a basis of V first, extended to U, then completed."""
-    n = A.n_rows
-    if A.n_cols != n:
-        raise NotSkewSymmetric(f"shape {A.shape}")
+    _check_skew(A)
     p = A.F.p
-    for k in range(A.n_terms):
-        M = A.term(k)
-        if ((M + M.T) % p).any() or M.diagonal().any():
-            raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
     w, U, V = mvsp_exhaustive(A, want_dominant=True, cap=cap)
     if not U.contains_subspace(V):
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
@@ -433,13 +429,6 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: Optional[GF] = None) -> F
 
 # ---------------------------------------------------------------------------
 # matroid intersection solver
-
-
-def _ind(stack_rows, p) -> bool:
-    if not stack_rows:
-        return True
-    M = np.stack(stack_rows)
-    return linalg.rank(M, p) == len(stack_rows)
 
 
 def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):

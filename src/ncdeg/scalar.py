@@ -27,11 +27,17 @@ def _is_prime(n: int) -> bool:
 
 
 class GF:
-    """Context for arithmetic in the prime field Z/pZ."""
+    """Context for arithmetic in the prime field Z/pZ, for primes p < 2^16.
+
+    The bound keeps the numpy kernels in linalg.py exact in int64 and
+    their inverse tables small.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p >= 2**16:
+            raise ValueError(f"modulus must be below 2^16, got {p}")
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
@@ -75,11 +81,6 @@ class GF:
 
     def random_nonzero(self, rng: Random) -> int:
         return rng.randrange(1, self.p)
-
-
-def ff_inv(F: GF, a: int) -> int:
-    """Multiplicative inverse in F; raises ZeroInversion on 0."""
-    return F.inv(a)
 
 
 def centered(a: int, p: int) -> int:

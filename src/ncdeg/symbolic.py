@@ -202,10 +202,6 @@ class WeightedSymbolicMatrix:
     def n_terms(self):
         return self.base.n_terms
 
-    @property
-    def max_abs_weight(self):
-        return max(abs(w) for w in self.c)
-
     def __repr__(self):
         return f"WeightedSymbolicMatrix({self.base!r}, c={self.c})"
 

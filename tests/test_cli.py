@@ -146,6 +146,11 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="field"):
         instances.parse_text('{"kind": "symbolic", "payload": {}}')
 
+    huge = k3_bipartite_doc()
+    huge["field"]["p"] = 4294967311  # prime, beyond the 2^16 field bound
+    with pytest.raises(ParseError, match="field.p"):
+        instances.parse_text(json.dumps(huge))
+
 
 def test_parse_bipartite_matches_builder(tmp_path):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ncdeg import linalg
+from ncdeg import linalg, mvsp
 from ncdeg.errors import (
+    AlgorithmStall,
     EnumerationCapExceeded,
     NotSkewSymmetric,
     PartitionMismatch,
@@ -139,6 +143,54 @@ def test_nc_rank_rectangular():
     F = GF(65521)
     A = SymbolicMatrix(F, [unit(1, 2, 0, 0), unit(1, 2, 0, 1)])
     assert nc_rank(A, random.Random(1)) == 1
+
+
+def test_nc_rank_stalls_when_blowup_rank_never_divides(monkeypatch):
+    # blow-up order 2 for n = 3; a rank of 1 is never divisible by it
+    monkeypatch.setattr(mvsp.linalg, "rank", lambda A, p: 1)
+    A = SymbolicMatrix(GF(5), [linalg.identity(3)])
+    with pytest.raises(AlgorithmStall, match="not divisible"):
+        nc_rank(A, random.Random(0))
+
+
+def test_guarantees_hold_under_optimize_flag():
+    # python -O strips asserts: the engine must still finish with the right
+    # values, and nc_rank must still give up instead of looping forever
+    script = """
+import random
+from ncdeg import linalg, mvsp
+from ncdeg.apps import BipartiteInstance, build_edmonds
+from ncdeg.degdet import hungarian_deg_det
+from ncdeg.errors import AlgorithmStall
+from ncdeg.scalar import GF
+from ncdeg.symbolic import SymbolicMatrix
+
+print("debug", __debug__)
+F = GF(5)
+inst = BipartiteInstance(2, [(0, 0), (0, 1), (1, 1)], [3, 1, 2])
+prof = hungarian_deg_det(build_edmonds(inst, F), rng=random.Random(0))
+print("values", sorted(prof.values.items()))
+mvsp.linalg.rank = lambda A, p: 1
+try:
+    mvsp.nc_rank(SymbolicMatrix(F, [linalg.identity(3)]), random.Random(0))
+except AlgorithmStall:
+    print("stall")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mvsp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == [
+        "debug False",
+        "values [(0, 0), (1, 3), (2, 5)]",
+        "stall",
+    ]
 
 
 # ---------------------------------------------------------------------------

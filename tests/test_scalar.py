@@ -14,6 +14,13 @@ def test_rejects_composite_modulus():
             GF(n)
 
 
+def test_rejects_prime_at_or_above_two_to_sixteen():
+    # the int64 kernels and inverse tables assume p < 2^16
+    for p in [65537, 4294967311]:
+        with pytest.raises(ValueError, match="2\\^16"):
+            GF(p)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_field_axioms_randomized(p):
     F = GF(p)
