@@ -70,7 +70,10 @@ def dec_num(v, ctx="value"):
     if v is None:
         return NEG_INF
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"{ctx}: {v!r} is not a fraction") from None
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise ParseError(f"{ctx}: expected null, int, or 'num/den'")
@@ -86,11 +89,34 @@ def _enc_matrix(M):
     return M.tolist()
 
 
-def _dec_matrix(data, F, mode):
+def _get(doc, key, ctx, kind=None):
+    """doc[key] of a JSON object, or a ParseError naming the field."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParseError(f"{ctx}: missing field {key!r}")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise ParseError(f"{ctx}.{key}: expected a {kind.__name__}")
+    return doc[key]
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+
+
+def _dec_matrix(data, F, mode, n, ctx):
+    if not (isinstance(data, list) and len(data) == n and all(
+        isinstance(row, list) and len(row) == n for row in data
+    )):
+        raise ParseError(f"{ctx}: expected a {n} x {n} matrix")
     if mode == "monomial":
         import numpy as np
 
-        return np.array(data, dtype=np.int64) % F.p
+        if not all(_is_int_list(row) for row in data):
+            raise ParseError(f"{ctx}: expected integer entries")
+        return np.array([[e % F.p for e in row] for row in data], dtype=np.int64)
+    if not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int_list, e)) for row in data for e in row
+    ):
+        raise ParseError(f"{ctx}: expected [numerator, denominator] coefficient lists")
     rows = [
         [RatFn(Poly(F, e[0]), Poly(F, e[1])) for e in row] for row in data
     ]
@@ -108,12 +134,17 @@ def enc_dual(sol: DualSolution):
 
 
 def dec_dual(data, F) -> DualSolution:
-    mode = data["mode"]
-    alpha = [dec_num(a, "alpha") for a in data["alpha"]]
-    beta = [dec_num(b, "beta") for b in data["beta"]]
-    return DualSolution(
-        alpha, _dec_matrix(data["P"], F, mode), beta, _dec_matrix(data["Q"], F, mode), mode, F
-    )
+    mode = _get(data, "mode", "dual")
+    if mode not in ("monomial", "general"):
+        raise ParseError(f"dual.mode: expected 'monomial' or 'general', got {mode!r}")
+    alpha = [dec_num(a, "dual.alpha") for a in _get(data, "alpha", "dual", list)]
+    beta = [dec_num(b, "dual.beta") for b in _get(data, "beta", "dual", list)]
+    n = len(alpha)
+    if len(beta) != n:
+        raise ParseError(f"dual.beta: expected {n} entries like alpha, got {len(beta)}")
+    P = _dec_matrix(_get(data, "P", "dual"), F, mode, n, "dual.P")
+    Q = _dec_matrix(_get(data, "Q", "dual"), F, mode, n, "dual.Q")
+    return DualSolution(alpha, P, beta, Q, mode, F)
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +388,15 @@ def _cmd_oracle(args):
     raise _UsageError(f"oracle does not handle kind {kind!r}")
 
 
-def _verify_profile(report, inst, as_general):
-    Ac = _weighted(inst)
-    target = RationalSymbolicMatrix.from_weighted(Ac) if as_general else Ac
-    F = inst.F
+def _verify_duals(report, F, target, expected):
+    """Strong duality of every reported dual against target, where
+    expected maps each level key to its reported value."""
     checks = []
-    for key, dd in report["duals"].items():
-        l = int(key)
-        raw = report["values"][key] if key in report["values"] else report["values"]["deg_det"]
-        expected = dec_num(raw, f"values[{key}]")
+    for key, dd in _get(report, "duals", "report", dict).items():
+        if key not in expected or not key.isdecimal():
+            raise ParseError(f"duals[{key}]: no reported value at this level")
         sol = dec_dual(dd, F)
-        checks.append((f"level {l}", verify_dual(sol, target, l, expected)))
-    return checks
-
-
-def _verify_fmm(report, inst):
-    H = inst.obj
-    A = build_matroid_matching(H)
-    Ac = WeightedSymbolicMatrix(A.base, A.c)
-    checks = []
-    for key, dd in report["duals"].items():
-        l = int(key)
-        half = dec_num(report["values"]["curve"][key], f"curve[{key}]")
-        sol = dec_dual(dd, inst.F)
-        checks.append((f"level {l}", verify_dual(sol, Ac, l, 2 * half)))
+        checks.append((f"level {int(key)}", verify_dual(sol, target, int(key), expected[key])))
     return checks
 
 
@@ -392,20 +408,31 @@ def _cmd_verify(args):
         raise ParseError(str(e)) from None
     except json.JSONDecodeError as e:
         raise ParseError(f"{args.report}:{e.lineno}:{e.colno}: {e.msg}") from None
+    if not isinstance(report, dict):
+        raise ParseError(f"{args.report}: expected a JSON object")
     prime = args.prime
     if prime is None and isinstance(report.get("field"), dict):
         prime = report["field"].get("p")
     inst = _load(args.instance, prime)
     cmd = report.get("command")
-    if cmd in ("hungarian",):
-        checks = _verify_profile(report, inst, as_general=False)
-    elif cmd in ("degdet", "subdet"):
-        checks = _verify_profile(report, inst, as_general=True)
-    elif cmd == "fmm":
-        checks = _verify_fmm(report, inst)
+    values = _get(report, "values", "report", dict)
+    if cmd in ("hungarian", "degdet", "subdet", "fmm"):
+        target = _weighted(inst)
+        if cmd in ("degdet", "subdet"):
+            target = RationalSymbolicMatrix.from_weighted(target)
+        if cmd == "degdet":
+            raw = {str(target.n): _get(values, "deg_det", "values")}
+        elif cmd == "fmm":
+            raw = _get(values, "curve", "values", dict)
+        else:
+            raw = values
+        scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
+        expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
+        checks = _verify_duals(report, inst.F, target, expected)
     elif cmd == "bl-member":
+        _require_kind(inst, ("bl",), "bl-member")
         ok, cert = bl_membership_rank2(inst.obj)
-        same = report["values"]["member"] == ok
+        same = _get(values, "member", "values") == ok
         checks = [("verdict", same)]
     elif cmd == "ncrank":
         sub = argparse.Namespace(
@@ -416,7 +443,7 @@ def _cmd_verify(args):
             trials=report.get("trials"),
         )
         redo = _cmd_ncrank(sub)
-        checks = [("recomputation", redo["values"] == report["values"])]
+        checks = [("recomputation", redo["values"] == values)]
     elif cmd == "oracle":
         sub = argparse.Namespace(
             command="oracle",
@@ -426,7 +453,7 @@ def _cmd_verify(args):
             trials=report.get("trials"),
         )
         redo = _cmd_oracle(sub)
-        checks = [("recomputation", redo["values"] == report["values"])]
+        checks = [("recomputation", redo["values"] == values)]
     else:
         raise ParseError(f"report has no verifiable command (got {cmd!r})")
     ok = all(flag for _, flag in checks)

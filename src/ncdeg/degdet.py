@@ -38,6 +38,7 @@ from .errors import (
     BadCardinality,
     DimensionMismatch,
     LPInfeasible,
+    NcdegError,
     NotComplementarySlack,
     NotSorted,
     WitnessUnavailable,
@@ -56,7 +57,7 @@ from .mvsp import (
     mvsp_symmetric_exhaustive,
     nc_rank,
 )
-from .ratfunc import RatFn, RationalMatrix, leading_coeff_matrix
+from .ratfunc import RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
 from .symbolic import (
     RationalSymbolicMatrix,
     SymbolicMatrix,
@@ -117,7 +118,7 @@ class StepSizes(NamedTuple):
 class DualSolution:
     """Feasible dual state (alpha, P, beta, Q).
 
-    monomial mode: P, Q are field matrices and feasibility reads
+    monomial mode: P, Q are invertible field matrices and feasibility reads
     alpha_i + beta_j + c_k <= 0 on the support of P A_k Q.  general
     mode: P, Q are biproper rational matrices and every entry of
     (t^alpha) P B_k Q (t^beta) must be proper.
@@ -130,7 +131,8 @@ class DualSolution:
         self.P = P
         self.beta = list(beta)
         self.Q = Q
-        assert mode in ("monomial", "general")
+        if mode not in ("monomial", "general"):
+            raise NcdegError(f"dual mode must be monomial or general, got {mode!r}")
         self.mode = mode
         self.F = F
 
@@ -160,15 +162,17 @@ class DualSolution:
         if self.mode == "monomial":
             Ac = target.pad_square()
             p = Ac.base.F.p
+            if linalg.rank(linalg.matmul(self.P, self.Q, p), p) < self.n:
+                return False  # the square P Q is invertible iff P and Q are
             M = linalg.matmul(linalg.matmul(self.P, Ac.base.terms, p), self.Q, p)
             a, b, c = self.alpha, self.beta, Ac.c
             return all(a[i] + b[j] + c[k] <= 0 for k, i, j in zip(*np.nonzero(M)))
-        B = target
         try:
-            for k in range(B.n_terms):
-                G = self.P.matmul(B.terms[k]).matmul(self.Q)
+            if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
+                return False
+            for G in target.transform(self.P, self.Q).terms:
                 leading_coeff_matrix(G, self.alpha, self.beta)
-        except Exception:
+        except NcdegError:
             return False
         return True
 
@@ -427,14 +431,6 @@ def _general_degree_data(B: RationalSymbolicMatrix):
     return d, d0
 
 
-def _general_leading(B, alpha, P, beta, Q):
-    terms = []
-    for Bk in B.terms:
-        G = P.matmul(Bk).matmul(Q)
-        terms.append(leading_coeff_matrix(G, alpha, beta))
-    return SymbolicMatrix(B.F, terms)
-
-
 def _bound(alpha, beta, ell):
     n = len(alpha)
     return -sum(alpha[n - ell:]) - sum(beta[n - ell:])
@@ -483,7 +479,8 @@ def deg_subdet(
             profile.values[l] = NEG_INF
 
     while True:
-        At = _general_leading(B, alpha, P, beta, Q)
+        G = B.transform(P, Q).terms
+        At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
         w, exact = solver(At, rng)
         if not exact:
             raise WitnessUnavailable("leading-matrix witness must certify its value")
@@ -515,9 +512,8 @@ def deg_subdet(
         S_rat = RationalMatrix.from_scalars(F, S_eff)
         T_rat = RationalMatrix.from_scalars(F, T_eff)
         kappa1 = POS_INF
-        for Bk in B.terms:
-            G = P.matmul(Bk).matmul(Q).scale_rows(alpha).scale_cols(beta)
-            H = S_rat.matmul(G).matmul(T_rat)
+        for Gk in G:
+            H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta)).matmul(T_rat)
             for i in range(w.r):
                 for j in range(w.s):
                     e = H.rows[i][j]
@@ -780,7 +776,8 @@ def dual_forms_convert(sol: DualSolution, ell):
     xi = [g1 - a for a in sol.alpha]
     eta = [g2 - b for b in sol.beta]
     gamma = -(g1 + g2)
-    assert all(x >= 0 for x in xi) and all(e >= 0 for e in eta)
+    if min(xi + eta, default=0) < 0:
+        raise NotSorted(f"alpha {sol.alpha} and beta {sol.beta} must be non-increasing")
     if sol.F is None:
         raise ValueError("dual solution lacks its field; flags need one")
     P = np.asarray(sol.P, dtype=np.int64)
@@ -792,11 +789,12 @@ def dual_forms_convert(sol: DualSolution, ell):
 
 def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None, witness_solver="auto"):
     """Integral maximizer of c'u over the ell-th subdeterminant
-    polytope, recovered coordinatewise from perturbed-weight runs.
+    polytope, read off one run at a lexicographically perturbed weight.
 
-    Scaling the running weight by n+1 before adding each unit
-    perturbation keeps earlier coordinates lexicographically locked, so
-    u_k reads off as a difference of consecutive optima.
+    With N = n + 1 and 0 <= u_k <= n, w_k = c_k N^m + N^(m-1-k) scores u
+    as c'u N^m plus u in base N, so divmod decodes every coordinate; a
+    digit above n would carry and break the digit sum.  A run at c finds
+    -inf levels and checks c'u.
     """
     rng = as_rng(rng)
     m = Ac.base.n_terms
@@ -805,23 +803,16 @@ def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None, witness_solver="auto")
         raise BadCardinality(f"ell={ell} outside [0, {n}]")
     if ell == 0:
         return [0] * m
-    base = hungarian_deg_det(Ac, witness_solver, rng)
-    if base.values[ell] == NEG_INF:
+    best = hungarian_deg_det(Ac, witness_solver, rng).values[ell]
+    if best == NEG_INF:
         raise LPInfeasible(f"level {ell} has value -inf")
-    w_prev = list(Ac.c)
-    val_prev = base.values[ell]
-    u = []
-    for k in range(m):
-        w_next = [(n + 1) * wk for wk in w_prev]
-        w_next[k] += 1
-        Ak = WeightedSymbolicMatrix(Ac.base, w_next)
-        val_next = hungarian_deg_det(Ak, witness_solver, rng).values[ell]
-        uk = val_next - (n + 1) * val_prev
-        assert 0 <= uk <= n, f"coordinate {k} out of range: {uk}"
-        u.append(int(uk))
-        w_prev, val_prev = w_next, val_next
-    assert sum(u) == ell, f"coordinates sum to {sum(u)}, expected {ell}"
-    assert sum(ci * ui for ci, ui in zip(Ac.c, u)) == base.values[ell]
+    N = n + 1
+    w = [ck * N**m + N ** (m - 1 - k) for k, ck in enumerate(Ac.c)]
+    top = hungarian_deg_det(WeightedSymbolicMatrix(Ac.base, w), witness_solver, rng).values[ell]
+    cu, tail = divmod(top, N**m)
+    u = [tail // N ** (m - 1 - k) % N for k in range(m)]
+    if sum(u) != ell or cu != best:
+        raise AlgorithmStall(f"decoded c'u = {cu}, sum(u) = {sum(u)}; expected {best}, {ell}")
     return u
 
 

@@ -252,7 +252,8 @@ def enumerate_subspaces(F: GF, n: int, cap: int = SUBSPACE_CAP):
                 for (i, j), v in zip(free_pos, fill):
                     B[i, j] = v
                 out.append(B)
-    assert len(out) == total
+    if len(out) != total:
+        raise AlgorithmStall(f"enumerated {len(out)} subspaces, expected {total}")
     _SUBSPACE_CACHE[key] = out
     return out
 
@@ -301,7 +302,8 @@ def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SU
         return _witness_from_subspaces(sq, U, V, False), U, V
     U = Subspace(F, np.concatenate([ub for ub, _ in best]))
     V = Subspace(F, _max_vanishing_V(sq, U.basis))
-    assert 2 * n - U.dim - V.dim == best_val, "optimum not closed under joins"
+    if 2 * n - U.dim - V.dim != best_val:
+        raise AlgorithmStall("optimum not closed under joins")
     return _witness_from_subspaces(sq, U, V, True), U, V
 
 
@@ -483,7 +485,8 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
         if goal is None:
             reach = set(prev.keys())
             I = set(range(m)) - reach
-            assert rank_a(I) + rank_b(set(range(m)) - I) == len(J)
+            if rank_a(I) + rank_b(set(range(m)) - I) != len(J):
+                raise AlgorithmStall("matroid intersection lost its min-max certificate")
             return J, I
         path = []
         v = goal

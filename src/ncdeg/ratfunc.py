@@ -540,5 +540,6 @@ def biproper_inverse(M: RationalMatrix) -> RationalMatrix:
     if linalg.rank(L, M.F.p) < n:
         raise NotBiproper("leading matrix is singular")
     Minv = M.inverse()
-    assert Minv.max_deg() <= 0
+    if Minv.max_deg() > 0:
+        raise NotBiproper("inverse has an entry of positive degree")
     return Minv

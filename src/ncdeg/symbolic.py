@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    AlgorithmStall,
     BadCardinality,
     DimensionMismatch,
     EnumerationCapExceeded,
@@ -422,13 +423,14 @@ def _outer_conv(colv: np.ndarray, rowv: np.ndarray, p: int) -> np.ndarray:
 
 def _exact_div(M: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     """Entrywise exact polynomial division by q; the elimination identity
-    guarantees zero remainder, asserted."""
+    guarantees zero remainder, checked."""
     if q.shape[0] == 1:
         return (M * int(linalg.inv_table(p)[q[0]])) % p
     r, c, Ln = M.shape
     Lq = q.shape[0]
     if Ln < Lq:
-        assert not M.any()
+        if M.any():
+            raise AlgorithmStall("non-exact division in fraction-free elimination")
         return np.zeros((r, c, 1), dtype=np.int64)
     ilead = int(linalg.inv_table(p)[q[-1]])
     Q = np.zeros((r, c, Ln - Lq + 1), dtype=np.int64)
@@ -439,7 +441,8 @@ def _exact_div(M: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
         W[:, :, i - Lq + 1 : i + 1] = (
             W[:, :, i - Lq + 1 : i + 1] - f[:, :, None] * q[None, None, :]
         ) % p
-    assert not W.any(), "non-exact division in fraction-free elimination"
+    if W.any():
+        raise AlgorithmStall("non-exact division in fraction-free elimination")
     return Q
 
 
@@ -671,7 +674,7 @@ def _full_rank_mat(rng, nr: int, nc: int, p: int) -> np.ndarray:
         M = linalg.rand_mat(rng, nr, nc, p)
         if linalg.rank(M, p) == min(nr, nc):
             return M
-    raise AssertionError(f"no full-rank {nr}x{nc} draw over GF({p})")
+    raise AlgorithmStall(f"no full-rank {nr}x{nc} draw over GF({p})")
 
 
 def _weighted_blowup_degdet(base: SymbolicMatrix, c, Rs: np.ndarray, p: int):

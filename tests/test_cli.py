@@ -31,6 +31,19 @@ def k3_bipartite_doc():
     }
 
 
+def diag_weighted_doc():
+    return {
+        "field": {"p": 5},
+        "kind": "weighted",
+        "payload": {
+            "rows": 2,
+            "cols": 2,
+            "terms": [[[1, 1, 1]], [[2, 2, 1]]],
+            "weights": [3, 2],
+        },
+    }
+
+
 def k3_lines_doc():
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     return {
@@ -278,17 +291,7 @@ def test_verify_hungarian_report(tmp_path, capsys):
 
 
 def test_verify_subdet_report(tmp_path, capsys):
-    doc = {
-        "field": {"p": 5},
-        "kind": "weighted",
-        "payload": {
-            "rows": 2,
-            "cols": 2,
-            "terms": [[[1, 1, 1]], [[2, 2, 1]]],
-            "weights": [3, 2],
-        },
-    }
-    path = write(tmp_path, "diag.json", doc)
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
     code, out = run(capsys, "subdet", path, "--json")
     assert code == 0
     report = json.loads(out)
@@ -296,6 +299,85 @@ def test_verify_subdet_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     report_path.write_text(out)
     assert run(capsys, "verify", str(report_path), path)[0] == 0
+
+
+def report_and_instance(tmp_path, capsys, command):
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
+    code, out = run(capsys, command, path, "--json")
+    assert code == 0
+    return json.loads(out), path
+
+
+def verify_edited(tmp_path, capsys, report, path, edit):
+    edit(report)
+    report_path = write(tmp_path, "edited.json", report)
+    code = cli.main(["verify", report_path, path])
+    return code, capsys.readouterr()
+
+
+def _bogus_mode(report):
+    for dd in report["duals"].values():
+        dd["mode"] = "bogus"
+
+
+def _no_alpha(report):
+    del report["duals"]["1"]["alpha"]
+
+
+def _small_P(report):
+    report["duals"]["1"]["P"] = [[1]]
+
+
+def _extra_level(report):
+    report["duals"]["7"] = report["duals"]["1"]
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("hungarian", _bogus_mode),
+        ("hungarian", _no_alpha),
+        ("subdet", _small_P),
+        ("hungarian", _extra_level),
+    ],
+)
+def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
+    report, path = report_and_instance(tmp_path, capsys, command)
+    code, captured = verify_edited(tmp_path, capsys, report, path, edit)
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ncdeg: error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+def test_verify_flags_corrupted_dual(tmp_path, capsys, command):
+    report, path = report_and_instance(tmp_path, capsys, command)
+
+    def corrupt(report):
+        report["duals"]["1"]["alpha"][0] += 100
+
+    code, captured = verify_edited(tmp_path, capsys, report, path, corrupt)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "NOT verified"
+
+
+@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+def test_verify_rejects_singular_P(tmp_path, capsys, command):
+    # P = 0 clears every support constraint, so without an invertibility
+    # check any claimed value would verify
+    report, path = report_and_instance(tmp_path, capsys, command)
+
+    def forge(report):
+        dual = report["duals"]["1"]
+        zero = 0 if command == "hungarian" else [[], [1]]
+        dual["P"] = [[zero, zero], [zero, zero]]
+        dual["alpha"][1] = -99 - dual["beta"][1]
+        report["values"]["1"] = 99
+
+    code, captured = verify_edited(tmp_path, capsys, report, path, forge)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "NOT verified"
 
 
 def test_verify_fmm_report(tmp_path, capsys):

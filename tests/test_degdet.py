@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ncdeg import linalg
+from ncdeg import degdet, linalg
+from ncdeg.apps import BipartiteInstance, brute_force_matching_oracles, build_edmonds
 from ncdeg.degdet import (
     DegreeProfile,
     DualSolution,
@@ -543,6 +544,15 @@ def test_dual_forms_convert_needs_flat_head():
         dual_forms_convert(sol, 1)
 
 
+def test_dual_forms_convert_rejects_unsorted_alpha():
+    # the head is flat, but alpha rises after it, so xi would go negative
+    F = GF(5)
+    I = linalg.identity(2)
+    sol = DualSolution([0, 1], I, [0, 0], I, "monomial", F)
+    with pytest.raises(NotSorted):
+        dual_forms_convert(sol, 1)
+
+
 # ---------------------------------------------------------------------------
 # the subdeterminant polytope
 
@@ -561,6 +571,38 @@ def test_optimize_q_k3():
     F = GF(5)
     Ac = WeightedSymbolicMatrix(tutte_k3(F), [1, 1, 1])
     assert optimize_Q(Ac, 3, rng=random.Random(29)) == [1, 1, 1]
+
+
+def test_optimize_q_weights_beyond_int64():
+    # 24 edges on n = 6 give perturbed weights near 7^24 ~ 1.9e20 > 2^63
+    F = GF(65521)
+    wr = random.Random(31)
+    edges = [(i, (i + d) % 6) for i in range(6) for d in range(4)]
+    inst = BipartiteInstance(6, edges, [wr.randint(-10, 10) for _ in edges])
+    Ac = build_edmonds(inst, F)
+    for ell in range(1, 7):
+        u = optimize_Q(Ac, ell, rng=random.Random(ell))
+        support = [edges[k] for k, uk in enumerate(u) if uk]
+        assert set(u) <= {0, 1} and len(support) == ell
+        assert len({i for i, _ in support}) == len({j for _, j in support}) == ell
+        assert sum(c * uk for c, uk in zip(Ac.c, u)) == brute_force_matching_oracles(inst, ell)
+
+
+def test_optimize_q_makes_two_engine_runs(monkeypatch):
+    F = GF(65521)
+    Ac = edmonds_w(F, 3, 3, [(0, 0, 3), (0, 1, 1), (1, 0, 2), (1, 1, 4), (2, 2, -1), (2, 0, 5)])
+    runs = []
+    engine = degdet.hungarian_deg_det
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(degdet, "hungarian_deg_det", counted)
+    for ell in range(1, 4):
+        runs.clear()
+        optimize_Q(Ac, ell, rng=random.Random(ell))
+        assert len(runs) == 2
 
 
 def test_optimize_q_infeasible_level():

@@ -160,8 +160,8 @@ def test_guarantees_hold_under_optimize_flag():
 import random
 from ncdeg import linalg, mvsp
 from ncdeg.apps import BipartiteInstance, build_edmonds
-from ncdeg.degdet import hungarian_deg_det
-from ncdeg.errors import AlgorithmStall
+from ncdeg.degdet import DualSolution, dual_forms_convert, hungarian_deg_det
+from ncdeg.errors import AlgorithmStall, NotSorted
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix
 
@@ -175,6 +175,11 @@ try:
     mvsp.nc_rank(SymbolicMatrix(F, [linalg.identity(3)]), random.Random(0))
 except AlgorithmStall:
     print("stall")
+I = linalg.identity(2)
+try:
+    dual_forms_convert(DualSolution([0, 1], I, [0, 0], I, "monomial", F), 1)
+except NotSorted:
+    print("not sorted")
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(mvsp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -186,10 +191,11 @@ except AlgorithmStall:
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:3] == [
+    assert out.stdout.split("\n")[:4] == [
         "debug False",
         "values [(0, 0), (1, 3), (2, 5)]",
         "stall",
+        "not sorted",
     ]
 
 

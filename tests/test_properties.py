@@ -1,6 +1,6 @@
-"""Property tests on small random instances: the monomial engines against
-brute force and against each other, and the stacked matmul against the
-per-term loop."""
+"""Property tests on small random instances: the monomial engines and
+optimize_Q against brute force, the engines against each other, and the
+stacked matmul against the per-term loop."""
 
 import random
 
@@ -17,7 +17,7 @@ from ncdeg.apps import (
     build_edmonds,
     build_matroid_intersection,
 )
-from ncdeg.degdet import hungarian_deg_det, symmetric_hungarian, verify_dual
+from ncdeg.degdet import hungarian_deg_det, optimize_Q, symmetric_hungarian, verify_dual
 from ncdeg.errors import DimensionMismatch
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, WeightedSymbolicMatrix
@@ -70,6 +70,41 @@ def test_hungarian_matches_brute_force_on_matroid_pairs(inst):
     Ac = build_matroid_intersection(inst)
     prof = hungarian_deg_det(Ac, rng=random.Random(0))
     check_profile(prof, Ac, oracle_values(inst, inst.n))
+
+
+def check_optimize_Q(inst, Ac, is_independent):
+    """At ell = r_star, optimize_Q returns a 0/1 vector whose support is
+    independent and whose weight is the brute-force Delta_ell."""
+    ell = hungarian_deg_det(Ac, rng=random.Random(0)).meta["r_star"]
+    u = optimize_Q(Ac, ell, rng=random.Random(1))
+    support = [k for k, uk in enumerate(u) if uk]
+    assert set(u) <= {0, 1} and len(support) == ell
+    assert is_independent(support)
+    assert sum(c * uk for c, uk in zip(Ac.c, u)) == brute_force_matching_oracles(inst, ell)
+
+
+@PROPERTY
+@given(bipartite_instances())
+def test_optimize_Q_picks_a_max_weight_matching(inst):
+    def is_matching(support):
+        rows = {inst.edges[k][0] for k in support}
+        cols = {inst.edges[k][1] for k in support}
+        return len(rows) == len(cols) == len(support)
+
+    check_optimize_Q(inst, build_edmonds(inst, GF(65521)), is_matching)
+
+
+@PROPERTY
+@given(matroid_pairs())
+def test_optimize_Q_picks_a_max_weight_common_independent_set(inst):
+    def is_common_independent(support):
+        p = inst.F.p
+        return all(
+            linalg.rank(vecs[support], p) == len(support)
+            for vecs in (inst.a_vectors, inst.b_vectors)
+        )
+
+    check_optimize_Q(inst, build_matroid_intersection(inst), is_common_independent)
 
 
 @st.composite
