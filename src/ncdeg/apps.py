@@ -17,10 +17,9 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, EnumerationCapExceeded
 from .mvsp import SUBSPACE_CAP, enumerate_subspaces
+from .ratfunc import NEG_INF
 from .scalar import GF
 from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng
-
-NEG_INF = float("-inf")
 
 BRUTE_FORCE_N_CAP = 8
 BRUTE_FORCE_M_CAP = 12

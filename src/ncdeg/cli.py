@@ -209,7 +209,6 @@ def _report(args, inst, values, duals, iterations, guarantee, exit_code):
         "field": {"p": inst.F.p},
         "seed": args.seed,
         "trials": args.trials,
-        "solver": getattr(args, "solver", None),
         "values": values,
         "duals": duals,
         "iterations": iterations,
@@ -283,7 +282,7 @@ def _cmd_degdet(args):
     inst = _load(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "degdet")
     B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
-    prof = deg_subdet(B, args.solver, random.Random(args.seed))
+    prof = deg_subdet(B, random.Random(args.seed))
     v = prof.values[B.n]
     duals = {}
     if B.n in prof.duals:
@@ -303,7 +302,7 @@ def _cmd_subdet(args):
     inst = _load(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "subdet")
     B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
-    prof = deg_subdet(B, args.solver, random.Random(args.seed))
+    prof = deg_subdet(B, random.Random(args.seed))
     return _profile_report(args, inst, prof, B.n)
 
 
@@ -311,7 +310,7 @@ def _cmd_hungarian(args):
     inst = _load(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "hungarian")
     Ac = _weighted(inst)
-    prof = hungarian_deg_det(Ac, args.solver, random.Random(args.seed))
+    prof = hungarian_deg_det(Ac, random.Random(args.seed))
     return _profile_report(args, inst, prof, prof.n)
 
 
@@ -323,8 +322,7 @@ def _cmd_fmm(args):
         values = {"best": 0, "curve": {"0": 0}}
         return _report(args, inst, values, {}, 0, "strong", 0)
     A = build_matroid_matching(H)
-    solver = None if args.solver == "auto" else args.solver
-    prof = symmetric_hungarian(A.base, H.weights, solver, random.Random(args.seed))
+    prof = symmetric_hungarian(A.base, H.weights, random.Random(args.seed))
     curve = {}
     best = Fraction(0)
     for l in range(prof.n + 1):
@@ -388,15 +386,26 @@ def _cmd_oracle(args):
     raise _UsageError(f"oracle does not handle kind {kind!r}")
 
 
-def _verify_duals(report, F, target, expected):
-    """Strong duality of every reported dual against target, where
-    expected maps each level key to its reported value."""
-    checks = []
-    for key, dd in _get(report, "duals", "report", dict).items():
-        if key not in expected or not key.isdecimal():
+def _verify_levels(report, F, target, expected, rank):
+    """A check per reported level, where expected maps each level key to
+    its value: level 0 is 0, a finite level carries a dual that meets
+    strong duality against target, and a -inf level lies above rank, a
+    lower bound on the nc-rank, so a true -inf claim is never refuted."""
+    duals = _get(report, "duals", "report", dict)
+    for key in duals:
+        if key not in expected:
             raise ParseError(f"duals[{key}]: no reported value at this level")
-        sol = dec_dual(dd, F)
-        checks.append((f"level {int(key)}", verify_dual(sol, target, int(key), expected[key])))
+    checks = []
+    for key in sorted(expected, key=int):
+        l, v = int(key), expected[key]
+        if l == 0:
+            ok = v == 0
+        elif v == NEG_INF:
+            ok = rank < l
+        else:
+            sol = dec_dual(duals[key], F) if key in duals else None
+            ok = sol is not None and target is not None and verify_dual(sol, target, l, v)
+        checks.append((f"level {l}", ok))
     return checks
 
 
@@ -410,6 +419,9 @@ def _cmd_verify(args):
         raise ParseError(f"{args.report}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(report, dict):
         raise ParseError(f"{args.report}: expected a JSON object")
+    seed, trials = report.get("seed", 0), report.get("trials")
+    if not isinstance(seed, int) or not isinstance(trials, (int, type(None))):
+        raise ParseError("report: seed and trials must be integers")
     prime = args.prime
     if prime is None and isinstance(report.get("field"), dict):
         prime = report["field"].get("p")
@@ -417,18 +429,33 @@ def _cmd_verify(args):
     cmd = report.get("command")
     values = _get(report, "values", "report", dict)
     if cmd in ("hungarian", "degdet", "subdet", "fmm"):
-        target = _weighted(inst)
-        if cmd in ("degdet", "subdet"):
-            target = RationalSymbolicMatrix.from_weighted(target)
+        if inst.kind == "lines" and inst.obj.m == 0:
+            base = target = None  # no pairs: a zero matrix with no terms to stack
+            n = inst.obj.n
+        else:
+            target = _weighted(inst)
+            base = target.base
+            if cmd in ("degdet", "subdet"):
+                target = RationalSymbolicMatrix.from_weighted(target)
+            n = max(base.n_rows, base.n_cols)
         if cmd == "degdet":
-            raw = {str(target.n): _get(values, "deg_det", "values")}
+            raw = {str(n): _get(values, "deg_det", "values")}
         elif cmd == "fmm":
             raw = _get(values, "curve", "values", dict)
         else:
             raw = values
+        if not all(k.isdecimal() for k in raw):
+            raise ParseError("values: level keys must be decimal")
         scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
-        checks = _verify_duals(report, inst.F, target, expected)
+        rank = 0  # the nc-rank of the empty matrix; else a one-sided lower bound
+        if base is not None and NEG_INF in expected.values():
+            rank = nc_rank(base, random.Random(seed), trials)
+        checks = _verify_levels(report, inst.F, target, expected, rank)
+        if cmd == "fmm":
+            best = dec_num(_get(values, "best", "values"), "values.best")
+            top = max((v for v in expected.values() if v != NEG_INF), default=NEG_INF)
+            checks.append(("best", scale * best == top))
     elif cmd == "bl-member":
         _require_kind(inst, ("bl",), "bl-member")
         ok, cert = bl_membership_rank2(inst.obj)
@@ -439,8 +466,8 @@ def _cmd_verify(args):
             command="ncrank",
             instance=args.instance,
             prime=prime,
-            seed=report.get("seed", 0),
-            trials=report.get("trials"),
+            seed=seed,
+            trials=trials,
         )
         redo = _cmd_ncrank(sub)
         checks = [("recomputation", redo["values"] == values)]
@@ -449,8 +476,8 @@ def _cmd_verify(args):
             command="oracle",
             instance=args.instance,
             prime=prime,
-            seed=report.get("seed", 0),
-            trials=report.get("trials"),
+            seed=seed,
+            trials=trials,
         )
         redo = _cmd_oracle(sub)
         checks = [("recomputation", redo["values"] == values)]
@@ -541,22 +568,16 @@ def _build_parser():
     parser = _Parser(prog="ncdeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, solver=False):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--prime", type=int, default=None)
         sp.add_argument("--trials", type=int, default=None)
-        if solver:
-            sp.add_argument(
-                "--solver",
-                choices=("auto", "exhaustive", "bipartite", "matroid"),
-                default="auto",
-            )
         sp.add_argument("--json", action="store_true")
 
     for name in ("ncrank", "degdet", "subdet", "hungarian", "fmm", "bl-member", "oracle"):
         sp = sub.add_parser(name)
         sp.add_argument("instance")
-        common(sp, solver=name in ("degdet", "subdet", "hungarian", "fmm"))
+        common(sp)
 
     sp = sub.add_parser("verify")
     sp.add_argument("report")

@@ -18,8 +18,9 @@ K(t):
   integer machinery applies unchanged.
 
 The two monomial engines run one Hungarian loop and differ only in the
-weight scale, the shape of the block-diagonal witness (T = S^t for the
-symmetric one) and the step direction.
+weight scale, the witness route and its block-diagonal shape (T = S^t
+for the symmetric one) and the step direction.  Every other leading
+matrix gets its witness by the cheapest route its structure allows.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -48,6 +49,7 @@ from .mvsp import (
     FRWitness,
     Subspace,
     _check_skew,
+    block_diagonalize_symmetric,
     block_diagonalize_witness,
     bruhat,
     count_subspaces,
@@ -57,16 +59,13 @@ from .mvsp import (
     mvsp_symmetric_exhaustive,
     nc_rank,
 )
-from .ratfunc import RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
+from .ratfunc import NEG_INF, POS_INF, RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
 from .symbolic import (
     RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
     as_rng,
 )
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ class DegreeProfile:
         self.n = n
         self.values = {0: 0}
         self.duals = {}
-        self.meta = {"iterations": 0, "guarantee": "strong", "solvers": set()}
+        self.meta = {"iterations": 0, "guarantee": "strong"}
 
     def delta(self, ell):
         return self.values[ell]
@@ -213,7 +212,7 @@ class DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# witness solvers for leading matrices
+# witness route for leading matrices
 
 
 def _single_entry_edges(A: SymbolicMatrix):
@@ -249,71 +248,27 @@ def _rank_one_pieces(A: SymbolicMatrix):
     return np.stack(va), np.stack(vb)
 
 
-def _solver_bipartite(A, rng):
+def _witness(A: SymbolicMatrix, rng) -> FRWitness:
+    """Certified witness for a square leading matrix, by the cheapest
+    route its structure allows: Koenig when every term is a single entry,
+    else matroid intersection over rank-one pieces, else subspace
+    enumeration."""
     edges = _single_entry_edges(A)
-    if edges is None:
-        raise WitnessUnavailable("leading matrix is not single-entry per term")
-    return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F), True
-
-
-def _solver_matroid(A, rng):
-    if A.n_rows != A.n_cols:
-        raise WitnessUnavailable("matroid witness needs a square leading matrix")
+    if edges is not None:
+        return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
     va, vb = _rank_one_pieces(A)
     w = mvsp_matroid_intersection(va, vb, A.F)
     # splitting a term can only overstate the optimum; a matching
     # blow-up estimate certifies that it did not
-    if w.value() != nc_rank(A, rng):
-        raise WitnessUnavailable(
-            "rank-one split lost optimality; need another witness route"
-        )
-    return w, True
-
-
-def _solver_exhaustive(A, rng):
-    n = max(A.n_rows, A.n_cols)
-    total = count_subspaces(A.F.p, n)
+    if w.value() == nc_rank(A, rng):
+        return w
+    total = count_subspaces(A.F.p, A.n_rows)
     if total > SUBSPACE_CAP:
         raise WitnessUnavailable(
-            f"{total} subspaces of GF({A.F.p})^{n} exceed the enumeration cap"
+            "rank-one split lost optimality; "
+            f"{total} subspaces of GF({A.F.p})^{A.n_rows} exceed the enumeration cap"
         )
-    w, _, _ = mvsp_exhaustive(A)
-    return w, True
-
-
-def _solver_auto(A, rng):
-    if _single_entry_edges(A) is not None:
-        return _solver_bipartite(A, rng)
-    errors = []
-    if A.n_rows == A.n_cols:
-        try:
-            return _solver_matroid(A, rng)
-        except WitnessUnavailable as e:
-            errors.append(str(e))
-    try:
-        return _solver_exhaustive(A, rng)
-    except WitnessUnavailable as e:
-        errors.append(str(e))
-    raise WitnessUnavailable("; ".join(errors))
-
-
-_SOLVERS = {
-    "auto": _solver_auto,
-    "bipartite": _solver_bipartite,
-    "matroid": _solver_matroid,
-    "exhaustive": _solver_exhaustive,
-}
-
-
-def resolve_witness_solver(spec):
-    if callable(spec):
-        return spec
-    try:
-        return _SOLVERS[spec]
-    except KeyError:
-        raise WitnessUnavailable(
-            f"unknown witness solver {spec!r}; choose from {sorted(_SOLVERS)}"
-        )
+    return mvsp_exhaustive(A)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +304,6 @@ def _step_bounds(M, alpha, beta, c, inc_a, inc_b) -> StepSizes:
             k1 = min(k1, -(alpha[i] + beta[j] + c[k]) // inc)
     k2 = min(_kappa2_direction(alpha, inc_a), _kappa2_direction(beta, inc_b))
     return StepSizes(k1, k2)
-
-
-def step_sizes(state: DualSolution, X, Y, Ac: WeightedSymbolicMatrix) -> StepSizes:
-    """Feasibility and sortedness bounds for raising alpha on X and
-    dropping beta off Y."""
-    sq = Ac.pad_square()
-    p = sq.base.F.p
-    M = linalg.matmul(linalg.matmul(state.P, sq.base.terms, p), state.Q, p)
-    inc_a, inc_b = _two_sided_direction(X, Y, state.n)
-    return _step_bounds(M, state.alpha, state.beta, sq.c, inc_a, inc_b)
 
 
 def _sorting_sigma(raw):
@@ -436,9 +381,7 @@ def _bound(alpha, beta, ell):
     return -sum(alpha[n - ell:]) - sum(beta[n - ell:])
 
 
-def deg_subdet(
-    B: RationalSymbolicMatrix, witness_solver="auto", rng=None
-) -> DegreeProfile:
+def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
     """All Delta_ell of a square matrix over K(t), with certifying duals.
 
     kappa is the largest feasibility-preserving step and a sorting
@@ -447,10 +390,8 @@ def deg_subdet(
     every finite Delta_ell must respect.
     """
     rng = as_rng(rng)
-    solver = resolve_witness_solver(witness_solver)
     n = B.n
     profile = DegreeProfile(n)
-    profile.meta["solvers"].add(getattr(solver, "__name__", "custom"))
     if n == 0:
         return profile
     F = B.F
@@ -481,9 +422,7 @@ def deg_subdet(
     while True:
         G = B.transform(P, Q).terms
         At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
-        w, exact = solver(At, rng)
-        if not exact:
-            raise WitnessUnavailable("leading-matrix witness must certify its value")
+        w = _witness(At, rng)
         if not w.dominant:
             profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
@@ -539,34 +478,32 @@ def deg_subdet(
     return profile
 
 
-def deg_det(B: RationalSymbolicMatrix, witness_solver="auto", rng=None):
+def deg_det(B: RationalSymbolicMatrix, rng=None):
     """Degree of the Dieudonne determinant: the top profile entry."""
-    return deg_subdet(B, witness_solver, rng).values[B.n]
+    return deg_subdet(B, rng).values[B.n]
 
 
 # ---------------------------------------------------------------------------
 # monomial engines (Hungarian)
 
 
-def _hungarian(A, c, alpha, beta, scale, solver, blockdiag, direction, rng):
+def _hungarian(A, c, alpha, beta, symmetric, rng):
     """The Hungarian loop shared by both monomial engines.
 
-    A is square and c, alpha, beta are already multiplied by scale, so
-    every step is integral; values and duals shed the factor on the way
-    out.  Each round holds M = P A_k Q for the whole term stack: its
-    tight entries give the leading matrix, and once the block-diagonal
-    witness (S, T) is composed into P and Q, S M T bounds the step and
-    is the next round's M.  blockdiag(w, row_blocks, col_blocks, terms)
-    shapes the witness and direction(X, Y, n) gives the step direction
-    (inc_a, inc_b) of alpha and beta.
+    A is square and, for the symmetric engine, c, alpha, beta are already
+    doubled, so every step is integral; values and duals shed the factor
+    on the way out.  Each round holds M = P A_k Q for the whole term
+    stack: its tight entries give the leading matrix, and once the
+    block-diagonal witness (S, T) is composed into P and Q, S M T bounds
+    the step and is the next round's M.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
-    profile.meta["solvers"].add(getattr(solver, "__name__", "custom"))
     if n == 0:
         return profile
     F = A.F
     p = F.p
+    scale = 2 if symmetric else 1
     P = Q = linalg.identity(n)
     M = A.terms
     cmin = min(c)
@@ -595,9 +532,7 @@ def _hungarian(A, c, alpha, beta, scale, solver, blockdiag, direction, rng):
             if s == 0:
                 tight[k, i, j] = M[k, i, j]
         At = SymbolicMatrix(F, tight)
-        w, exact = solver(At, rng)
-        if not exact:
-            raise WitnessUnavailable("leading-matrix witness must certify its value")
+        w = mvsp_symmetric_exhaustive(At)[0] if symmetric else _witness(At, rng)
         if not w.dominant:
             profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
@@ -612,16 +547,17 @@ def _hungarian(A, c, alpha, beta, scale, solver, blockdiag, direction, rng):
             emit_neg(ell + 1)
             break
 
-        bd = blockdiag(
-            w,
-            OrderedPartition.from_values(alpha).blocks,
-            OrderedPartition.from_values(beta).blocks,
-            At,
-        )
+        rows = OrderedPartition.from_values(alpha).blocks
+        if symmetric:
+            bd = block_diagonalize_symmetric(w, rows, At)
+            inc_a = inc_b = _symmetric_direction(bd.row_set, bd.col_set, n)
+        else:
+            cols = OrderedPartition.from_values(beta).blocks
+            bd = block_diagonalize_witness(w, rows, cols, At)
+            inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
         P = linalg.matmul(bd.S, P, p)
         Q = linalg.matmul(Q, bd.T, p)
         M = linalg.matmul(linalg.matmul(bd.S, M, p), bd.T, p)
-        inc_a, inc_b = direction(bd.row_set, bd.col_set, n)
         ks = _step_bounds(M, alpha, beta, c, inc_a, inc_b)
         if ks.kappa1 == POS_INF:
             emit_neg(ell + 1)
@@ -643,9 +579,7 @@ def _hungarian(A, c, alpha, beta, scale, solver, blockdiag, direction, rng):
     return profile
 
 
-def hungarian_deg_det(
-    Ac: WeightedSymbolicMatrix, witness_solver="auto", rng=None
-) -> DegreeProfile:
+def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
     """All Delta_ell of A[c] with field-valued P, Q.
 
     The dual never leaves the monomial world: alpha and beta move by
@@ -656,98 +590,34 @@ def hungarian_deg_det(
     """
     sq = Ac.pad_square()
     n = sq.base.n_rows
-    return _hungarian(
-        sq.base,
-        sq.c,
-        [0] * n,
-        [-max(sq.c)] * n,
-        1,
-        resolve_witness_solver(witness_solver),
-        block_diagonalize_witness,
-        _two_sided_direction,
-        as_rng(rng),
-    )
-
-
-def _symmetric_blockdiag(w: FRWitness, partition, terms):
-    """Block-diagonal form preserving T = S^t: one shared ordering puts
-    column-set indices first, then remaining row-set indices."""
-    F = w.F
-    p = F.p
-    n = w.n_rows
-    bs = bruhat(w.S, F)
-    X0 = sorted(bs.pi[i] for i in range(w.r))
-    Y0 = sorted(bs.pi[j] for j in range(w.s))
-    DU = linalg.matmul(np.diag(np.diag(bs.L)) % p, bs.U, p)
-    core = np.zeros((n, n), dtype=np.int64)
-    for b in partition:
-        core[np.ix_(b, b)] = DU[np.ix_(b, b)]
-    Xset, Yset = set(X0), set(Y0)
-    order = [
-        i
-        for b in partition
-        for i in sorted(
-            b, key=lambda i: (0 if i in Yset else 1 if i in Xset else 2, i)
-        )
-    ]
-    Pr = np.zeros((n, n), dtype=np.int64)
-    for a, i in enumerate(order):
-        Pr[a, i] = 1
-    S2 = linalg.matmul(Pr, core, p)
-    X = sorted(order.index(i) for i in X0)
-    Y = sorted(order.index(j) for j in Y0)
-    out = FRWitness(F, S2, S2.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
-    if not out.verify(terms):
-        raise AlgorithmStall("symmetric block-diagonalization lost the zero block")
-    return out
+    return _hungarian(sq.base, sq.c, [0] * n, [-max(sq.c)] * n, False, as_rng(rng))
 
 
 def _symmetric_direction(X, Y, n):
-    """(v, v) with v = 1_X - 1_{not Y}: +1 on the column set, 0 on the
-    rest of the row set, -1 outside."""
+    """v = 1_X - 1_{not Y}, for both alpha and beta: +1 on the column
+    set, 0 on the rest of the row set, -1 outside."""
     Xs, Ys = set(X), set(Y)
     if not Ys <= Xs:
         raise AlgorithmStall("column set escaped the row set on a skew input")
-    v = [1 if i in Ys else 0 if i in Xs else -1 for i in range(n)]
-    return v, v
+    return [1 if i in Ys else 0 if i in Xs else -1 for i in range(n)]
 
 
-def _solver_symmetric(A, rng):
-    w, _, _ = mvsp_symmetric_exhaustive(A)
-    return w, True
-
-
-def symmetric_hungarian(A: SymbolicMatrix, c, witness_solver=None, rng=None) -> DegreeProfile:
+def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
     """One-sided profile for skew-symmetric A[c] with half-integral
     alpha = beta: the shared loop runs on doubled weights so every step
     is integer, and emitted values and duals shed the factor again.
 
-    The dominant optimum of a skew leading matrix nests V inside U, so
-    a single transform serves both sides (T = S^t, which keeps Q = P^t)
-    and the step direction is +1 on the V part, 0 on the rest of the U
-    part, -1 outside.
+    The dominant optimum of a skew leading matrix, found by subspace
+    enumeration, nests V inside U, so a single transform serves both
+    sides (T = S^t, which keeps Q = P^t) and the step direction is +1 on
+    the V part, 0 on the rest of the U part, -1 outside.
     """
     _check_skew(A)
     if len(c) != A.n_terms:
         raise DimensionMismatch("one weight per term")
     c2 = [2 * int(ck) for ck in c]
     a2 = [-max(c2) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
-    solver = (
-        _solver_symmetric
-        if witness_solver is None
-        else resolve_witness_solver(witness_solver)
-    )
-    return _hungarian(
-        A,
-        c2,
-        a2,
-        a2,
-        2,
-        solver,
-        lambda w, rows, cols, At: _symmetric_blockdiag(w, rows, At),
-        _symmetric_direction,
-        as_rng(rng),
-    )
+    return _hungarian(A, c2, a2, a2, True, as_rng(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +657,7 @@ def dual_forms_convert(sol: DualSolution, ell):
     return xi, eta, gamma, flags_U, flags_V
 
 
-def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None, witness_solver="auto"):
+def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None):
     """Integral maximizer of c'u over the ell-th subdeterminant
     polytope, read off one run at a lexicographically perturbed weight.
 
@@ -803,12 +673,12 @@ def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None, witness_solver="auto")
         raise BadCardinality(f"ell={ell} outside [0, {n}]")
     if ell == 0:
         return [0] * m
-    best = hungarian_deg_det(Ac, witness_solver, rng).values[ell]
+    best = hungarian_deg_det(Ac, rng).values[ell]
     if best == NEG_INF:
         raise LPInfeasible(f"level {ell} has value -inf")
     N = n + 1
     w = [ck * N**m + N ** (m - 1 - k) for k, ck in enumerate(Ac.c)]
-    top = hungarian_deg_det(WeightedSymbolicMatrix(Ac.base, w), witness_solver, rng).values[ell]
+    top = hungarian_deg_det(WeightedSymbolicMatrix(Ac.base, w), rng).values[ell]
     cu, tail = divmod(top, N**m)
     u = [tail // N ** (m - 1 - k) % N for k in range(m)]
     if sum(u) != ell or cu != best:

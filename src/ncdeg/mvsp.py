@@ -268,10 +268,10 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
-def _witness_from_subspaces(A, U: Subspace, V: Subspace, dominant: bool) -> FRWitness:
+def _witness_from_subspaces(F, U: Subspace, V: Subspace, dominant: bool) -> FRWitness:
     S = np.concatenate([U.basis, U.completion()])
     T = np.concatenate([V.basis, V.completion()]).T
-    return FRWitness(A.F, S, T, U.dim, V.dim, dominant=dominant)
+    return FRWitness(F, S, T, U.dim, V.dim, dominant=dominant)
 
 
 def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SUBSPACE_CAP):
@@ -299,12 +299,12 @@ def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SU
     if not want_dominant:
         Ub, Vb = best[0]
         U, V = Subspace(F, Ub), Subspace(F, Vb)
-        return _witness_from_subspaces(sq, U, V, False), U, V
+        return _witness_from_subspaces(F, U, V, False), U, V
     U = Subspace(F, np.concatenate([ub for ub, _ in best]))
     V = Subspace(F, _max_vanishing_V(sq, U.basis))
     if 2 * n - U.dim - V.dim != best_val:
         raise AlgorithmStall("optimum not closed under joins")
-    return _witness_from_subspaces(sq, U, V, True), U, V
+    return _witness_from_subspaces(F, U, V, True), U, V
 
 
 def _check_skew(A: SymbolicMatrix):
@@ -324,8 +324,8 @@ def mvsp_symmetric_exhaustive(A: SymbolicMatrix, cap: int = SUBSPACE_CAP):
     w, U, V = mvsp_exhaustive(A, want_dominant=True, cap=cap)
     if not U.contains_subspace(V):
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
-    mid = _extend_basis(V.basis, U.basis, p)
-    S = np.concatenate([V.basis, mid, _full_completion(np.concatenate([V.basis, mid]), p)])
+    head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, p)])
+    S = np.concatenate([head, _extend_basis(head, linalg.identity(A.n_rows), p)])
     return FRWitness(A.F, S, S.T, U.dim, V.dim, dominant=True), U, V
 
 
@@ -341,21 +341,6 @@ def _extend_basis(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
         np.stack(picked)
         if picked
         else np.zeros((0, inner.shape[1]), dtype=np.int64)
-    )
-
-
-def _full_completion(rows: np.ndarray, p: int) -> np.ndarray:
-    n = rows.shape[1]
-    cur = rows
-    picked = []
-    for j in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[j] = 1
-        if linalg.rank(np.concatenate([cur, e[None, :]]), p) > cur.shape[0]:
-            picked.append(e)
-            cur = np.concatenate([cur, e[None, :]])
-    return (
-        np.stack(picked) if picked else np.zeros((0, n), dtype=np.int64)
     )
 
 
@@ -512,9 +497,7 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
     Vb = vb[notI] if notI else np.zeros((0, n2), dtype=np.int64)
     U = Subspace(F, linalg.nullspace(Ua, F.p)) if Ua.shape[0] else Subspace.full(F, n1)
     V = Subspace(F, linalg.nullspace(Vb, F.p)) if Vb.shape[0] else Subspace.full(F, n2)
-    S = np.concatenate([U.basis, U.completion()])
-    T = np.concatenate([V.basis, V.completion()]).T
-    return FRWitness(F, S, T, U.dim, V.dim, dominant=False)
+    return _witness_from_subspaces(F, U, V, False)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +573,31 @@ def _check_partition(blocks, n):
         )
 
 
-def _mask_blocks(M: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(M)
-    for b in blocks:
-        out[np.ix_(b, b)] = M[np.ix_(b, b)]
-    return out
+def _blockdiag_core(S: np.ndarray, F: GF, partition, sizes):
+    """S = L pi U shaped block-diagonal for an ordered partition.
+
+    Dropping L's off-diagonal part keeps the pivot pattern, and masking
+    D U (D the diagonal of L) to the partition's diagonal blocks keeps
+    the zero block because the certified pattern ties tight entries to
+    single block pairs.  Within each block, rows come in tiers: first the
+    pivots of S's first sizes[0] rows, then those of its first sizes[1]
+    rows, and so on, then the rest.  Returns the reordered core and, for
+    each tier, the sorted positions of its pivots in that order.
+    """
+    _check_partition(partition, S.shape[0])
+    bs = bruhat(S, F)
+    DU = (np.diag(bs.L)[:, None] * bs.U) % F.p
+    core = np.zeros_like(DU)
+    for b in partition:
+        core[np.ix_(b, b)] = DU[np.ix_(b, b)]
+    tiers = [set(bs.pi[:k]) for k in sizes]
+
+    def tier(i):
+        return next((t for t, members in enumerate(tiers) if i in members), len(tiers))
+
+    order = [i for b in partition for i in sorted(b, key=lambda i: (tier(i), i))]
+    pos = {i: a for a, i in enumerate(order)}
+    return core[order], [sorted(pos[i] for i in members) for members in tiers]
 
 
 def block_diagonalize_witness(
@@ -604,48 +607,25 @@ def block_diagonalize_witness(
     partitions, with the zero block's rows sitting at the top of each row
     block and its columns at the front of each column block.
 
-    S is Bruhat-decomposed as L pi U; dropping L keeps the zero block, and
-    zeroing the cross-block entries of U keeps it again because the pattern
-    of the certified matrix ties tight entries to single block pairs.  T is
-    handled the same way transposed.  Dominance carries over.
+    S and T^t are shaped by _blockdiag_core, each with its zero-block
+    pivots as the one tier.  Dominance carries over.
     """
-    F = w.F
-    p = F.p
-    n_r, n_c = w.n_rows, w.n_cols
-    _check_partition(row_partition, n_r)
-    _check_partition(col_partition, n_c)
     if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
         raise PartitionMismatch("expected an upper-left zero block witness")
-
-    bs = bruhat(w.S, F)
-    X0 = sorted(bs.pi[i] for i in range(w.r))
-    Score = _mask_blocks(
-        linalg.matmul(np.diag(np.diag(bs.L)) % p, bs.U, p), row_partition
-    )
-
-    bt = bruhat(w.T.T, F)
-    Y0 = sorted(bt.pi[j] for j in range(w.s))
-    Tcore = _mask_blocks(
-        linalg.matmul(np.diag(np.diag(bt.L)) % p, bt.U, p), col_partition
-    ).T
-
-    # reposition: within each block, zero-set indices first
-    Xset, Yset = set(X0), set(Y0)
-    row_order = [i for b in row_partition for i in ([i for i in b if i in Xset] + [i for i in b if i not in Xset])]
-    col_order = [j for b in col_partition for j in ([j for j in b if j in Yset] + [j for j in b if j not in Yset])]
-    Pr = np.zeros((n_r, n_r), dtype=np.int64)
-    for a, i in enumerate(row_order):
-        Pr[a, i] = 1
-    Pc = np.zeros((n_c, n_c), dtype=np.int64)
-    for b, j in enumerate(col_order):
-        Pc[j, b] = 1
-    S2 = linalg.matmul(Pr, Score, p)
-    T2 = linalg.matmul(Tcore, Pc, p)
-    X = sorted(row_order.index(i) for i in X0)
-    Y = sorted(col_order.index(j) for j in Y0)
-    out = FRWitness(
-        F, S2, T2, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y
-    )
+    S, (X,) = _blockdiag_core(w.S, w.F, row_partition, [w.r])
+    Tt, (Y,) = _blockdiag_core(w.T.T, w.F, col_partition, [w.s])
+    out = FRWitness(w.F, S, Tt.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
     if terms is not None and not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
+    return out
+
+
+def block_diagonalize_symmetric(w: FRWitness, partition, terms: SymbolicMatrix) -> FRWitness:
+    """Block-diagonal form of a witness with T = S^t that keeps T = S^t:
+    one shared ordering puts column-set pivots first, then the remaining
+    row-set pivots, in each block."""
+    S, (Y, X) = _blockdiag_core(w.S, w.F, partition, [w.s, w.r])
+    out = FRWitness(w.F, S, S.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
+    if not out.verify(terms):
+        raise AlgorithmStall("symmetric block-diagonalization lost the zero block")
     return out

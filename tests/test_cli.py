@@ -332,6 +332,10 @@ def _extra_level(report):
     report["duals"]["7"] = report["duals"]["1"]
 
 
+def _list_seed(report):
+    report["seed"] = [1]
+
+
 @pytest.mark.parametrize(
     "command, edit",
     [
@@ -339,6 +343,7 @@ def _extra_level(report):
         ("hungarian", _no_alpha),
         ("subdet", _small_P),
         ("hungarian", _extra_level),
+        ("ncrank", _list_seed),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
@@ -388,6 +393,76 @@ def test_verify_fmm_report(tmp_path, capsys):
     assert run(capsys, "verify", str(report_path), path)[0] == 0
 
 
+def _claim_neg_inf_without_dual(report):
+    report["values"]["3"] = None
+    del report["duals"]["3"]
+
+
+def _drop_finite_dual(report):
+    del report["duals"]["2"]
+
+
+def _nonzero_level_zero(report):
+    report["values"]["0"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit", [_claim_neg_inf_without_dual, _drop_finite_dual, _nonzero_level_zero]
+)
+def test_verify_checks_every_level(tmp_path, capsys, edit):
+    # a -inf claim is refuted by nc_rank, a finite level needs its dual,
+    # and level 0 is always 0
+    path = write(tmp_path, "k3.json", k3_bipartite_doc())
+    _, out = run(capsys, "hungarian", path, "--json")
+    code, captured = verify_edited(tmp_path, capsys, json.loads(out), path, edit)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "NOT verified"
+
+
+def test_verify_accepts_true_neg_inf_levels(tmp_path, capsys):
+    doc = k3_bipartite_doc()
+    doc["payload"] = {"size": 3, "edges": [[1, 1], [2, 1], [3, 1]], "weights": [1, 2, 3]}
+    path = write(tmp_path, "star.json", doc)
+    code, out = run(capsys, "hungarian", path, "--json")
+    assert code == 2
+    assert json.loads(out)["values"] == {"0": 0, "1": 3, "2": None, "3": None}
+    report_path = write(tmp_path, "report.json", json.loads(out))
+    assert run(capsys, "verify", report_path, path) == (
+        0,
+        "  level 0: ok\n  level 1: ok\n  level 2: ok\n  level 3: ok\nverified\n",
+    )
+
+
+def test_verify_checks_fmm_best(tmp_path, capsys):
+    path = write(tmp_path, "lines.json", k3_lines_doc())
+    _, out = run(capsys, "fmm", path, "--json")
+
+    def inflate(report):
+        report["values"]["best"] = 999
+
+    code, captured = verify_edited(tmp_path, capsys, json.loads(out), path, inflate)
+    assert code == 1
+    assert "  best: FAIL" in captured.out.splitlines()
+
+
+def test_fmm_without_pairs_verifies(tmp_path, capsys):
+    doc = k3_lines_doc()
+    doc["payload"]["pairs"] = doc["payload"]["weights"] = []
+    path = write(tmp_path, "empty.json", doc)
+    code, out = run(capsys, "fmm", path, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["values"] == {"best": 0, "curve": {"0": 0}}
+    report_path = write(tmp_path, "report.json", report)
+    assert run(capsys, "verify", report_path, path) == (0, "  level 0: ok\n  best: ok\nverified\n")
+
+    report["values"]["curve"]["1"] = 1
+    report["values"]["best"] = 1
+    code, captured = verify_edited(tmp_path, capsys, report, path, lambda r: None)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "NOT verified"
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
     _, first = run(capsys, "hungarian", path, "--seed", "7", "--json")
@@ -408,6 +483,7 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["hungarian", str(tmp_path / "missing.json")]) == 1
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
     assert cli.main(["hungarian", path, "--solver", "bogus"]) == 1
+    assert cli.main(["hungarian", path, "--solver", "auto"]) == 1  # no such flag
     assert cli.main(["fmm", path]) == 1  # wrong kind
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()

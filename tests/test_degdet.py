@@ -20,7 +20,6 @@ from ncdeg.degdet import (
     optimize_Q,
     random_feasible_dual,
     renormalize,
-    step_sizes,
     symmetric_hungarian,
     verify_dual,
 )
@@ -29,8 +28,8 @@ from ncdeg.errors import (
     NotComplementarySlack,
     NotSkewSymmetric,
     NotSorted,
-    WitnessUnavailable,
 )
+from ncdeg.mvsp import mvsp_bipartite, mvsp_exhaustive, mvsp_matroid_intersection
 from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
@@ -283,27 +282,37 @@ def test_hungarian_matroid_instances():
             assert prof.values[ell] == bf_common_independent(va, vb, c, ell, 5)
 
 
-def test_hungarian_solver_variants_agree():
+def test_hungarian_solver_variants_agree(monkeypatch):
+    # every leading matrix the engine meets gets the same certified value
+    # from each witness solver that applies to it
+    seen = []
+    route = degdet._witness
+
+    def record(A, rng):
+        seen.append(A)
+        return route(A, rng)
+
+    monkeypatch.setattr(degdet, "_witness", record)
     F = GF(5)
-    Ac = WeightedSymbolicMatrix(tutte_k3(F), [2, 1, 1])
-    ref = hungarian_deg_det(Ac, witness_solver="exhaustive", rng=random.Random(18))
-    auto = hungarian_deg_det(Ac, witness_solver="auto", rng=random.Random(19))
-    assert ref.values == auto.values
-
-    Ec = edmonds_w(F, 2, 2, [(0, 0, 1), (1, 1, 2), (0, 1, 0)])
-    vals = {}
-    for name in ("auto", "bipartite", "exhaustive", "matroid"):
-        vals[name] = hungarian_deg_det(
-            Ec, witness_solver=name, rng=random.Random(20)
-        ).values
-    assert len({tuple(sorted(v.items())) for v in vals.values()}) == 1
-
-
-def test_hungarian_rejects_unknown_solver():
-    F = GF(5)
-    Ac = WeightedSymbolicMatrix(tutte_k3(F), [1, 1, 1])
-    with pytest.raises(WitnessUnavailable):
-        hungarian_deg_det(Ac, witness_solver="nonsense")
+    hungarian_deg_det(WeightedSymbolicMatrix(tutte_k3(F), [2, 1, 1]), rng=random.Random(18))
+    hungarian_deg_det(
+        edmonds_w(F, 2, 2, [(0, 0, 1), (1, 1, 2), (0, 1, 0)]), rng=random.Random(20)
+    )
+    assert len(seen) == 5
+    n_bipartite = 0
+    for A in seen:
+        witnesses = [
+            mvsp_exhaustive(A)[0],
+            mvsp_matroid_intersection(*degdet._rank_one_pieces(A), F),
+        ]
+        edges = degdet._single_entry_edges(A)
+        if edges is not None:
+            n_bipartite += 1
+            witnesses.append(mvsp_bipartite(A.n_rows, A.n_cols, edges, F))
+        assert all(w.verify(A) for w in witnesses)
+        assert len({w.value() for w in witnesses}) == 1
+        assert route(A, random.Random(0)).value() == witnesses[0].value()
+    assert n_bipartite == 2
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +390,8 @@ def test_symmetric_rejects_asymmetric():
 def test_step_sizes_prefix_sets_unbounded_kappa2():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0)])
-    state = DualSolution(
-        [0, 0], linalg.identity(2), [-5, -5], linalg.identity(2), "monomial", F
-    )
-    ks = step_sizes(state, [0], [0], Ac)
+    inc_a, inc_b = degdet._two_sided_direction([0], [0], 2)
+    ks = degdet._step_bounds(Ac.base.terms, [0, 0], [-5, -5], Ac.c, inc_a, inc_b)
     assert ks.kappa2 == float("inf")
     assert ks.kappa1 == 5
     assert ks.kappa == 5
@@ -393,10 +400,8 @@ def test_step_sizes_prefix_sets_unbounded_kappa2():
 def test_step_sizes_adjacent_gap_binds():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(1, 0, 0)])
-    state = DualSolution(
-        [2, 0], linalg.identity(2), [0, -1], linalg.identity(2), "monomial", F
-    )
-    ks = step_sizes(state, [1], [0, 1], Ac)
+    inc_a, inc_b = degdet._two_sided_direction([1], [0, 1], 2)
+    ks = degdet._step_bounds(Ac.base.terms, [2, 0], [0, -1], Ac.c, inc_a, inc_b)
     assert ks.kappa2 == 2
 
 

@@ -154,22 +154,33 @@ def test_nc_rank_stalls_when_blowup_rank_never_divides(monkeypatch):
 
 
 def test_guarantees_hold_under_optimize_flag():
-    # python -O strips asserts: the engine must still finish with the right
-    # values, and nc_rank must still give up instead of looping forever
+    # python -O strips asserts: every engine must still finish with the
+    # right values, and nc_rank must still give up instead of looping forever
     script = """
 import random
+import numpy as np
 from ncdeg import linalg, mvsp
 from ncdeg.apps import BipartiteInstance, build_edmonds
-from ncdeg.degdet import DualSolution, dual_forms_convert, hungarian_deg_det
+from ncdeg.degdet import (
+    DualSolution, deg_subdet, dual_forms_convert, hungarian_deg_det, symmetric_hungarian
+)
 from ncdeg.errors import AlgorithmStall, NotSorted
 from ncdeg.scalar import GF
-from ncdeg.symbolic import SymbolicMatrix
+from ncdeg.symbolic import RationalSymbolicMatrix, SymbolicMatrix
 
 print("debug", __debug__)
 F = GF(5)
 inst = BipartiteInstance(2, [(0, 0), (0, 1), (1, 1)], [3, 1, 2])
-prof = hungarian_deg_det(build_edmonds(inst, F), rng=random.Random(0))
+Ac = build_edmonds(inst, F)
+prof = hungarian_deg_det(Ac, rng=random.Random(0))
 print("values", sorted(prof.values.items()))
+prof = deg_subdet(RationalSymbolicMatrix.from_weighted(Ac), rng=random.Random(0))
+print("subdet", sorted(prof.values.items()))
+e = linalg.identity(3)
+edges = ((0, 1), (0, 2), (1, 2))
+K3 = SymbolicMatrix(F, [(np.outer(e[i], e[j]) - np.outer(e[j], e[i])) % 5 for i, j in edges])
+prof = symmetric_hungarian(K3, [2, 1, 1], rng=random.Random(0))
+print("symmetric", sorted(prof.values.items()))
 mvsp.linalg.rank = lambda A, p: 1
 try:
     mvsp.nc_rank(SymbolicMatrix(F, [linalg.identity(3)]), random.Random(0))
@@ -191,9 +202,11 @@ except NotSorted:
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:4] == [
+    assert out.stdout.split("\n")[:6] == [
         "debug False",
         "values [(0, 0), (1, 3), (2, 5)]",
+        "subdet [(0, 0), (1, 3), (2, 5)]",
+        "symmetric [(0, 0), (1, 2), (2, 4), (3, 4)]",
         "stall",
         "not sorted",
     ]

@@ -1,6 +1,7 @@
 """Property tests on small random instances: the monomial engines and
-optimize_Q against brute force, the engines against each other, and the
-stacked matmul against the per-term loop."""
+optimize_Q against brute force, the engines against each other and
+against the Monte-Carlo blow-up oracle, and the stacked matmul against
+the per-term loop."""
 
 import random
 
@@ -17,10 +18,21 @@ from ncdeg.apps import (
     build_edmonds,
     build_matroid_intersection,
 )
-from ncdeg.degdet import hungarian_deg_det, optimize_Q, symmetric_hungarian, verify_dual
+from ncdeg.degdet import (
+    deg_subdet,
+    hungarian_deg_det,
+    optimize_Q,
+    symmetric_hungarian,
+    verify_dual,
+)
 from ncdeg.errors import DimensionMismatch
 from ncdeg.scalar import GF
-from ncdeg.symbolic import SymbolicMatrix, WeightedSymbolicMatrix
+from ncdeg.symbolic import (
+    Delta_blowup_oracle,
+    RationalSymbolicMatrix,
+    SymbolicMatrix,
+    WeightedSymbolicMatrix,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
@@ -129,6 +141,40 @@ def test_symmetric_engine_matches_two_sided_engine(skew):
     two = hungarian_deg_det(Ac, rng=random.Random(0))
     sym = symmetric_hungarian(A, c, rng=random.Random(0))
     check_profile(sym, Ac, [two.values[l] for l in range(A.n_rows + 1)])
+
+
+@st.composite
+def weighted_matrices(draw):
+    """Square A[c] over a small field with n <= 4 and sparse terms of any
+    rank, so every witness route can come up."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    entries = st.lists(st.sampled_from([0, 0, 0, 1, p - 1]), min_size=n * n, max_size=n * n)
+    terms = [np.array(draw(entries), dtype=np.int64).reshape(n, n) for _ in range(m)]
+    c = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return WeightedSymbolicMatrix(SymbolicMatrix(GF(p), terms), c)
+
+
+@PROPERTY
+@given(weighted_matrices())
+def test_general_engine_matches_hungarian(Ac):
+    B = RationalSymbolicMatrix.from_weighted(Ac)
+    want = hungarian_deg_det(Ac, rng=random.Random(0)).values
+    prof = deg_subdet(B, rng=random.Random(0))
+    assert prof.values == want
+    for l, sol in prof.duals.items():
+        assert sol.mode == "general" and verify_dual(sol, B, l, prof.values[l])
+
+
+@PROPERTY
+@given(weighted_matrices())
+def test_blowup_oracle_never_exceeds_exact_value(Ac):
+    # one-sided at any trial count; 3 keeps every l x l submatrix cheap
+    exact = hungarian_deg_det(Ac, rng=random.Random(0)).values
+    rng = random.Random(1)
+    for l, v in exact.items():
+        assert Delta_blowup_oracle(Ac, l, trials=3, rng=rng) <= v
 
 
 @st.composite
