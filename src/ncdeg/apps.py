@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EnumerationCapExceeded
-from .mvsp import SUBSPACE_CAP, enumerate_subspaces
+from .mvsp import enumerate_subspaces
 from .ratfunc import NEG_INF
 from .scalar import GF
 from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng
@@ -170,10 +170,10 @@ class BLDatum:
         self.m = len(self.maps)
 
     def lines(self) -> LineCollection:
-        """Row spaces of the maps, weighted trivially."""
-        return LineCollection(
-            self.F, [(B[0], B[1]) for B in self.maps], [0] * self.m
-        )
+        """Row spaces of the maps in K^n, weighted trivially."""
+        H = LineCollection(self.F, [(B[0], B[1]) for B in self.maps], [0] * self.m)
+        H.n = self.n  # keep the ambient dimension even with no maps
+        return H
 
     def __repr__(self):
         return f"BLDatum(n={self.n}, m={self.m}, p={self.F.p})"
@@ -220,10 +220,9 @@ def build_tutte(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
 
 
 def build_matroid_matching(H: LineCollection) -> WeightedSymbolicMatrix:
-    p = H.F.p
-    terms = []
-    for a, b in H.pairs:
-        terms.append((np.outer(a, b) - np.outer(b, a)) % p)
+    terms = np.zeros((H.m, H.n, H.n), dtype=np.int64)
+    for k, (a, b) in enumerate(H.pairs):
+        terms[k] = np.outer(a, b) - np.outer(b, a)
     return WeightedSymbolicMatrix(SymbolicMatrix(H.F, terms), H.weights)
 
 
@@ -247,7 +246,7 @@ def _fmp_constraints(H: LineCollection):
     p = H.F.p
     bases = [H.basis(k) for k in range(H.m)]
     best = {}
-    for X in enumerate_subspaces(H.F, H.n, SUBSPACE_CAP):
+    for X in enumerate_subspaces(H.F, H.n):
         dx = X.shape[0]
         if dx == 0:
             continue
@@ -401,8 +400,6 @@ def fmm_max_weight(H: LineCollection, c=None, rng=None):
         c = H.weights
     if len(c) != H.m:
         raise DimensionMismatch("one weight per line")
-    if H.m == 0:
-        return Fraction(0), {0: Fraction(0)}
     rng = as_rng(rng)
     A = build_matroid_matching(H)
     prof = symmetric_hungarian(A.base, [int(ck) for ck in c], rng=rng)

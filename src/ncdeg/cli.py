@@ -32,7 +32,7 @@ from .degdet import (
     verify_dual,
 )
 from .errors import NcdegError, ParseError
-from .instances import ParsedInstance, parse_text
+from .instances import ParsedInstance, parse_instance
 from .mvsp import nc_rank
 from .ratfunc import Poly, RatFn, RationalMatrix
 from .symbolic import (
@@ -151,23 +151,6 @@ def dec_dual(data, F) -> DualSolution:
 # instance -> matrix adapters
 
 
-def _load(path, prime=None) -> ParsedInstance:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(str(e)) from None
-    if prime is not None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-        if isinstance(doc, dict) and isinstance(doc.get("field"), dict):
-            doc["field"]["p"] = prime
-        text = json.dumps(doc)
-    return parse_text(text, name=str(path))
-
-
 def _weighted(inst: ParsedInstance) -> WeightedSymbolicMatrix:
     kind, F, obj = inst
     if kind == "weighted":
@@ -264,7 +247,7 @@ def _print_report(report, as_json, out=None):
 
 
 def _cmd_ncrank(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     A = _base_matrix(inst)
     rng = random.Random(args.seed)
     r = nc_rank(A, rng, args.trials)
@@ -279,7 +262,7 @@ def _cmd_ncrank(args):
 
 
 def _cmd_degdet(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "degdet")
     B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
     prof = deg_subdet(B, random.Random(args.seed))
@@ -299,7 +282,7 @@ def _cmd_degdet(args):
 
 
 def _cmd_subdet(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "subdet")
     B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
     prof = deg_subdet(B, random.Random(args.seed))
@@ -307,7 +290,7 @@ def _cmd_subdet(args):
 
 
 def _cmd_hungarian(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ENGINE_KINDS, "hungarian")
     Ac = _weighted(inst)
     prof = hungarian_deg_det(Ac, random.Random(args.seed))
@@ -315,12 +298,9 @@ def _cmd_hungarian(args):
 
 
 def _cmd_fmm(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ("lines",), "fmm")
     H = inst.obj
-    if H.m == 0:
-        values = {"best": 0, "curve": {"0": 0}}
-        return _report(args, inst, values, {}, 0, "strong", 0)
     A = build_matroid_matching(H)
     prof = symmetric_hungarian(A.base, H.weights, random.Random(args.seed))
     curve = {}
@@ -347,7 +327,7 @@ def _cmd_fmm(args):
 
 
 def _cmd_bl_member(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ("bl",), "bl-member")
     ok, cert = bl_membership_rank2(inst.obj)
     if cert is not None:
@@ -360,7 +340,7 @@ def _cmd_bl_member(args):
 
 
 def _cmd_oracle(args):
-    inst = _load(args.instance, args.prime)
+    inst = parse_instance(args.instance, args.prime)
     kind, F, obj = inst
     rng = random.Random(args.seed)
     if kind in ("bipartite", "matroid-pair"):
@@ -404,7 +384,7 @@ def _verify_levels(report, F, target, expected, rank):
             ok = rank < l
         else:
             sol = dec_dual(duals[key], F) if key in duals else None
-            ok = sol is not None and target is not None and verify_dual(sol, target, l, v)
+            ok = sol is not None and verify_dual(sol, target, l, v)
         checks.append((f"level {l}", ok))
     return checks
 
@@ -425,19 +405,15 @@ def _cmd_verify(args):
     prime = args.prime
     if prime is None and isinstance(report.get("field"), dict):
         prime = report["field"].get("p")
-    inst = _load(args.instance, prime)
+    inst = parse_instance(args.instance, prime)
     cmd = report.get("command")
     values = _get(report, "values", "report", dict)
     if cmd in ("hungarian", "degdet", "subdet", "fmm"):
-        if inst.kind == "lines" and inst.obj.m == 0:
-            base = target = None  # no pairs: a zero matrix with no terms to stack
-            n = inst.obj.n
-        else:
-            target = _weighted(inst)
-            base = target.base
-            if cmd in ("degdet", "subdet"):
-                target = RationalSymbolicMatrix.from_weighted(target)
-            n = max(base.n_rows, base.n_cols)
+        target = _weighted(inst)
+        base = target.base
+        if cmd in ("degdet", "subdet"):
+            target = RationalSymbolicMatrix.from_weighted(target)
+        n = max(base.n_rows, base.n_cols)
         if cmd == "degdet":
             raw = {str(n): _get(values, "deg_det", "values")}
         elif cmd == "fmm":
@@ -448,8 +424,8 @@ def _cmd_verify(args):
             raise ParseError("values: level keys must be decimal")
         scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
-        rank = 0  # the nc-rank of the empty matrix; else a one-sided lower bound
-        if base is not None and NEG_INF in expected.values():
+        rank = 0  # a one-sided lower bound on the nc-rank
+        if NEG_INF in expected.values():
             rank = nc_rank(base, random.Random(seed), trials)
         checks = _verify_levels(report, inst.F, target, expected, rank)
         if cmd == "fmm":

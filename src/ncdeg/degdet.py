@@ -72,39 +72,6 @@ from .symbolic import (
 # domain types
 
 
-class OrderedPartition:
-    """Maximal equal-value runs of a non-increasing vector."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        self.blocks = [list(b) for b in blocks]
-
-    @classmethod
-    def from_values(cls, values):
-        vals = list(values)
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise NotSorted(f"expected non-increasing values, got {vals}")
-        blocks = []
-        i = 0
-        while i < len(vals):
-            j = i
-            while j + 1 < len(vals) and vals[j + 1] == vals[i]:
-                j += 1
-            blocks.append(list(range(i, j + 1)))
-            i = j + 1
-        return cls(blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __repr__(self):
-        return f"OrderedPartition({self.blocks})"
-
-
 class StepSizes(NamedTuple):
     kappa1: object  # positive int or +inf
     kappa2: object
@@ -443,19 +410,17 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
             emit_neg(ell + 1)
             break
 
+        # kappa1 bounds the zero block of (pi U_S) G (pi U_T)^t, so only
+        # the first r rows of pi U_S and s rows of pi U_T enter
         bs = bruhat(w.S, F)
-        S_eff = linalg.matmul(bs.permutation_matrix(), bs.U, F.p)
         bt = bruhat(w.T.T, F)
-        T_eff = linalg.matmul(bt.permutation_matrix(), bt.U, F.p).T
-
-        S_rat = RationalMatrix.from_scalars(F, S_eff)
-        T_rat = RationalMatrix.from_scalars(F, T_eff)
+        S_rat = RationalMatrix.from_scalars(F, bs.U[list(bs.pi[:w.r])])
+        T_rat = RationalMatrix.from_scalars(F, bt.U[list(bt.pi[:w.s])].T)
         kappa1 = POS_INF
         for Gk in G:
             H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta)).matmul(T_rat)
-            for i in range(w.r):
-                for j in range(w.s):
-                    e = H.rows[i][j]
+            for row in H.rows:
+                for e in row:
                     if not e.is_zero():
                         kappa1 = min(kappa1, -e.deg)
         if kappa1 == POS_INF:
@@ -506,7 +471,7 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     scale = 2 if symmetric else 1
     P = Q = linalg.identity(n)
     M = A.terms
-    cmin = min(c)
+    cmin = min(c, default=0)
     ell = 0
     hard_cap = 16 * n * n * n + 64
 
@@ -547,13 +512,11 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             emit_neg(ell + 1)
             break
 
-        rows = OrderedPartition.from_values(alpha).blocks
         if symmetric:
-            bd = block_diagonalize_symmetric(w, rows, At)
+            bd = block_diagonalize_symmetric(w, alpha, At)
             inc_a = inc_b = _symmetric_direction(bd.row_set, bd.col_set, n)
         else:
-            cols = OrderedPartition.from_values(beta).blocks
-            bd = block_diagonalize_witness(w, rows, cols, At)
+            bd = block_diagonalize_witness(w, alpha, beta, At)
             inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
         P = linalg.matmul(bd.S, P, p)
         Q = linalg.matmul(Q, bd.T, p)
@@ -585,12 +548,12 @@ def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
     The dual never leaves the monomial world: alpha and beta move by
     integer steps kappa = min(kappa1, kappa2), and the witness for the
     tight leading matrix is made block-diagonal for the equal-value
-    partitions of alpha and beta so composing it into P, Q preserves
+    runs of alpha and beta so composing it into P, Q preserves
     feasibility entry by entry.
     """
     sq = Ac.pad_square()
     n = sq.base.n_rows
-    return _hungarian(sq.base, sq.c, [0] * n, [-max(sq.c)] * n, False, as_rng(rng))
+    return _hungarian(sq.base, sq.c, [0] * n, [-max(sq.c, default=0)] * n, False, as_rng(rng))
 
 
 def _symmetric_direction(X, Y, n):
@@ -616,7 +579,7 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
     if len(c) != A.n_terms:
         raise DimensionMismatch("one weight per term")
     c2 = [2 * int(ck) for ck in c]
-    a2 = [-max(c2) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
+    a2 = [-max(c2, default=0) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
     return _hungarian(A, c2, a2, a2, True, as_rng(rng))
 
 

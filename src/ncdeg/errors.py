@@ -46,7 +46,7 @@ class NotSkewSymmetric(NcdegError, ValueError):
 
 
 class PartitionMismatch(NcdegError, ValueError):
-    """An ordered partition does not match the vector it should describe."""
+    """A value vector or zero block does not fit the witness it should shape."""
 
 
 class BadCardinality(NcdegError, ValueError):

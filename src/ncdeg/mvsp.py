@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     NotSkewSymmetric,
+    NotSorted,
     PartitionMismatch,
     Singular,
 )
@@ -188,9 +189,7 @@ def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
     spent = 0
     while True:
         for _ in range(trials):
-            Rs = np.stack(
-                [linalg.rand_mat(rng, d, d, p) for _ in range(sq.n_terms)]
-            )
+            Rs = linalg.rand_mat(rng, sq.n_terms * d, d, p).reshape(-1, d, d)
             r = linalg.rank(sq.blowup_substitute(Rs), p)
             if r > best:
                 best = r
@@ -221,7 +220,7 @@ def count_subspaces(q: int, n: int) -> int:
     return total
 
 
-def enumerate_subspaces(F: GF, n: int, cap: int = SUBSPACE_CAP):
+def enumerate_subspaces(F: GF, n: int):
     """All subspaces of K^n as canonical bases, in a fixed deterministic
     order (by dimension, then lexicographic on the basis encoding)."""
     key = (F.p, n)
@@ -229,9 +228,9 @@ def enumerate_subspaces(F: GF, n: int, cap: int = SUBSPACE_CAP):
     if cached is not None:
         return cached
     total = count_subspaces(F.p, n)
-    if total > cap:
+    if total > SUBSPACE_CAP:
         raise EnumerationCapExceeded(
-            f"{total} subspaces of GF({F.p})^{n} exceeds cap {cap}"
+            f"{total} subspaces of GF({F.p})^{n} exceeds cap {SUBSPACE_CAP}"
         )
     q = F.p
     import itertools
@@ -274,21 +273,20 @@ def _witness_from_subspaces(F, U: Subspace, V: Subspace, dominant: bool) -> FRWi
     return FRWitness(F, S, T, U.dim, V.dim, dominant=dominant)
 
 
-def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SUBSPACE_CAP):
+def mvsp_exhaustive(A: SymbolicMatrix):
     """Minimize n_rows + n_cols - dim U - dim V over vanishing pairs by
     enumerating every U; the best V for a given U is unique and maximal.
 
-    Returns (witness, U, V).  With want_dominant the returned optimum has
-    the largest U of all optima (their sum, since optimal pairs are closed
-    under (U + U', V intersect V')); otherwise the first optimum in
-    enumeration order.
+    Returns (witness, U, V) for the dominant optimum: the one with the
+    largest U of all optima (their sum, since optimal pairs are closed
+    under (U + U', V intersect V')).
     """
     sq = A.pad_square()
     n = sq.n_rows
     F = A.F
     best_val = None
     best = []  # (U basis, V basis) for all optimal U
-    for Ub in enumerate_subspaces(F, n, cap):
+    for Ub in enumerate_subspaces(F, n):
         Vb = _max_vanishing_V(sq, Ub)
         val = 2 * n - Ub.shape[0] - Vb.shape[0]
         if best_val is None or val < best_val:
@@ -296,10 +294,6 @@ def mvsp_exhaustive(A: SymbolicMatrix, want_dominant: bool = True, cap: int = SU
             best = [(Ub, Vb)]
         elif val == best_val:
             best.append((Ub, Vb))
-    if not want_dominant:
-        Ub, Vb = best[0]
-        U, V = Subspace(F, Ub), Subspace(F, Vb)
-        return _witness_from_subspaces(F, U, V, False), U, V
     U = Subspace(F, np.concatenate([ub for ub, _ in best]))
     V = Subspace(F, _max_vanishing_V(sq, U.basis))
     if 2 * n - U.dim - V.dim != best_val:
@@ -315,13 +309,13 @@ def _check_skew(A: SymbolicMatrix):
         raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
 
 
-def mvsp_symmetric_exhaustive(A: SymbolicMatrix, cap: int = SUBSPACE_CAP):
+def mvsp_symmetric_exhaustive(A: SymbolicMatrix):
     """Dominant witness for a zero-diagonal skew-symmetric matrix, shaped
     so that T = S transposed: the dominant optimum has U containing V, and
     S lists a basis of V first, extended to U, then completed."""
     _check_skew(A)
     p = A.F.p
-    w, U, V = mvsp_exhaustive(A, want_dominant=True, cap=cap)
+    w, U, V = mvsp_exhaustive(A)
     if not U.contains_subspace(V):
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
     head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, p)])
@@ -372,7 +366,7 @@ def max_matching(n_rows: int, n_cols: int, edges):
     return match_row, match_col
 
 
-def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: Optional[GF] = None) -> FRWitness:
+def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
     """Dominant witness for a matrix whose k-th term is the single entry
     (i_k, j_k): permutation S, T from a maximum matching / minimum vertex
     cover, with the uncovered rows and columns forming the zero block.
@@ -409,8 +403,6 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: Optional[GF] = None) -> F
     T = np.zeros((n_cols, n_cols), dtype=np.int64)
     for b, j in enumerate(zcols + [j for j in range(n_cols) if not col_seen[j]]):
         T[j, b] = 1
-    if F is None:
-        F = GF(2)
     return FRWitness(F, S, T, len(zrows), len(zcols), dominant=True)
 
 
@@ -509,122 +501,101 @@ class BruhatTriple(NamedTuple):
     pi: tuple  # pi[i] = column of the sole nonzero in row i
     U: np.ndarray  # upper-unitriangular
 
-    def permutation_matrix(self) -> np.ndarray:
-        n = len(self.pi)
-        P = np.zeros((n, n), dtype=np.int64)
-        for i, j in enumerate(self.pi):
-            P[i, j] = 1
-        return P
-
     def reconstruct(self, p: int) -> np.ndarray:
-        return linalg.matmul(
-            linalg.matmul(self.L, self.permutation_matrix(), p), self.U, p
-        )
+        return linalg.matmul(self.L, self.U[list(self.pi)], p)
 
 
 def bruhat(S: np.ndarray, F: GF) -> BruhatTriple:
     """S = L pi U by the forward sweep: for each row in order, the pivot is
-    its leftmost surviving nonzero; later rows are cleared below it and
-    later columns to its right."""
+    its leftmost surviving nonzero, and later rows are cleared below it.
+
+    Clearing the pivot's row to its right would touch no other row, so
+    the sweep reads the factors off directly: L's column i is the pivot
+    column from row i down, and U's row pi[i] is row i scaled to a unit
+    pivot.  A row with no surviving nonzero means S is singular.
+    """
     p = F.p
-    S = np.asarray(S, dtype=np.int64) % p
-    n = S.shape[0]
-    if S.shape != (n, n) or linalg.rank(S, p) < n:
-        raise Singular("Bruhat decomposition needs a nonsingular square matrix")
-    cur = S.copy()
-    E = linalg.identity(n)  # accumulated row ops: E @ S @ C = monomial
-    C = linalg.identity(n)
-    pi = [0] * n
+    cur = np.asarray(S, dtype=np.int64) % p
+    n = cur.shape[0]
+    if cur.shape != (n, n):
+        raise Singular(f"Bruhat decomposition needs a square matrix, got {cur.shape}")
+    L = np.zeros((n, n), dtype=np.int64)
+    U = np.zeros((n, n), dtype=np.int64)
+    pi = []
     inv = linalg.inv_table(p)
     for i in range(n):
         nz = np.nonzero(cur[i])[0]
+        if nz.size == 0:
+            raise Singular("Bruhat decomposition needs a nonsingular matrix")
         j = int(nz[0])
-        pi[i] = j
+        pi.append(j)
         pv_inv = int(inv[cur[i, j]])
-        for i2 in range(i + 1, n):
-            if cur[i2, j]:
-                f = (cur[i2, j] * pv_inv) % p
-                cur[i2] = (cur[i2] - f * cur[i]) % p
-                E[i2] = (E[i2] - f * E[i]) % p
-        for j2 in range(j + 1, n):
-            if cur[i, j2]:
-                f = (cur[i, j2] * pv_inv) % p
-                cur[:, j2] = (cur[:, j2] - f * cur[:, j]) % p
-                C[:, j2] = (C[:, j2] - f * C[:, j]) % p
-    # cur is monomial: cur = D pi_mat, so S = E^-1 D pi_mat C^-1
-    Einv = linalg.inverse(E, p)
-    Cinv = linalg.inverse(C, p)
-    D = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        D[i, i] = cur[i, pi[i]]
-    L = linalg.matmul(Einv, D, p)
-    return BruhatTriple(L, tuple(pi), Cinv)
+        L[i:, i] = cur[i:, j]
+        U[j] = (cur[i] * pv_inv) % p
+        f = (cur[i + 1:, j] * pv_inv) % p
+        cur[i + 1:] = (cur[i + 1:] - f[:, None] * cur[i]) % p
+    return BruhatTriple(L, tuple(pi), U)
 
 
 # ---------------------------------------------------------------------------
 # witness block-diagonalization
 
 
-def _check_partition(blocks, n):
-    flat = [i for b in blocks for i in b]
-    if flat != list(range(n)):
-        raise PartitionMismatch(
-            "ordered partition must list 0..n-1 in consecutive blocks"
-        )
-
-
-def _blockdiag_core(S: np.ndarray, F: GF, partition, sizes):
-    """S = L pi U shaped block-diagonal for an ordered partition.
+def _blockdiag_core(S: np.ndarray, F: GF, values, sizes):
+    """S = L pi U shaped block-diagonal for the equal-value runs of the
+    non-increasing vector values.
 
     Dropping L's off-diagonal part keeps the pivot pattern, and masking
-    D U (D the diagonal of L) to the partition's diagonal blocks keeps
-    the zero block because the certified pattern ties tight entries to
-    single block pairs.  Within each block, rows come in tiers: first the
+    D U (D the diagonal of L) to the runs' diagonal blocks keeps the
+    zero block because the certified pattern ties tight entries to
+    single block pairs.  Within each run, rows come in tiers: first the
     pivots of S's first sizes[0] rows, then those of its first sizes[1]
     rows, and so on, then the rest.  Returns the reordered core and, for
     each tier, the sorted positions of its pivots in that order.
     """
-    _check_partition(partition, S.shape[0])
+    n = S.shape[0]
+    if len(values) != n:
+        raise PartitionMismatch(f"{len(values)} values for {n} rows")
+    if any(values[i] < values[i + 1] for i in range(n - 1)):
+        raise NotSorted(f"expected non-increasing values, got {list(values)}")
+    run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(n - 1)])
     bs = bruhat(S, F)
     DU = (np.diag(bs.L)[:, None] * bs.U) % F.p
-    core = np.zeros_like(DU)
-    for b in partition:
-        core[np.ix_(b, b)] = DU[np.ix_(b, b)]
+    core = np.where(run[:, None] == run[None, :], DU, 0)
     tiers = [set(bs.pi[:k]) for k in sizes]
 
     def tier(i):
         return next((t for t, members in enumerate(tiers) if i in members), len(tiers))
 
-    order = [i for b in partition for i in sorted(b, key=lambda i: (tier(i), i))]
+    order = sorted(range(n), key=lambda i: (run[i], tier(i), i))
     pos = {i: a for a, i in enumerate(order)}
     return core[order], [sorted(pos[i] for i in members) for members in tiers]
 
 
-def block_diagonalize_witness(
-    w: FRWitness, row_partition, col_partition, terms: Optional[SymbolicMatrix] = None
-) -> FRWitness:
-    """Rebuild a witness so S and T are block-diagonal for the given ordered
-    partitions, with the zero block's rows sitting at the top of each row
-    block and its columns at the front of each column block.
+def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:
+    """Rebuild a witness so S and T are block-diagonal for the equal-value
+    runs of the non-increasing alpha (rows) and beta (columns), with the
+    zero block's rows at the top of each row block and its columns at the
+    front of each column block.
 
     S and T^t are shaped by _blockdiag_core, each with its zero-block
     pivots as the one tier.  Dominance carries over.
     """
     if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
         raise PartitionMismatch("expected an upper-left zero block witness")
-    S, (X,) = _blockdiag_core(w.S, w.F, row_partition, [w.r])
-    Tt, (Y,) = _blockdiag_core(w.T.T, w.F, col_partition, [w.s])
+    S, (X,) = _blockdiag_core(w.S, w.F, alpha, [w.r])
+    Tt, (Y,) = _blockdiag_core(w.T.T, w.F, beta, [w.s])
     out = FRWitness(w.F, S, Tt.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
-    if terms is not None and not out.verify(terms):
+    if not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
     return out
 
 
-def block_diagonalize_symmetric(w: FRWitness, partition, terms: SymbolicMatrix) -> FRWitness:
+def block_diagonalize_symmetric(w: FRWitness, alpha, terms: SymbolicMatrix) -> FRWitness:
     """Block-diagonal form of a witness with T = S^t that keeps T = S^t:
     one shared ordering puts column-set pivots first, then the remaining
-    row-set pivots, in each block."""
-    S, (Y, X) = _blockdiag_core(w.S, w.F, partition, [w.s, w.r])
+    row-set pivots, in each run of alpha."""
+    S, (Y, X) = _blockdiag_core(w.S, w.F, alpha, [w.s, w.r])
     out = FRWitness(w.F, S, S.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("symmetric block-diagonalization lost the zero block")

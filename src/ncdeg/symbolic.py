@@ -93,8 +93,6 @@ class SymbolicMatrix:
         T = np.asarray(terms, dtype=np.int64)
         if T.ndim != 3:
             raise DimensionMismatch(f"terms must be a stack of matrices, ndim={T.ndim}")
-        if T.shape[0] < 1:
-            raise DimensionMismatch("at least one term matrix is required")
         self.F = F
         self.terms = T % F.p
 

@@ -203,6 +203,27 @@ def test_ncrank_zero(tmp_path, capsys):
     assert json.loads(out)["values"]["nc_rank"] == 0
 
 
+def _no_pairs(doc):
+    doc["payload"]["pairs"] = doc["payload"]["weights"] = []
+    return doc
+
+
+def _no_maps(doc):
+    doc["payload"]["maps"] = doc["payload"]["p"] = []
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc", [_no_pairs(k3_lines_doc()), _no_maps(bl_doc([]))], ids=["lines", "bl"]
+)
+def test_ncrank_of_empty_collection(tmp_path, capsys, doc):
+    path = write(tmp_path, "empty.json", doc)
+    code, out = run(capsys, "ncrank", path, "--json")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values == {"nc_rank": 0, "rank": 0, "rows": 3, "cols": 3}
+
+
 def test_degdet_singular_exit_two(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -446,15 +467,15 @@ def test_verify_checks_fmm_best(tmp_path, capsys):
 
 
 def test_fmm_without_pairs_verifies(tmp_path, capsys):
-    doc = k3_lines_doc()
-    doc["payload"]["pairs"] = doc["payload"]["weights"] = []
-    path = write(tmp_path, "empty.json", doc)
+    path = write(tmp_path, "empty.json", _no_pairs(k3_lines_doc()))
     code, out = run(capsys, "fmm", path, "--json")
     assert code == 0
     report = json.loads(out)
-    assert report["values"] == {"best": 0, "curve": {"0": 0}}
+    assert report["values"] == {"best": 0, "curve": {"0": 0, "1": None, "2": None, "3": None}}
+    assert report["exit"] == 0
     report_path = write(tmp_path, "report.json", report)
-    assert run(capsys, "verify", report_path, path) == (0, "  level 0: ok\n  best: ok\nverified\n")
+    levels = "".join(f"  level {l}: ok\n" for l in range(4))
+    assert run(capsys, "verify", report_path, path) == (0, levels + "  best: ok\nverified\n")
 
     report["values"]["curve"]["1"] = 1
     report["values"]["best"] = 1
@@ -477,6 +498,11 @@ def test_prime_override(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
     _, out = run(capsys, "hungarian", path, "--prime", "7", "--json")
     assert json.loads(out)["field"] == {"p": 7}
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"field": {"p": 5},\n  "kind": oops}')
+    assert cli.main(["hungarian", str(bad), "--prime", "7"]) == 1
+    assert "bad.json:2" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):

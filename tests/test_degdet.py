@@ -11,7 +11,6 @@ from ncdeg.degdet import (
     DegreeProfile,
     DualSolution,
     NEG_INF,
-    OrderedPartition,
     StepSizes,
     deg_det,
     deg_subdet,
@@ -500,14 +499,6 @@ def test_renormalize_right_identity():
             .matmul(Pi)
         )
         assert rmat_eq(lhs, rhs)
-
-
-def test_ordered_partition():
-    part = OrderedPartition.from_values([3, 3, 1, 0, 0])
-    assert part.blocks == [[0, 1], [2], [3, 4]]
-    assert len(part) == 3
-    with pytest.raises(NotSorted):
-        OrderedPartition.from_values([0, 1])
 
 
 # ---------------------------------------------------------------------------

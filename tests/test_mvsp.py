@@ -11,6 +11,7 @@ from ncdeg.errors import (
     AlgorithmStall,
     EnumerationCapExceeded,
     NotSkewSymmetric,
+    NotSorted,
     PartitionMismatch,
     Singular,
 )
@@ -18,6 +19,7 @@ from ncdeg.mvsp import (
     BruhatTriple,
     FRWitness,
     Subspace,
+    block_diagonalize_symmetric,
     block_diagonalize_witness,
     bruhat,
     count_subspaces,
@@ -279,15 +281,6 @@ def test_exhaustive_dominance_containment():
                 assert U.contains_subspace(Subspace(F, Ub))
 
 
-def test_exhaustive_non_dominant_still_optimal():
-    F = GF(2)
-    A = tutte_k3(F)
-    w, U, V = mvsp_exhaustive(A, want_dominant=False)
-    assert w.value() == 3
-    assert w.verify(A)
-    assert not w.dominant
-
-
 # ---------------------------------------------------------------------------
 # bipartite solver
 
@@ -354,7 +347,7 @@ def test_max_matching_koenig_consistency():
         edges = rng.sample(all_edges, rng.randint(0, len(all_edges)))
         mr, mc = max_matching(nr, nc, edges)
         size = sum(1 for j in mr if j != -1)
-        w = mvsp_bipartite(nr, nc, edges)
+        w = mvsp_bipartite(nr, nc, edges, GF(2))
         # matching size equals minimum cover size
         assert size == (nr - w.r) + (nc - w.s)
 
@@ -488,15 +481,16 @@ def test_bruhat_reconstructs_random():
     for p in [2, 5, 65521]:
         F = GF(p)
         for _ in range(10):
-            n = rng.randint(1, 5)
+            n = rng.randint(1, 7)
             while True:
                 S = linalg.rand_mat(rng, n, n, p)
                 if linalg.rank(S, p) == n:
                     break
             b = bruhat(S, F)
             assert np.array_equal(b.reconstruct(p), S)
-            # L lower, U upper-unitriangular
+            # L lower with a nonzero diagonal, U upper-unitriangular
             assert not np.triu(b.L, 1).any()
+            assert np.diag(b.L).all()
             assert not np.tril(b.U, -1).any()
             assert all(int(x) == 1 for x in np.diag(b.U))
 
@@ -522,6 +516,11 @@ def test_bruhat_permutation_invariant_under_triangular_factors():
 def test_bruhat_rejects_singular():
     with pytest.raises(Singular):
         bruhat(np.zeros((2, 2), dtype=np.int64), GF(3))
+    # the first row has a pivot; the second vanishes only once cleared
+    with pytest.raises(Singular):
+        bruhat(np.array([[1, 2], [2, 4]], dtype=np.int64), GF(5))
+    with pytest.raises(Singular):
+        bruhat(np.ones((2, 3), dtype=np.int64), GF(5))
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +536,7 @@ def test_blockdiag_single_block_always_safe():
             F, [linalg.rand_mat(rng, n, n, 2) for _ in range(rng.randint(1, 2))]
         )
         w, U, V = mvsp_exhaustive(A)
-        out = block_diagonalize_witness(
-            w, [list(range(n))], [list(range(n))], terms=A
-        )
+        out = block_diagonalize_witness(w, [0] * n, [0] * n, A)
         assert out.value() == w.value()
         assert len(out.row_set) == out.r and len(out.col_set) == out.s
         assert out.verify(A)
@@ -550,7 +547,7 @@ def test_blockdiag_permutation_witness_any_partition():
     F = GF(5)
     A = edmonds(F, 2, 2, [(0, 0)])
     w = mvsp_bipartite(2, 2, [(0, 0)], F)
-    out = block_diagonalize_witness(w, [[0], [1]], [[0], [1]], terms=A)
+    out = block_diagonalize_witness(w, [1, 0], [1, 0], A)
     assert out.verify(A)
     # block-diagonal with singleton blocks means monomial S and T
     assert (np.count_nonzero(out.S, axis=1) <= 1).all()
@@ -561,9 +558,18 @@ def test_blockdiag_rejects_bad_partition():
     A = tutte_k3(F)
     w, _, _ = mvsp_exhaustive(A)
     with pytest.raises(PartitionMismatch):
-        block_diagonalize_witness(w, [[0, 1]], [[0, 1, 2]])
+        block_diagonalize_witness(w, [0, 0], [0, 0, 0], A)
     with pytest.raises(PartitionMismatch):
-        block_diagonalize_witness(w, [[0, 2], [1]], [[0, 1, 2]])
+        block_diagonalize_witness(w, [0, 0, 0], [1, 0, 0, 0], A)
+    with pytest.raises(NotSorted):
+        block_diagonalize_witness(w, [1, 0, 1], [0, 0, 0], A)
+    with pytest.raises(NotSorted):
+        block_diagonalize_witness(w, [0, 0, 0], [0, 0, 1], A)
+    ws, _, _ = mvsp_symmetric_exhaustive(A)
+    with pytest.raises(PartitionMismatch):
+        block_diagonalize_symmetric(ws, [2, 1], A)
+    with pytest.raises(NotSorted):
+        block_diagonalize_symmetric(ws, [0, 1, 1], A)
 
 
 def test_blockdiag_structure_is_block_diagonal():
@@ -579,8 +585,7 @@ def test_blockdiag_structure_is_block_diagonal():
         if linalg.rank(T, 3) == n:
             break
     w = FRWitness(F, S, T, 0, 0)
-    blocks = [[0, 1], [2, 3]]
-    out = block_diagonalize_witness(w, blocks, blocks)
+    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], SymbolicMatrix(F, [S]))
     assert out.S[np.ix_([0, 1], [2, 3])].sum() == 0
     assert out.S[np.ix_([2, 3], [0, 1])].sum() == 0
     assert out.T[np.ix_([0, 1], [2, 3])].sum() == 0
