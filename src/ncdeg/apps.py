@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EnumerationCapExceeded
-from .mvsp import enumerate_subspaces
+from .mvsp import enumerate_subspaces, subspace_residues
 from .ratfunc import NEG_INF
 from .scalar import GF
 from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng
@@ -183,16 +183,11 @@ class BLDatum:
 # builders
 
 
-def _unit_term(n, i, j):
-    M = np.zeros((n, n), dtype=np.int64)
-    M[i, j] = 1
-    return M
-
-
 def build_edmonds(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
     """One variable per edge: A = sum e_i e_j^t x_ij."""
-    n = inst.n
-    terms = [_unit_term(n, i, j) for i, j in inst.edges]
+    terms = np.zeros((len(inst.edges), inst.n, inst.n), dtype=np.int64)
+    for k, (i, j) in enumerate(inst.edges):
+        terms[k, i, j] = 1
     return WeightedSymbolicMatrix(SymbolicMatrix(F, terms), inst.weights)
 
 
@@ -207,15 +202,12 @@ def build_matroid_intersection(inst: MatroidPairInstance) -> WeightedSymbolicMat
 def build_tutte(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
     """Skew-symmetric edge terms e_i e_j^t - e_j e_i^t on n vertices.
     The diagonal stays zero, so the skew shape survives characteristic 2."""
-    n = inst.n
-    terms = []
-    for i, j in inst.edges:
+    terms = np.zeros((len(inst.edges), inst.n, inst.n), dtype=np.int64)
+    for k, (i, j) in enumerate(inst.edges):
         if i == j:
             raise DimensionMismatch(f"loop ({i}, {i}) has no skew term")
-        M = np.zeros((n, n), dtype=np.int64)
-        M[i, j] = 1
-        M[j, i] = (-1) % F.p
-        terms.append(M)
+        terms[k, i, j] = 1
+        terms[k, j, i] = -1
     return WeightedSymbolicMatrix(SymbolicMatrix(F, terms), inst.weights)
 
 
@@ -242,21 +234,26 @@ def _dim_intersection(B1: np.ndarray, B2: np.ndarray, p: int) -> int:
 def _fmp_constraints(H: LineCollection):
     """Deduplicated covering constraints: for each realized coefficient
     row (dim(H_k ^ X))_k the tightest right-hand side dim X, with a
-    witnessing subspace basis kept for certificates."""
+    witnessing subspace basis kept for certificates.
+
+    One kernel reads every row off the residues B_k (I - S_X) of the
+    lines' bases modulo every X (see subspace_residues): a residue's
+    rank is 2 - dim(H_k ^ X), and a 2-row matrix has rank 0 when it is
+    zero, 2 when a 2x2 minor is nonzero and 1 otherwise.  Subspaces are
+    enumerated by dimension, so a row's first X is its first minimal
+    one."""
+    subs = enumerate_subspaces(H.F, H.n)
+    if H.m == 0:
+        return []
     p = H.F.p
-    bases = [H.basis(k) for k in range(H.m)]
-    best = {}
-    for X in enumerate_subspaces(H.F, H.n):
-        dx = X.shape[0]
-        if dx == 0:
-            continue
-        row = tuple(_dim_intersection(B, X, p) for B in bases)
-        if not any(row):
-            continue
-        cur = best.get(row)
-        if cur is None or dx < cur[0]:
-            best[row] = (dx, X)
-    return [(row, dx, X) for row, (dx, X) in best.items()]
+    bases = np.stack([H.basis(k) for k in range(H.m)])
+    R = linalg.matmul(bases[None], subspace_residues(H.F, H.n)[:, None], p)
+    i, j = np.triu_indices(H.n, 1)
+    minors = (R[..., 0, i] * R[..., 1, j] - R[..., 0, j] * R[..., 1, i]) % p
+    rank = np.where(minors.any(axis=-1), 2, R.any(axis=(-2, -1)))
+    rows, first = np.unique(2 - rank, axis=0, return_index=True)
+    keep = sorted(t for row, t in zip(rows, first) if row.any())
+    return [(tuple(int(v) for v in 2 - rank[t]), subs[t].shape[0], subs[t]) for t in keep]
 
 
 def _solve_fraction_system(rows, rhs):

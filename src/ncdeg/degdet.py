@@ -19,8 +19,9 @@ K(t):
 
 The two monomial engines run one Hungarian loop and differ only in the
 weight scale, the witness route and its block-diagonal shape (T = S^t
-for the symmetric one) and the step direction.  Every other leading
-matrix gets its witness by the cheapest route its structure allows.
+for the symmetric one) and the step direction.  The symmetric engine
+always takes the blow-up witness; every other leading matrix gets its
+witness by the cheapest route its structure allows (see _witness).
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -42,22 +43,18 @@ from .errors import (
     NcdegError,
     NotComplementarySlack,
     NotSorted,
-    WitnessUnavailable,
 )
 from .mvsp import (
-    SUBSPACE_CAP,
     FRWitness,
     Subspace,
     _check_skew,
     block_diagonalize_symmetric,
     block_diagonalize_witness,
+    blowup_witness,
     bruhat,
-    count_subspaces,
     mvsp_bipartite,
-    mvsp_exhaustive,
     mvsp_matroid_intersection,
-    mvsp_symmetric_exhaustive,
-    nc_rank,
+    nested_witness,
 )
 from .ratfunc import NEG_INF, POS_INF, RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
 from .symbolic import (
@@ -194,48 +191,38 @@ def _single_entry_edges(A: SymbolicMatrix):
     return sorted(edges)
 
 
-def _rank_one_pieces(A: SymbolicMatrix):
-    """Rank-one factor pairs covering every term, splitting terms of
-    higher rank into pivot-column pieces."""
+def _rank_one_factors(A: SymbolicMatrix):
+    """Stacks (a_k), (b_k) with A_k = a_k b_k' over the nonzero terms when
+    every term has rank at most one, else None.  b_k is the term's first
+    row through its leftmost nonzero column, scaled to a unit there, as
+    in the term's RREF."""
     p = A.F.p
     va, vb = [], []
-    for k in range(A.n_terms):
-        M = A.term(k)
-        R, piv = linalg.rref(M, p)
-        r = len(piv)
-        if r == 0:
+    for M in A.terms:
+        nz = np.argwhere(M.T)  # (column, row), leftmost column first
+        if nz.size == 0:
             continue
-        C = M[:, piv] % p
-        for t in range(r):
-            va.append(C[:, t].copy())
-            vb.append(R[t].copy())
-    if not va:
-        va = [np.zeros(A.n_rows, dtype=np.int64)]
-        vb = [np.zeros(A.n_cols, dtype=np.int64)]
+        j, i = nz[0]
+        a, b = M[:, j], (M[i] * linalg.inv_table(p)[M[i, j]]) % p
+        if ((np.outer(a, b) - M) % p).any():
+            return None
+        va.append(a)
+        vb.append(b)
     return np.stack(va), np.stack(vb)
 
 
 def _witness(A: SymbolicMatrix, rng) -> FRWitness:
     """Certified witness for a square leading matrix, by the cheapest
     route its structure allows: Koenig when every term is a single entry,
-    else matroid intersection over rank-one pieces, else subspace
-    enumeration."""
+    matroid intersection when every term has rank at most one (exact by
+    Lovasz, 1989), else the blow-up witness."""
     edges = _single_entry_edges(A)
     if edges is not None:
         return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
-    va, vb = _rank_one_pieces(A)
-    w = mvsp_matroid_intersection(va, vb, A.F)
-    # splitting a term can only overstate the optimum; a matching
-    # blow-up estimate certifies that it did not
-    if w.value() == nc_rank(A, rng):
-        return w
-    total = count_subspaces(A.F.p, A.n_rows)
-    if total > SUBSPACE_CAP:
-        raise WitnessUnavailable(
-            "rank-one split lost optimality; "
-            f"{total} subspaces of GF({A.F.p})^{A.n_rows} exceed the enumeration cap"
-        )
-    return mvsp_exhaustive(A)[0]
+    factors = _rank_one_factors(A)
+    if factors is not None:
+        return mvsp_matroid_intersection(*factors, A.F)
+    return blowup_witness(A, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +484,10 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             if s == 0:
                 tight[k, i, j] = M[k, i, j]
         At = SymbolicMatrix(F, tight)
-        w = mvsp_symmetric_exhaustive(At)[0] if symmetric else _witness(At, rng)
+        if symmetric:
+            w = nested_witness(F, *blowup_witness(At, rng)[1:])
+        else:
+            w = _witness(At, rng)
         if not w.dominant:
             profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
@@ -570,8 +560,8 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
     alpha = beta: the shared loop runs on doubled weights so every step
     is integer, and emitted values and duals shed the factor again.
 
-    The dominant optimum of a skew leading matrix, found by subspace
-    enumeration, nests V inside U, so a single transform serves both
+    The dominant optimum of a skew leading matrix, found by the blow-up
+    witness, nests V inside U, so a single transform serves both
     sides (T = S^t, which keeps Q = P^t) and the step direction is +1 on
     the V part, 0 on the rest of the U part, -1 outside.
     """

@@ -57,10 +57,6 @@ class EnumerationCapExceeded(NcdegError, RuntimeError):
     """A brute-force enumeration would exceed its configured cap."""
 
 
-class WitnessUnavailable(NcdegError, RuntimeError):
-    """No witness solver can certify the current rank deficiency."""
-
-
 class AlgorithmStall(NcdegError, RuntimeError):
     """An iteration bound was exceeded; indicates an internal bug."""
 

@@ -7,11 +7,15 @@ minimizing pair converts to a witness (S, T, r, s): nonsingular S whose
 first r rows span U and nonsingular T whose first s columns span V, so
 S A_k T has an upper-left r x s zero block for every k.
 
-Solvers: exhaustive subspace enumeration over small fields (dominant),
-Koenig max-matching/min-cover for bipartite-support matrices (dominant),
-and linear matroid intersection for stacks of rank-one terms (dominance
-not claimed).  Bruhat decomposition and witness block-diagonalization
-feed the degree algorithms.
+Solvers: the blow-up witness, a random substitution into the (n-1)-th
+blow-up followed by the second Wong sequence and certified by the
+substitution's rank (Las Vegas, dominant, any field); Koenig
+max-matching/min-cover for bipartite-support matrices (dominant); linear
+matroid intersection for stacks of rank-one terms (exact, dominance not
+claimed); and exhaustive subspace enumeration over small fields
+(dominant), the referee for tests and the LP oracles.
+Bruhat decomposition and witness block-diagonalization feed the degree
+algorithms.
 """
 
 from typing import NamedTuple, Optional
@@ -167,6 +171,16 @@ class FRWitness:
 # nc-rank by blow-up
 
 
+def _blowup_draws(sq: SymbolicMatrix, d: int, rng, trials: int):
+    """Random substitutions sum_k A_k (x) R_k into the d-th blow-up of the
+    square sq, numbered from 1: one rand_mat per draw, at most 64
+    batches of trials draws."""
+    p = sq.F.p
+    for spent in range(1, 64 * trials + 1):
+        Rs = linalg.rand_mat(rng, sq.n_terms * d, d, p).reshape(-1, d, d)
+        yield spent, sq.blowup_substitute(Rs)
+
+
 def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
     """nc-rank via random substitution into the (n-1)-th blow-up.
 
@@ -184,22 +198,67 @@ def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
     if n == 0:
         return 0
     d = max(n - 1, 1)
-    p = A.F.p
     best = 0
-    spent = 0
-    while True:
-        for _ in range(trials):
-            Rs = linalg.rand_mat(rng, sq.n_terms * d, d, p).reshape(-1, d, d)
-            r = linalg.rank(sq.blowup_substitute(Rs), p)
-            if r > best:
-                best = r
-                if best == n * d:
-                    break
-        spent += trials
-        if best % d == 0:
+    for spent, B in _blowup_draws(sq, d, rng, trials):
+        best = max(best, linalg.rank(B, A.F.p))
+        if (best == n * d or spent % trials == 0) and best % d == 0:
             return best // d
-        if spent >= 64 * trials:
-            raise AlgorithmStall(f"blow-up rank stuck at {best}, not divisible by {d}")
+    raise AlgorithmStall(f"blow-up rank stuck at {best}, not divisible by {d}")
+
+
+def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
+    """Limit of the second Wong sequence W <- W + sum_k A_k Z, where Z is
+    the span of the column slices of ker((C_W (x) I_d) B) and the rows of
+    C_W span the annihilator of W; returns the annihilator's basis."""
+    n, p = sq.n_rows, sq.F.p
+    Wb = np.zeros((0, n), dtype=np.int64)
+    while True:
+        C = linalg.nullspace(Wb, p)
+        CB = linalg.matmul(C, B.reshape(n, -1), p).reshape(-1, n * d)
+        Y = linalg.nullspace(CB, p)
+        Z = Y.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n)
+        gens = linalg.matmul(Z, sq.terms.transpose(0, 2, 1), p).reshape(-1, n)
+        grown = linalg.row_basis(np.concatenate([Wb, gens]), p)
+        if grown.shape[0] == Wb.shape[0]:
+            return C
+        Wb = grown
+
+
+def blowup_witness(A: SymbolicMatrix, rng=None):
+    """Dominant optimum from a random blow-up, certified by its rank.
+
+    Draw B = sum_k A_k (x) R_k with d = n - 1, as nc_rank does, and run
+    the second Wong sequence (Ivanyos-Karpinski-Qiao-Santha) from W = 0
+    to its limit; then U = W^perp and V is the largest vanishing space
+    for U.  Every vanishing pair bounds the nc-rank from above and
+    rank(B) / d bounds it from below, so value * d == rank(B) certifies
+    the optimum; any other draw is redrawn, under nc_rank's cap.
+
+    The certified witness is also dominant.  Write A V' for the image
+    sum_k A_k V'.  A B of maximum rank has ker B inside V' (x) K^d and
+    B (V' (x) K^d) = (A V') (x) K^d for every optimal V'.  So if W lies
+    in A V', then B^-1(W (x) K^d) lies in V' (x) K^d, its slices lie in
+    V', and the next W lies in A V' again: by induction the limit W is
+    the least image of all optima, and U = W^perp is the largest optimal
+    U.
+
+    Returns (witness, U, V) like mvsp_exhaustive.
+    """
+    rng = as_rng(rng)
+    sq = A.pad_square()
+    n, F = sq.n_rows, A.F
+    d = max(n - 1, 1)
+    best = 0
+    for _, B in _blowup_draws(sq, d, rng, default_trials(F.p)):
+        rB = linalg.rank(B, F.p)
+        best = max(best, rB)
+        if rB < best or rB % d:
+            continue  # below the maximum rank, which is a multiple of d
+        U = Subspace(F, _wong_limit(sq, B, d))
+        V = Subspace(F, _max_vanishing_V(sq, U.basis))
+        if (2 * n - U.dim - V.dim) * d == rB:
+            return _witness_from_subspaces(F, U, V, True), U, V
+    raise AlgorithmStall("no blow-up draw certified a vanishing pair")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +266,7 @@ def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
 
 
 _SUBSPACE_CACHE: dict = {}
+_RESIDUE_CACHE: dict = {}
 
 
 def count_subspaces(q: int, n: int) -> int:
@@ -253,8 +313,21 @@ def enumerate_subspaces(F: GF, n: int):
                 out.append(B)
     if len(out) != total:
         raise AlgorithmStall(f"enumerated {len(out)} subspaces, expected {total}")
+    residues = np.tile(linalg.identity(n), (total, 1, 1))
+    for t, X in enumerate(out):
+        residues[t, (X != 0).argmax(axis=1)] -= X
     _SUBSPACE_CACHE[key] = out
+    _RESIDUE_CACHE[key] = residues % q
     return out
+
+
+def subspace_residues(F: GF, n: int) -> np.ndarray:
+    """Stack of I - S_X over enumerate_subspaces(F, n), in its order: row
+    piv_i of S_X is the i-th RREF row X_i of X, whose pivot is piv_i, and
+    every other row is zero.  v (I - S_X) reduces v modulo X, so it
+    vanishes exactly when v lies in X."""
+    enumerate_subspaces(F, n)
+    return _RESIDUE_CACHE[(F.p, n)]
 
 
 def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
@@ -311,16 +384,21 @@ def _check_skew(A: SymbolicMatrix):
 
 def mvsp_symmetric_exhaustive(A: SymbolicMatrix):
     """Dominant witness for a zero-diagonal skew-symmetric matrix, shaped
-    so that T = S transposed: the dominant optimum has U containing V, and
-    S lists a basis of V first, extended to U, then completed."""
+    so that T = S transposed (see nested_witness)."""
     _check_skew(A)
-    p = A.F.p
-    w, U, V = mvsp_exhaustive(A)
+    _, U, V = mvsp_exhaustive(A)
+    return nested_witness(A.F, U, V), U, V
+
+
+def nested_witness(F: GF, U: Subspace, V: Subspace) -> FRWitness:
+    """T = S^t witness for the dominant optimum (U, V) of a skew matrix,
+    which nests V in U: S lists a basis of V first, extended to U, then
+    completed."""
     if not U.contains_subspace(V):
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
-    head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, p)])
-    S = np.concatenate([head, _extend_basis(head, linalg.identity(A.n_rows), p)])
-    return FRWitness(A.F, S, S.T, U.dim, V.dim, dominant=True), U, V
+    head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, F.p)])
+    S = np.concatenate([head, _extend_basis(head, linalg.identity(U.n), F.p)])
+    return FRWitness(F, S, S.T, U.dim, V.dim, dominant=True)
 
 
 def _extend_basis(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:

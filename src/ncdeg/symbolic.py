@@ -236,24 +236,23 @@ class WeightedSymbolicMatrix:
 
 
 class RationalSymbolicMatrix:
-    """B = sum_k B_k x_k with the B_k square matrices over K(t)."""
+    """B = sum_k B_k x_k with the B_k n x n matrices over K(t); n is read
+    off the first term unless given, which it must be for no terms."""
 
-    __slots__ = ("F", "terms")
+    __slots__ = ("F", "terms", "n")
 
-    def __init__(self, F: GF, terms):
+    def __init__(self, F: GF, terms, n=None):
         terms = list(terms)
-        if not terms:
-            raise DimensionMismatch("at least one term matrix is required")
-        n = terms[0].shape[0]
+        if n is None:
+            if not terms:
+                raise DimensionMismatch("a matrix without terms needs its size")
+            n = terms[0].shape[0]
         for B in terms:
             if B.shape != (n, n):
                 raise NotSquare(f"term shape {B.shape}, expected ({n}, {n})")
         self.F = F
         self.terms = terms
-
-    @property
-    def n(self):
-        return self.terms[0].shape[0]
+        self.n = n
 
     @property
     def n_terms(self):
@@ -266,7 +265,7 @@ class RationalSymbolicMatrix:
         for k in range(sq.n_terms):
             M = RationalMatrix.from_scalars(sq.F, sq.base.terms[k])
             mats.append(M.scale_rows([sq.c[k]] * sq.n_rows))
-        return cls(sq.F, mats)
+        return cls(sq.F, mats, sq.n_rows)
 
     def max_deg(self):
         best = NEG_INF
@@ -311,7 +310,7 @@ class RationalSymbolicMatrix:
     def transform(self, P: RationalMatrix, Q: RationalMatrix):
         """Termwise P B_k Q."""
         return RationalSymbolicMatrix(
-            self.F, [P.matmul(B).matmul(Q) for B in self.terms]
+            self.F, [P.matmul(B).matmul(Q) for B in self.terms], self.n
         )
 
 

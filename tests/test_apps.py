@@ -259,6 +259,28 @@ def test_bl_subspace_reject():
     assert lhs == cert["lhs"] and lhs > cert["rhs"] == X.shape[0]
 
 
+def test_fmp_constraints_match_per_subspace_reference():
+    # the batched kernel against one _dim_intersection per line and X,
+    # keeping the first X of least dimension for each coefficient row
+    from ncdeg.apps import _dim_intersection, _fmp_constraints
+    from ncdeg.mvsp import enumerate_subspaces
+
+    rng = random.Random(11)
+    for p, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (5, 3), (5, 4)]:
+        F = GF(p)
+        for m in (1, 4):
+            H = random_lines(rng, F, n, m)
+            want = {}
+            for X in enumerate_subspaces(F, n)[1:]:
+                row = tuple(_dim_intersection(H.basis(k), X, p) for k in range(m))
+                if any(row) and (row not in want or X.shape[0] < want[row].shape[0]):
+                    want[row] = X
+            got = _fmp_constraints(H)
+            assert [row for row, _, _ in got] == list(want)
+            for row, dx, X in got:
+                assert dx == X.shape[0] and np.array_equal(X, want[row])
+
+
 def test_bl_integer_pair_reject():
     datum = coordinate_datum(GF(3), [1, 1, 0])
     ok, cert = bl_membership_rank2(datum)

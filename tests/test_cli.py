@@ -484,6 +484,82 @@ def test_fmm_without_pairs_verifies(tmp_path, capsys):
     assert captured.out.splitlines()[-1] == "NOT verified"
 
 
+def verified(capsys, report, path, tmp_path):
+    report_path = write(tmp_path, "report.json", report)
+    code, out = run(capsys, "verify", report_path, path)
+    return code == 0 and out.splitlines()[-1] == "verified"
+
+
+@pytest.mark.parametrize("command", ["hungarian", "subdet", "degdet", "ncrank"])
+def test_bipartite_without_edges(tmp_path, capsys, command):
+    # an empty (0, 3, 3) term stack: every level above 0 is -inf, as the
+    # brute-force oracle reports
+    doc = k3_bipartite_doc()
+    doc["payload"] = {"size": 3, "edges": [], "weights": []}
+    path = write(tmp_path, "empty.json", doc)
+    code, out = run(capsys, command, path, "--json")
+    report = json.loads(out)
+    want = json.loads(run(capsys, "oracle", path, "--json")[1])["values"]
+    if command == "ncrank":
+        assert (code, report["values"]["nc_rank"]) == (0, 0)
+    elif command == "degdet":
+        assert (code, report["values"]) == (2, {"deg_det": want["3"]})
+    else:
+        assert (code, report["values"]) == (2, want)
+    assert verified(capsys, report, path, tmp_path)
+
+
+def skew_lines_doc():
+    """The skew terms a b^t - b a^t of the lines (e3, e2) and (e2 + e3, e1)
+    of GF(65521)^3: each has rank two, and splitting them into rank-one
+    pieces overstates the nc-rank."""
+    return {
+        "field": {"p": 65521},
+        "kind": "weighted",
+        "payload": {
+            "rows": 3,
+            "cols": 3,
+            "terms": [
+                [[3, 2, 1], [2, 3, -1]],
+                [[2, 1, 1], [3, 1, 1], [1, 2, -1], [1, 3, -1]],
+            ],
+            "weights": [0, 0],
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        ("hungarian", {"0": 0, "1": 0, "2": 0, "3": None}),
+        ("subdet", {"0": 0, "1": 0, "2": 0, "3": None}),
+        ("degdet", {"deg_det": None}),
+    ],
+)
+def test_rank_two_terms_over_a_large_field(tmp_path, capsys, command, values):
+    # GF(65521)^3 is far beyond subspace enumeration; the nc-rank is 2,
+    # so the top level is -inf and the run exits 2
+    path = write(tmp_path, "skew.json", skew_lines_doc())
+    code, out = run(capsys, command, path, "--json")
+    report = json.loads(out)
+    assert (code, report["values"], report["guarantee"]) == (2, values, "strong")
+    assert verified(capsys, report, path, tmp_path)
+
+
+def test_fmm_of_one_line_over_a_large_field(tmp_path, capsys):
+    doc = {
+        "field": {"p": 65521},
+        "kind": "lines",
+        "payload": {"dim": 2, "pairs": [[[1, 2], [3, 5]]], "weights": [3]},
+    }
+    path = write(tmp_path, "line.json", doc)
+    code, out = run(capsys, "fmm", path, "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["values"] == {"best": 3, "curve": {"0": 0, "1": "3/2", "2": 3}}
+    assert verified(capsys, report, path, tmp_path)
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
     _, first = run(capsys, "hungarian", path, "--seed", "7", "--json")

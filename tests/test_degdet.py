@@ -28,7 +28,12 @@ from ncdeg.errors import (
     NotSkewSymmetric,
     NotSorted,
 )
-from ncdeg.mvsp import mvsp_bipartite, mvsp_exhaustive, mvsp_matroid_intersection
+from ncdeg.mvsp import (
+    blowup_witness,
+    mvsp_bipartite,
+    mvsp_exhaustive,
+    mvsp_matroid_intersection,
+)
 from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
@@ -300,10 +305,10 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     assert len(seen) == 5
     n_bipartite = 0
     for A in seen:
-        witnesses = [
-            mvsp_exhaustive(A)[0],
-            mvsp_matroid_intersection(*degdet._rank_one_pieces(A), F),
-        ]
+        witnesses = [mvsp_exhaustive(A)[0], blowup_witness(A, random.Random(0))[0]]
+        factors = degdet._rank_one_factors(A)
+        if factors is not None:
+            witnesses.append(mvsp_matroid_intersection(*factors, F))
         edges = degdet._single_entry_edges(A)
         if edges is not None:
             n_bipartite += 1

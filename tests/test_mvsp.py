@@ -21,6 +21,7 @@ from ncdeg.mvsp import (
     Subspace,
     block_diagonalize_symmetric,
     block_diagonalize_witness,
+    blowup_witness,
     bruhat,
     count_subspaces,
     enumerate_subspaces,
@@ -34,7 +35,7 @@ from ncdeg.mvsp import (
     _max_vanishing_V,
 )
 from ncdeg.scalar import GF
-from ncdeg.symbolic import SymbolicMatrix
+from ncdeg.symbolic import SymbolicMatrix, default_trials
 
 
 def unit(n_rows, n_cols, i, j):
@@ -155,6 +156,18 @@ def test_nc_rank_stalls_when_blowup_rank_never_divides(monkeypatch):
         nc_rank(A, random.Random(0))
 
 
+def test_blowup_witness_stalls_under_the_nc_rank_cap(monkeypatch):
+    # no draw reaches a rank that certifies a pair: 64 batches of the
+    # field's trial count are drawn, then the search gives up
+    draws = []
+    monkeypatch.setattr(mvsp.linalg, "rank", lambda A, p: 1)
+    rand_mat = mvsp.linalg.rand_mat
+    monkeypatch.setattr(mvsp.linalg, "rand_mat", lambda *a: draws.append(1) or rand_mat(*a))
+    with pytest.raises(AlgorithmStall, match="certified"):
+        blowup_witness(SymbolicMatrix(GF(5), [linalg.identity(3)]), random.Random(0))
+    assert len(draws) == 64 * default_trials(5)
+
+
 def test_guarantees_hold_under_optimize_flag():
     # python -O strips asserts: every engine must still finish with the
     # right values, and nc_rank must still give up instead of looping forever
@@ -168,7 +181,7 @@ from ncdeg.degdet import (
 )
 from ncdeg.errors import AlgorithmStall, NotSorted
 from ncdeg.scalar import GF
-from ncdeg.symbolic import RationalSymbolicMatrix, SymbolicMatrix
+from ncdeg.symbolic import RationalSymbolicMatrix, SymbolicMatrix, WeightedSymbolicMatrix
 
 print("debug", __debug__)
 F = GF(5)
@@ -183,6 +196,10 @@ edges = ((0, 1), (0, 2), (1, 2))
 K3 = SymbolicMatrix(F, [(np.outer(e[i], e[j]) - np.outer(e[j], e[i])) % 5 for i, j in edges])
 prof = symmetric_hungarian(K3, [2, 1, 1], rng=random.Random(0))
 print("symmetric", sorted(prof.values.items()))
+G = GF(65521)
+skew = [np.outer(a, b) - np.outer(b, a) for a, b in ((e[2], e[1]), (e[1] + e[2], e[0]))]
+prof = hungarian_deg_det(WeightedSymbolicMatrix(SymbolicMatrix(G, skew), [0, 0]), rng=random.Random(0))
+print("skew", sorted(prof.values.items()), prof.meta["guarantee"])
 mvsp.linalg.rank = lambda A, p: 1
 try:
     mvsp.nc_rank(SymbolicMatrix(F, [linalg.identity(3)]), random.Random(0))
@@ -204,11 +221,12 @@ except NotSorted:
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:6] == [
+    assert out.stdout.split("\n")[:7] == [
         "debug False",
         "values [(0, 0), (1, 3), (2, 5)]",
         "subdet [(0, 0), (1, 3), (2, 5)]",
         "symmetric [(0, 0), (1, 2), (2, 4), (3, 4)]",
+        "skew [(0, 0), (1, 0), (2, 0), (3, -inf)] strong",
         "stall",
         "not sorted",
     ]

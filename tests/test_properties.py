@@ -1,7 +1,8 @@
 """Property tests on small random instances: the monomial engines and
 optimize_Q against brute force, the engines against each other and
-against the Monte-Carlo blow-up oracle, and the stacked matmul against
-the per-term loop."""
+against the Monte-Carlo blow-up oracle, the blow-up witness against
+subspace enumeration, and the stacked matmul against the per-term
+loop."""
 
 import random
 
@@ -26,6 +27,7 @@ from ncdeg.degdet import (
     verify_dual,
 )
 from ncdeg.errors import DimensionMismatch
+from ncdeg.mvsp import blowup_witness, mvsp_exhaustive
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -141,6 +143,34 @@ def test_symmetric_engine_matches_two_sided_engine(skew):
     two = hungarian_deg_det(Ac, rng=random.Random(0))
     sym = symmetric_hungarian(A, c, rng=random.Random(0))
     check_profile(sym, Ac, [two.values[l] for l in range(A.n_rows + 1)])
+
+
+@st.composite
+def witness_inputs(draw):
+    """General, skew or rank-one terms on up to five coordinates, small
+    enough for subspace enumeration to referee."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5 if p < 5 else 4))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["general", "skew", "rank-one"]))
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    terms = []
+    for _ in range(m):
+        if kind == "general":
+            terms.append(np.array(draw(st.lists(vec, min_size=n, max_size=n))))
+        else:
+            a, b = np.array(draw(vec)), np.array(draw(vec))
+            terms.append(np.outer(a, b) - (np.outer(b, a) if kind == "skew" else 0))
+    return SymbolicMatrix(GF(p), terms)
+
+
+@PROPERTY
+@given(witness_inputs())
+def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
+    w, U, V = blowup_witness(A, random.Random(0))
+    _, U_enum, V_enum = mvsp_exhaustive(A)
+    assert (U, V) == (U_enum, V_enum)
+    assert w.dominant and w.verify(A)
 
 
 @st.composite
