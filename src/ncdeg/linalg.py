@@ -7,7 +7,7 @@ for inner dimensions up to 2^31.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSquare, Singular
+from .errors import DimensionMismatch, NotSquare
 
 _INV_TABLES: dict = {}
 
@@ -29,15 +29,6 @@ def inv_table(p: int) -> np.ndarray:
         _INV_TABLES[p] = r
         tab = r
     return tab
-
-
-def as_mat(rows, p: int) -> np.ndarray:
-    A = np.asarray(rows, dtype=np.int64)
-    if A.ndim == 1:
-        A = A[None, :]
-    if A.ndim != 2:
-        raise DimensionMismatch(f"expected 2-d array, got ndim={A.ndim}")
-    return A % p
 
 
 def identity(n: int) -> np.ndarray:
@@ -128,31 +119,6 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
         for i, j in enumerate(piv):
             N[k, j] = (-R[i, f]) % p
     return N
-
-
-def inverse(A: np.ndarray, p: int) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int64)
-    m, n = A.shape
-    if m != n:
-        raise NotSquare(f"shape {A.shape}")
-    R, piv = rref(np.concatenate([A % p, identity(n)], axis=1), p)
-    if piv[:n] != list(range(n)):
-        raise Singular("matrix is not invertible")
-    return R[:, n:]
-
-
-def solve(A: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of A x = b mod p, or None if inconsistent."""
-    A = as_mat(A, p)
-    b = np.asarray(b, dtype=np.int64) % p
-    m, n = A.shape
-    R, piv = rref(np.concatenate([A, b.reshape(m, 1)], axis=1), p)
-    if n in piv:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, j in enumerate(piv):
-        x[j] = R[i, n]
-    return x
 
 
 def det(A: np.ndarray, p: int) -> int:

@@ -7,13 +7,13 @@ minimizing pair converts to a witness (S, T, r, s): nonsingular S whose
 first r rows span U and nonsingular T whose first s columns span V, so
 S A_k T has an upper-left r x s zero block for every k.
 
-Solvers: the blow-up witness, a random substitution into the (n-1)-th
+Every solver returns the dominant optimum, the optimal pair with the
+largest U: the blow-up witness, a random substitution into the (n-1)-th
 blow-up followed by the second Wong sequence and certified by the
-substitution's rank (Las Vegas, dominant, any field); Koenig
-max-matching/min-cover for bipartite-support matrices (dominant); linear
-matroid intersection for stacks of rank-one terms (exact, dominance not
-claimed); and exhaustive subspace enumeration over small fields
-(dominant), the referee for tests and the LP oracles.
+substitution's rank (Las Vegas, any field); Koenig max-matching/min-cover
+for bipartite-support matrices; linear matroid intersection for stacks of
+rank-one terms; and exhaustive subspace enumeration over small fields,
+the referee for tests and the LP oracles.
 Bruhat decomposition and witness block-diagonalization feed the degree
 algorithms.
 """
@@ -124,15 +124,14 @@ class FRWitness:
     """Certificate (S, T, r, s): S A_k T has an r x s zero block, upper-left
     by default or at (row_set x col_set) when those are given."""
 
-    __slots__ = ("F", "S", "T", "r", "s", "dominant", "row_set", "col_set")
+    __slots__ = ("F", "S", "T", "r", "s", "row_set", "col_set")
 
-    def __init__(self, F, S, T, r, s, dominant=False, row_set=None, col_set=None):
+    def __init__(self, F, S, T, r, s, row_set=None, col_set=None):
         self.F = F
         self.S = np.asarray(S, dtype=np.int64) % F.p
         self.T = np.asarray(T, dtype=np.int64) % F.p
         self.r = int(r)
         self.s = int(s)
-        self.dominant = bool(dominant)
         self.row_set = list(range(r)) if row_set is None else sorted(row_set)
         self.col_set = list(range(s)) if col_set is None else sorted(col_set)
 
@@ -149,10 +148,7 @@ class FRWitness:
         return self.n_rows + self.n_cols - self.r - self.s
 
     def __repr__(self):
-        return (
-            f"FRWitness(r={self.r}, s={self.s}, value={self.value()}, "
-            f"dominant={self.dominant})"
-        )
+        return f"FRWitness(r={self.r}, s={self.s}, value={self.value()})"
 
     def verify(self, A: SymbolicMatrix) -> bool:
         """Exact check of the zero-block identity and invertibility."""
@@ -257,7 +253,7 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
         U = Subspace(F, _wong_limit(sq, B, d))
         V = Subspace(F, _max_vanishing_V(sq, U.basis))
         if (2 * n - U.dim - V.dim) * d == rB:
-            return _witness_from_subspaces(F, U, V, True), U, V
+            return _witness_from_subspaces(F, U, V), U, V
     raise AlgorithmStall("no blow-up draw certified a vanishing pair")
 
 
@@ -340,10 +336,10 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
-def _witness_from_subspaces(F, U: Subspace, V: Subspace, dominant: bool) -> FRWitness:
+def _witness_from_subspaces(F, U: Subspace, V: Subspace) -> FRWitness:
     S = np.concatenate([U.basis, U.completion()])
     T = np.concatenate([V.basis, V.completion()]).T
-    return FRWitness(F, S, T, U.dim, V.dim, dominant=dominant)
+    return FRWitness(F, S, T, U.dim, V.dim)
 
 
 def mvsp_exhaustive(A: SymbolicMatrix):
@@ -371,7 +367,7 @@ def mvsp_exhaustive(A: SymbolicMatrix):
     V = Subspace(F, _max_vanishing_V(sq, U.basis))
     if 2 * n - U.dim - V.dim != best_val:
         raise AlgorithmStall("optimum not closed under joins")
-    return _witness_from_subspaces(F, U, V, True), U, V
+    return _witness_from_subspaces(F, U, V), U, V
 
 
 def _check_skew(A: SymbolicMatrix):
@@ -398,7 +394,7 @@ def nested_witness(F: GF, U: Subspace, V: Subspace) -> FRWitness:
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
     head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, F.p)])
     S = np.concatenate([head, _extend_basis(head, linalg.identity(U.n), F.p)])
-    return FRWitness(F, S, S.T, U.dim, V.dim, dominant=True)
+    return FRWitness(F, S, S.T, U.dim, V.dim)
 
 
 def _extend_basis(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
@@ -481,7 +477,7 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
     T = np.zeros((n_cols, n_cols), dtype=np.int64)
     for b, j in enumerate(zcols + [j for j in range(n_cols) if not col_seen[j]]):
         T[j, b] = 1
-    return FRWitness(F, S, T, len(zrows), len(zcols), dominant=True)
+    return FRWitness(F, S, T, len(zrows), len(zcols))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +488,20 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
     """Maximum common independent set of the two linear matroids on [m]
     spanned by the rows of va and vb, via shortest augmenting paths.
 
-    Returns (J, I) where J is the common independent set and I minimizes
-    r1(I) + r2([m] - I), certified by |J| = r1(I) + r2([m] - I).
+    Returns (J, I) where J is the common independent set and I is the
+    least minimizer of r1(I) + r2([m] - I), certified by |J| = r1(I) +
+    r2([m] - I).
+
+    Once no X1-X2 path is left, I is the set of elements from which X2 is
+    reachable, a minimizer by Edmonds' min-max (Schrijver, Combinatorial
+    Optimization, Thm 41.2).  It lies in every minimizer I':
+    |J| = |J & I'| + |J - I'| <= r1(I') + r2([m] - I') = |J| forces J & I'
+    to span I' in matroid 1 and J - I' to span [m] - I' in matroid 2.  So
+    X2 lies in I', and no arc enters I' from outside: for x in J - I' and
+    y in I', J - x contains J & I', which spans y in matroid 1 (no arc
+    x -> y); for y outside I' and x in J & I', J - x contains J - I',
+    which spans y in matroid 2 (no arc y -> x).  Hence whatever reaches X2
+    lies in I'.
     """
     m = va.shape[0]
     J: set = set()
@@ -538,8 +546,16 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
                     break
             frontier = nxt
         if goal is None:
-            reach = set(prev.keys())
-            I = set(range(m)) - reach
+            pred = {v: [] for v in range(m)}
+            for v, ws in succ.items():
+                for w in ws:
+                    pred[w].append(v)
+            I, stack = set(X2), list(X2)
+            while stack:
+                for v in pred[stack.pop()]:
+                    if v not in I:
+                        I.add(v)
+                        stack.append(v)
             if rank_a(I) + rank_b(set(range(m)) - I) != len(J):
                 raise AlgorithmStall("matroid intersection lost its min-max certificate")
             return J, I
@@ -552,9 +568,16 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
 
 
 def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
-    """Witness for A = sum_k a_k b_k' x_k from the matroid-intersection
-    minimizer: U annihilates {a_k : k in I}, V annihilates the rest of the
-    b_k.  Dominance is not claimed for this construction."""
+    """Dominant witness for A = sum_k a_k b_k' x_k from the least
+    matroid-intersection minimizer I: U annihilates {a_k : k in I}, V
+    annihilates the rest of the b_k.
+
+    Any optimal pair (U', V') kills a_k for k in some I' and b_k for the
+    rest, so U' lies in ann(a_k : k in I'), V' in ann(b_k : k not in I'),
+    and optimality makes I' a minimizer.  I lies in I', so U' lies in U:
+    U is the largest optimal U, and V, optimal with it, is the largest V
+    vanishing against it.
+    """
     va = np.asarray(vectors_a, dtype=np.int64) % F.p
     vb = np.asarray(vectors_b, dtype=np.int64) % F.p
     if va.shape[0] != vb.shape[0]:
@@ -567,7 +590,7 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
     Vb = vb[notI] if notI else np.zeros((0, n2), dtype=np.int64)
     U = Subspace(F, linalg.nullspace(Ua, F.p)) if Ua.shape[0] else Subspace.full(F, n1)
     V = Subspace(F, linalg.nullspace(Vb, F.p)) if Vb.shape[0] else Subspace.full(F, n2)
-    return _witness_from_subspaces(F, U, V, False)
+    return _witness_from_subspaces(F, U, V)
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +680,13 @@ def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) 
     front of each column block.
 
     S and T^t are shaped by _blockdiag_core, each with its zero-block
-    pivots as the one tier.  Dominance carries over.
+    pivots as the one tier; r and s carry over.
     """
     if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
         raise PartitionMismatch("expected an upper-left zero block witness")
     S, (X,) = _blockdiag_core(w.S, w.F, alpha, [w.r])
     Tt, (Y,) = _blockdiag_core(w.T.T, w.F, beta, [w.s])
-    out = FRWitness(w.F, S, Tt.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
+    out = FRWitness(w.F, S, Tt.T, w.r, w.s, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
     return out
@@ -674,7 +697,7 @@ def block_diagonalize_symmetric(w: FRWitness, alpha, terms: SymbolicMatrix) -> F
     one shared ordering puts column-set pivots first, then the remaining
     row-set pivots, in each run of alpha."""
     S, (Y, X) = _blockdiag_core(w.S, w.F, alpha, [w.s, w.r])
-    out = FRWitness(w.F, S, S.T, w.r, w.s, dominant=w.dominant, row_set=X, col_set=Y)
+    out = FRWitness(w.F, S, S.T, w.r, w.s, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("symmetric block-diagonalization lost the zero block")
     return out

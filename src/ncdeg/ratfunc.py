@@ -13,7 +13,6 @@ from .errors import (
     InfeasibleShift,
     NotBiproper,
     NotSquare,
-    Singular,
     ZeroInversion,
 )
 from .scalar import GF
@@ -391,14 +390,11 @@ class RationalMatrix:
             [[e.eval(a) for e in row] for row in self.rows], dtype="int64"
         ).reshape(self.shape)
 
-    def _eliminate(self, invert: bool):
-        """Gaussian elimination; returns (rank, det RatFn or None, inverse or None)."""
+    def _eliminate(self):
+        """Gaussian elimination; returns (rank, det RatFn)."""
         m, n = self.shape
         F = self.F
         A = [list(r) for r in self.rows]
-        aug = None
-        if invert:
-            aug = [[RatFn.one(F) if i == j else RatFn.zero(F) for j in range(m)] for i in range(m)]
         det = RatFn.one(F)
         r = 0
         for j in range(n):
@@ -410,26 +406,20 @@ class RationalMatrix:
                 continue
             if pi != r:
                 A[r], A[pi] = A[pi], A[r]
-                if invert:
-                    aug[r], aug[pi] = aug[pi], aug[r]
                 det = -det
             pv = A[r][j]
             det = det * pv
             pvi = pv.inv()
             A[r] = [e * pvi for e in A[r]]
-            if invert:
-                aug[r] = [e * pvi for e in aug[r]]
             for i in range(m):
                 if i != r and not A[i][j].is_zero():
                     f = A[i][j]
                     A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-                    if invert:
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
             r += 1
-        return r, det, aug
+        return r, det
 
     def rank(self) -> int:
-        return self._eliminate(False)[0]
+        return self._eliminate()[0]
 
     def determinant(self) -> RatFn:
         m, n = self.shape
@@ -437,21 +427,12 @@ class RationalMatrix:
             raise NotSquare(f"shape {self.shape}")
         if m == 0:
             return RatFn.one(self.F)
-        r, det, _ = self._eliminate(False)
+        r, det = self._eliminate()
         return det if r == m else RatFn.zero(self.F)
 
     def degdet(self):
         """deg det, exactly; -inf when singular."""
         return self.determinant().deg
-
-    def inverse(self) -> "RationalMatrix":
-        m, n = self.shape
-        if m != n:
-            raise NotSquare(f"shape {self.shape}")
-        r, _, aug = self._eliminate(True)
-        if r < m:
-            raise Singular("matrix over K(t) is singular")
-        return RationalMatrix(self.F, aug)
 
 
 def deg(r) -> "int | float":
@@ -522,24 +503,3 @@ def leading_coeff_matrix(M: RationalMatrix, alpha, beta):
             if d == 0:
                 out[i, j] = M.F.div(e.num.lc(), e.den.lc())
     return out
-
-
-def biproper_inverse(M: RationalMatrix) -> RationalMatrix:
-    """Inverse of a biproper matrix; the result is biproper again.
-
-    Biproper: every entry proper (deg <= 0) and the leading matrix invertible.
-    """
-    from . import linalg
-
-    if M.max_deg() > 0:
-        raise NotBiproper("matrix has an entry of positive degree")
-    m, n = M.shape
-    if m != n:
-        raise NotSquare(f"shape {M.shape}")
-    L = M.leading_matrix()
-    if linalg.rank(L, M.F.p) < n:
-        raise NotBiproper("leading matrix is singular")
-    Minv = M.inverse()
-    if Minv.max_deg() > 0:
-        raise NotBiproper("inverse has an entry of positive degree")
-    return Minv

@@ -1,11 +1,10 @@
-"""Prime fields with plain-int elements, and exact rationals.
+"""Prime fields with plain-int elements.
 
 Field elements are ordinary Python ints in [0, p); all structure lives in
 the GF context object.  Keeping elements unboxed matters: the numpy kernels
 in linalg.py work on int arrays and only need p at the boundary.
 """
 
-from fractions import Fraction
 from random import Random
 
 from .errors import ZeroInversion
@@ -82,11 +81,3 @@ class GF:
     def random_nonzero(self, rng: Random) -> int:
         return rng.randrange(1, self.p)
 
-
-def centered(a: int, p: int) -> int:
-    """Representative of a mod p in (-p/2, p/2], for readable output."""
-    a %= p
-    return a - p if a > p // 2 else a
-
-
-ExactRational = Fraction

@@ -357,6 +357,10 @@ def _list_seed(report):
     report["seed"] = [1]
 
 
+def _negative_trials(report):
+    report["trials"] = -1
+
+
 @pytest.mark.parametrize(
     "command, edit",
     [
@@ -365,6 +369,7 @@ def _list_seed(report):
         ("subdet", _small_P),
         ("hungarian", _extra_level),
         ("ncrank", _list_seed),
+        ("hungarian", _negative_trials),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
@@ -546,6 +551,26 @@ def test_rank_two_terms_over_a_large_field(tmp_path, capsys, command, values):
     assert verified(capsys, report, path, tmp_path)
 
 
+@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+def test_matroid_pair_reports_strong_guarantee(tmp_path, capsys, command):
+    # matroid intersection returns the dominant optimum like every other
+    # witness route, so a run over rank-one terms keeps the strong tier
+    doc = {
+        "field": {"p": 5},
+        "kind": "matroid-pair",
+        "payload": {
+            "a": [[1, 0], [0, 1], [1, 1]],
+            "b": [[1, 0], [1, 1], [0, 1]],
+            "weights": [2, 1, 3],
+        },
+    }
+    path = write(tmp_path, "pair.json", doc)
+    code, out = run(capsys, command, path, "--json")
+    report = json.loads(out)
+    assert (code, report["values"], report["guarantee"]) == (0, {"0": 0, "1": 3, "2": 5}, "strong")
+    assert verified(capsys, report, path, tmp_path)
+
+
 def test_fmm_of_one_line_over_a_large_field(tmp_path, capsys):
     doc = {
         "field": {"p": 65521},
@@ -586,6 +611,8 @@ def test_usage_errors(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
     assert cli.main(["hungarian", path, "--solver", "bogus"]) == 1
     assert cli.main(["hungarian", path, "--solver", "auto"]) == 1  # no such flag
+    assert cli.main(["ncrank", path, "--trials", "0"]) == 1
+    assert cli.main(["hungarian", path, "--trials", "-1"]) == 1
     assert cli.main(["fmm", path]) == 1  # wrong kind
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ncdeg import linalg as la
-from ncdeg.errors import Singular
 
 PRIMES = [2, 3, 5, 65521]
 
@@ -88,43 +87,6 @@ def test_nullspace(p):
         if N.shape[0]:
             assert np.all(la.matmul(A, N.T, p) == 0)
             assert la.rank(N, p) == N.shape[0]
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_inverse(p):
-    rng = random.Random(63 + p)
-    found = 0
-    while found < 20:
-        n = rng.randrange(1, 5)
-        A = la.rand_mat(rng, n, n, p)
-        if la.rank(A, p) < n:
-            with pytest.raises(Singular):
-                la.inverse(A, p)
-            continue
-        Ai = la.inverse(A, p)
-        assert np.array_equal(la.matmul(A, Ai, p), la.identity(n))
-        assert np.array_equal(la.matmul(Ai, A, p), la.identity(n))
-        found += 1
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_solve(p):
-    rng = random.Random(101 + p)
-    for _ in range(40):
-        m = rng.randrange(1, 5)
-        n = rng.randrange(1, 5)
-        A = la.rand_mat(rng, m, n, p)
-        x0 = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-        b = la.matmul(A, x0.reshape(n, 1), p).ravel()
-        x = la.solve(A, b, p)
-        assert x is not None
-        assert np.array_equal(la.matmul(A, x.reshape(n, 1), p).ravel(), b)
-
-
-def test_solve_inconsistent():
-    A = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    b = np.array([1, 2], dtype=np.int64)
-    assert la.solve(A, b, 5) is None
 
 
 def test_row_basis_canonical():

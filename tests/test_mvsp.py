@@ -198,8 +198,10 @@ prof = symmetric_hungarian(K3, [2, 1, 1], rng=random.Random(0))
 print("symmetric", sorted(prof.values.items()))
 G = GF(65521)
 skew = [np.outer(a, b) - np.outer(b, a) for a, b in ((e[2], e[1]), (e[1] + e[2], e[0]))]
-prof = hungarian_deg_det(WeightedSymbolicMatrix(SymbolicMatrix(G, skew), [0, 0]), rng=random.Random(0))
-print("skew", sorted(prof.values.items()), prof.meta["guarantee"])
+S = SymbolicMatrix(G, skew)
+prof = hungarian_deg_det(WeightedSymbolicMatrix(S, [0, 0]), rng=random.Random(0))
+w = mvsp.blowup_witness(S, random.Random(0))[0]
+print("skew", sorted(prof.values.items()), (w.r, w.s))
 mvsp.linalg.rank = lambda A, p: 1
 try:
     mvsp.nc_rank(SymbolicMatrix(F, [linalg.identity(3)]), random.Random(0))
@@ -226,7 +228,7 @@ except NotSorted:
         "values [(0, 0), (1, 3), (2, 5)]",
         "subdet [(0, 0), (1, 3), (2, 5)]",
         "symmetric [(0, 0), (1, 2), (2, 4), (3, 4)]",
-        "skew [(0, 0), (1, 0), (2, 0), (3, -inf)] strong",
+        "skew [(0, 0), (1, 0), (2, 0), (3, -inf)] (2, 2)",  # dominant U = V = <e1, e2 - e3>
         "stall",
         "not sorted",
     ]
@@ -243,7 +245,7 @@ def test_exhaustive_k3_value_and_dominant_pair():
     assert w.value() == 3
     assert (U.dim, V.dim) == (3, 0)
     assert w.verify(A)
-    assert w.dominant
+    assert (w.r, w.s) == (U.dim, V.dim)
 
 
 def test_exhaustive_zero_matrix():
@@ -379,7 +381,7 @@ def test_matroid_free_case():
     va = linalg.identity(3)
     J, I = matroid_intersection(va, va, 5)
     assert J == {0, 1, 2}
-    assert I == {0, 1, 2}
+    assert I == set()  # the least minimizer: r_a({}) + r_b({0, 1, 2}) = 3
 
 
 def test_matroid_witness_diagonal():

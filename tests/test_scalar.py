@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ncdeg.errors import ZeroInversion
-from ncdeg.scalar import GF, centered
+from ncdeg.scalar import GF
 
 PRIMES = [2, 3, 5, 7, 65521]
 
@@ -63,14 +63,6 @@ def test_random_elem_deterministic():
     assert a == b
     rng = random.Random(7)
     assert all(F.random_nonzero(rng) != 0 for _ in range(1000))
-
-
-def test_centered():
-    assert centered(6, 7) == -1
-    assert centered(3, 7) == 3
-    assert centered(4, 7) == -3
-    assert centered(1, 2) == 1
-    assert centered(0, 5) == 0
 
 
 def test_context_equality():
