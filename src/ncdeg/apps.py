@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, EnumerationCapExceeded
 from .mvsp import enumerate_subspaces, subspace_residues
 from .ratfunc import NEG_INF
 from .scalar import GF
-from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng
+from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng, check_budget
 
 BRUTE_FORCE_N_CAP = 8
 BRUTE_FORCE_M_CAP = 12
@@ -184,38 +184,48 @@ class BLDatum:
 
 
 def build_edmonds(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
-    """One variable per edge: A = sum e_i e_j^t x_ij."""
-    terms = np.zeros((len(inst.edges), inst.n, inst.n), dtype=np.int64)
+    """One variable per edge: A = sum e_i e_j^t x_ij, factored as e_i, e_j."""
+    m, n = len(inst.edges), inst.n
+    check_budget(n, m)
+    C = np.zeros((m, n, 1), dtype=np.int64)
+    R = np.zeros((m, 1, n), dtype=np.int64)
     for k, (i, j) in enumerate(inst.edges):
-        terms[k, i, j] = 1
-    return WeightedSymbolicMatrix(SymbolicMatrix(F, terms), inst.weights)
+        C[k, i, 0] = R[k, 0, j] = 1
+    return WeightedSymbolicMatrix(SymbolicMatrix(F, factors=(C, R)), inst.weights)
 
 
 def build_matroid_intersection(inst: MatroidPairInstance) -> WeightedSymbolicMatrix:
-    terms = [
-        np.outer(inst.a_vectors[k], inst.b_vectors[k]) % inst.F.p
-        for k in range(inst.m)
-    ]
-    return WeightedSymbolicMatrix(SymbolicMatrix(inst.F, terms), inst.weights)
+    """A = sum a_k b_k^t x_k, factored as a_k, b_k."""
+    check_budget(inst.n, inst.m)
+    factors = (inst.a_vectors[:, :, None], inst.b_vectors[:, None, :])
+    return WeightedSymbolicMatrix(SymbolicMatrix(inst.F, factors=factors), inst.weights)
+
+
+def _skew_terms(F: GF, a: np.ndarray, b: np.ndarray) -> SymbolicMatrix:
+    """Terms a_k b_k^t - b_k a_k^t for (m, n) stacks a, b, factored as
+    [a_k b_k] times [b_k; -a_k]^t."""
+    return SymbolicMatrix(F, factors=(np.stack([a, b], axis=2), np.stack([b, -a], axis=1)))
 
 
 def build_tutte(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
     """Skew-symmetric edge terms e_i e_j^t - e_j e_i^t on n vertices.
     The diagonal stays zero, so the skew shape survives characteristic 2."""
-    terms = np.zeros((len(inst.edges), inst.n, inst.n), dtype=np.int64)
+    m, n = len(inst.edges), inst.n
+    check_budget(n, m)
+    a = np.zeros((m, n), dtype=np.int64)
+    b = np.zeros((m, n), dtype=np.int64)
     for k, (i, j) in enumerate(inst.edges):
         if i == j:
             raise DimensionMismatch(f"loop ({i}, {i}) has no skew term")
-        terms[k, i, j] = 1
-        terms[k, j, i] = -1
-    return WeightedSymbolicMatrix(SymbolicMatrix(F, terms), inst.weights)
+        a[k, i] = b[k, j] = 1
+    return WeightedSymbolicMatrix(_skew_terms(F, a, b), inst.weights)
 
 
 def build_matroid_matching(H: LineCollection) -> WeightedSymbolicMatrix:
-    terms = np.zeros((H.m, H.n, H.n), dtype=np.int64)
-    for k, (a, b) in enumerate(H.pairs):
-        terms[k] = np.outer(a, b) - np.outer(b, a)
-    return WeightedSymbolicMatrix(SymbolicMatrix(H.F, terms), H.weights)
+    """Terms a_k b_k^t - b_k a_k^t for the spanning pairs of the lines."""
+    check_budget(H.n, H.m)
+    ab = np.array([np.stack(pair) for pair in H.pairs], dtype=np.int64).reshape(H.m, 2, H.n)
+    return WeightedSymbolicMatrix(_skew_terms(H.F, ab[:, 0], ab[:, 1]), H.weights)
 
 
 # ---------------------------------------------------------------------------

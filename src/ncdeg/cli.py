@@ -400,7 +400,7 @@ def _cmd_verify(args):
     if not isinstance(report, dict):
         raise ParseError(f"{args.report}: expected a JSON object")
     seed, trials = report.get("seed", 0), report.get("trials")
-    if not isinstance(seed, int):
+    if not _is_int_list([seed]):
         raise ParseError("report: seed must be an integer")
     if trials is not None and not (_is_int_list([trials]) and trials > 0):
         raise ParseError("report: trials must be null or a positive integer")
@@ -462,19 +462,9 @@ def _cmd_verify(args):
     else:
         raise ParseError(f"report has no verifiable command (got {cmd!r})")
     ok = all(flag for _, flag in checks)
-    out = {
-        "version": __version__,
-        "command": "verify",
-        "report_command": cmd,
-        "checks": {name: flag for name, flag in checks},
-        "verified": ok,
-    }
-    if args.json:
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-    else:
-        for name, flag in checks:
-            sys.stdout.write(f"  {name}: {'ok' if flag else 'FAIL'}\n")
-        sys.stdout.write(("verified" if ok else "NOT verified") + "\n")
+    for name, flag in checks:
+        sys.stdout.write(f"  {name}: {'ok' if flag else 'FAIL'}\n")
+    sys.stdout.write(("verified" if ok else "NOT verified") + "\n")
     return 0 if ok else 1
 
 
@@ -548,28 +538,31 @@ def _positive_int(text):
     return int(text)
 
 
+_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "prime": {"type": int, "default": None},
+    "trials": {"type": _positive_int, "default": None},
+    "json": {"action": "store_true"},
+}
+
+
 def _build_parser():
+    """Each subcommand takes only the flags it reads: verify re-checks with
+    the report's own seed and trials, selftest runs fixed instances."""
     parser = _Parser(prog="ncdeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--prime", type=int, default=None)
-        sp.add_argument("--trials", type=_positive_int, default=None)
-        sp.add_argument("--json", action="store_true")
+    def command(name, positional, flags):
+        sp = sub.add_parser(name)
+        for arg in positional:
+            sp.add_argument(arg)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
 
     for name in ("ncrank", "degdet", "subdet", "hungarian", "fmm", "bl-member", "oracle"):
-        sp = sub.add_parser(name)
-        sp.add_argument("instance")
-        common(sp)
-
-    sp = sub.add_parser("verify")
-    sp.add_argument("report")
-    sp.add_argument("instance")
-    common(sp)
-
-    sp = sub.add_parser("selftest")
-    common(sp)
+        command(name, ["instance"], _FLAGS)
+    command("verify", ["report", "instance"], ["prime"])
+    command("selftest", [], ["seed"])
     return parser
 
 

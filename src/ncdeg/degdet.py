@@ -64,6 +64,8 @@ from .symbolic import (
     as_rng,
 )
 
+_EXACT = 1 << 61  # below this, sums of three weights stay exact in int64
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -127,9 +129,8 @@ class DualSolution:
             p = Ac.base.F.p
             if linalg.rank(linalg.matmul(self.P, self.Q, p), p) < self.n:
                 return False  # the square P Q is invertible iff P and Q are
-            M = linalg.matmul(linalg.matmul(self.P, Ac.base.terms, p), self.Q, p)
-            a, b, c = self.alpha, self.beta, Ac.c
-            return all(a[i] + b[j] + c[k] <= 0 for k, i, j in zip(*np.nonzero(M)))
+            support = Ac.base.sandwich(self.P, self.Q).support()
+            return not (_slacks(support, self.alpha, self.beta, Ac.c) > 0).any()
         try:
             if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
                 return False
@@ -179,49 +180,20 @@ class DegreeProfile:
 # witness route for leading matrices
 
 
-def _single_entry_edges(A: SymbolicMatrix):
-    """Edge list when every term has at most one nonzero entry, else None."""
-    edges = set()
-    for k in range(A.n_terms):
-        idx = np.nonzero(A.term(k))
-        if len(idx[0]) > 1:
-            return None
-        if len(idx[0]) == 1:
-            edges.add((int(idx[0][0]), int(idx[1][0])))
-    return sorted(edges)
-
-
-def _rank_one_factors(A: SymbolicMatrix):
-    """Stacks (a_k), (b_k) with A_k = a_k b_k' over the nonzero terms when
-    every term has rank at most one, else None.  b_k is the term's first
-    row through its leftmost nonzero column, scaled to a unit there, as
-    in the term's RREF."""
-    p = A.F.p
-    va, vb = [], []
-    for M in A.terms:
-        nz = np.argwhere(M.T)  # (column, row), leftmost column first
-        if nz.size == 0:
-            continue
-        j, i = nz[0]
-        a, b = M[:, j], (M[i] * linalg.inv_table(p)[M[i, j]]) % p
-        if ((np.outer(a, b) - M) % p).any():
-            return None
-        va.append(a)
-        vb.append(b)
-    return np.stack(va), np.stack(vb)
-
-
 def _witness(A: SymbolicMatrix, rng) -> FRWitness:
     """Certified dominant witness for a square leading matrix, by the
-    cheapest route its structure allows: Koenig when every term is a
-    single entry, matroid intersection when every term has rank at most
-    one (exact by Lovasz, 1989), else the blow-up witness."""
-    edges = _single_entry_edges(A)
-    if edges is not None:
-        return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
-    factors = _rank_one_factors(A)
-    if factors is not None:
-        return mvsp_matroid_intersection(*factors, A.F)
+    cheapest route its factors allow: Koenig when every term is a single
+    entry, matroid intersection when every term has rank at most one
+    (exact by Lovasz, 1989), else the blow-up witness."""
+    C, R = A.factors
+    if C.shape[2] == 1:
+        u, v = C[:, :, 0], R[:, 0, :]
+        live = u.any(axis=1) & v.any(axis=1)
+        u, v = u[live], v[live]
+        if ((u != 0).sum(axis=1) == 1).all() and ((v != 0).sum(axis=1) == 1).all():
+            edges = sorted(set(zip(u.argmax(axis=1).tolist(), v.argmax(axis=1).tolist())))
+            return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
+        return mvsp_matroid_intersection(u, v, A.F)
     return blowup_witness(A, rng)[0]
 
 
@@ -247,15 +219,30 @@ def _two_sided_direction(X, Y, n):
     return [1 if i in Xs else 0 for i in range(n)], [0 if j in Ys else -1 for j in range(n)]
 
 
-def _step_bounds(M, alpha, beta, c, inc_a, inc_b) -> StepSizes:
+def _exact(values) -> np.ndarray:
+    """values as an int64 array when any sum of three stays exact, else as
+    an object array of the Python numbers themselves."""
+    a = np.asarray(values)
+    if a.dtype == np.int64 and (not a.size or -_EXACT < a.min() and a.max() < _EXACT):
+        return a
+    return np.array(values, dtype=object)
+
+
+def _slacks(support, alpha, beta, c):
+    """alpha_i + beta_j + c_k over a support (k, i, j) of term entries."""
+    k, i, j = support
+    return _exact(alpha)[i] + _exact(beta)[j] + _exact(c)[k]
+
+
+def _step_bounds(support, alpha, beta, c, inc_a, inc_b) -> StepSizes:
     """Bounds on kappa for alpha + kappa*inc_a, beta + kappa*inc_b, where
-    M is the stack P A_k Q: kappa1 keeps every support entry feasible,
-    kappa2 keeps alpha and beta sorted."""
-    k1 = POS_INF
-    for k, i, j in zip(*np.nonzero(M)):
-        inc = inc_a[i] + inc_b[j]
-        if inc > 0:
-            k1 = min(k1, -(alpha[i] + beta[j] + c[k]) // inc)
+    support holds the nonzero entries (k, i, j) of the stack P A_k Q:
+    kappa1 keeps every one feasible, kappa2 keeps alpha and beta sorted."""
+    _, i, j = support
+    inc = np.asarray(inc_a, dtype=np.int64)[i] + np.asarray(inc_b, dtype=np.int64)[j]
+    up = inc > 0
+    slack = _slacks([x[up] for x in support], alpha, beta, c)
+    k1 = int((-slack // inc[up]).min()) if up.any() else POS_INF
     k2 = min(_kappa2_direction(alpha, inc_a), _kappa2_direction(beta, inc_b))
     return StepSizes(k1, k2)
 
@@ -443,10 +430,16 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
 
     A is square and, for the symmetric engine, c, alpha, beta are already
     doubled, so every step is integral; values and duals shed the factor
-    on the way out.  Each round holds M = P A_k Q for the whole term
-    stack: its tight entries give the leading matrix, and once the
-    block-diagonal witness (S, T) is composed into P and Q, S M T bounds
-    the step and is the next round's M.
+    on the way out.  The loop holds B with terms P A_k Q, factored as
+    (P C_k)(R_k Q), so a round costs O(n^2 r) per term.  B's tight entries
+    give the leading matrix; once the block-diagonal witness (S, T) is
+    composed in, S B T bounds the step and is the next round's B.
+
+    With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
+    of term k the product of u on the rows where alpha is largest over
+    supp u and v on the columns where beta is largest over supp v (or
+    zero), so the leading matrix comes out factored.  Higher ranks mask
+    the dense terms.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -456,7 +449,8 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     p = F.p
     scale = 2 if symmetric else 1
     P = Q = linalg.identity(n)
-    M = A.terms
+    B = SymbolicMatrix(F, factors=A.factors)
+    support = B.support()
     cmin = min(c, default=0)
     ell = 0
     hard_cap = 16 * n * n * n + 64
@@ -475,14 +469,22 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             profile.values[l] = NEG_INF
 
     while True:
-        tight = np.zeros_like(M)
-        for k, i, j in zip(*np.nonzero(M)):
-            s = alpha[i] + beta[j] + c[k]
-            if s > 0:
-                raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
-            if s == 0:
-                tight[k, i, j] = M[k, i, j]
-        At = SymbolicMatrix(F, tight)
+        slack = _slacks(support, alpha, beta, c)
+        if (slack > 0).any():
+            k, i, j = (int(x[np.argmax(slack > 0)]) for x in support)
+            raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
+        tight = slack == 0
+        k, i, j = (x[tight] for x in support)
+        PC, RQ = B.factors
+        if PC.shape[2] == 1:
+            rows = np.zeros(PC.shape, dtype=bool)
+            cols = np.zeros(RQ.shape, dtype=bool)
+            rows[k, i, 0] = cols[k, 0, j] = True
+            At = SymbolicMatrix(F, factors=(PC * rows, RQ * cols))
+        else:
+            mask = np.zeros(B.terms.shape, dtype=bool)
+            mask[k, i, j] = True
+            At = SymbolicMatrix(F, B.terms * mask)
         if symmetric:
             w = nested_witness(F, *blowup_witness(At, rng)[1:])
         else:
@@ -507,8 +509,9 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
         P = linalg.matmul(bd.S, P, p)
         Q = linalg.matmul(Q, bd.T, p)
-        M = linalg.matmul(linalg.matmul(bd.S, M, p), bd.T, p)
-        ks = _step_bounds(M, alpha, beta, c, inc_a, inc_b)
+        B = B.sandwich(bd.S, bd.T)
+        support = B.support()
+        ks = _step_bounds(support, alpha, beta, c, inc_a, inc_b)
         if ks.kappa1 == POS_INF:
             emit_neg(ell + 1)
             break

@@ -67,3 +67,7 @@ class LPInfeasible(NcdegError, ValueError):
 
 class ParseError(NcdegError, ValueError):
     """An instance file or literal could not be parsed."""
+
+
+class SizeBudgetExceeded(NcdegError, ValueError):
+    """An instance is larger than the documented size budget."""

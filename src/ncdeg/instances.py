@@ -11,7 +11,9 @@ their payloads:
   lines         dim, pairs (two spanning vectors each), weights
   bl            dim, maps (two rows each), p (fractions as "num/den")
 
-Indices in files are 1-based; in memory everything is 0-based.  Matrix
+Indices in files are 1-based; in memory everything is 0-based.  Sizes
+beyond the budget of symbolic.check_budget are refused before anything
+of that size is allocated, with a ParseError naming the field.  Matrix
 entries are reduced mod p on the way in, and `dumps` emits sorted
 triples, sorted edges, and reduced entries, so parse -> dumps is a
 fixed point on its own output.
@@ -24,9 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .apps import BLDatum, BipartiteInstance, LineCollection, MatroidPairInstance
-from .errors import ParseError
+from .errors import ParseError, SizeBudgetExceeded
 from .scalar import GF
-from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix
+from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, check_budget, rank_factors
 
 KINDS = ("symbolic", "weighted", "bipartite", "matroid-pair", "lines", "bl")
 
@@ -87,6 +89,14 @@ def _term_matrix(triples, rows, cols, p, ctx):
     return M
 
 
+def _budget(n, m, ctx):
+    """check_budget as a ParseError naming the field that sets n."""
+    try:
+        check_budget(n, m)
+    except SizeBudgetExceeded as e:
+        _fail(ctx, str(e))
+
+
 def _fraction(x, ctx):
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
@@ -106,20 +116,21 @@ def _parse_symbolic(payload, F, weighted):
     terms_raw = _get(payload, "terms", "payload", list)
     if not terms_raw:
         _fail("payload.terms", "at least one term required")
-    terms = [
-        _term_matrix(tr, rows, cols, F.p, f"payload.terms[{k}]")
-        for k, tr in enumerate(terms_raw)
-    ]
-    A = SymbolicMatrix(F, terms)
+    _budget(max(rows, cols), len(terms_raw), "payload.rows" if rows >= cols else "payload.cols")
+    T = np.stack(
+        [_term_matrix(tr, rows, cols, F.p, f"payload.terms[{k}]") for k, tr in enumerate(terms_raw)]
+    )
+    A = SymbolicMatrix(F, T, factors=rank_factors(T, F.p))
     if not weighted:
         return A
-    c = _int_list(_get(payload, "weights", "payload", list), "payload.weights", len(terms))
+    c = _int_list(_get(payload, "weights", "payload", list), "payload.weights", len(T))
     return WeightedSymbolicMatrix(A, c)
 
 
 def _parse_bipartite(payload, F):
     n = _get(payload, "size", "payload", int)
     edges_raw = _get(payload, "edges", "payload", list)
+    _budget(n, len(edges_raw), "payload.size")
     weights = _int_list(
         _get(payload, "weights", "payload", list), "payload.weights", len(edges_raw)
     )
@@ -149,6 +160,7 @@ def _parse_matroid_pair(payload, F):
     b, _ = _vector_rows(_get(payload, "b", "payload", list), "payload.b", width)
     if len(a) != len(b):
         _fail("payload.b", f"expected {len(a)} vectors to match payload.a")
+    _budget(width, len(a), "payload.a")
     weights = _int_list(
         _get(payload, "weights", "payload", list), "payload.weights", len(a)
     )
@@ -158,6 +170,7 @@ def _parse_matroid_pair(payload, F):
 def _parse_lines(payload, F):
     n = _get(payload, "dim", "payload", int)
     pairs_raw = _get(payload, "pairs", "payload", list)
+    _budget(n, len(pairs_raw), "payload.dim")
     weights = _int_list(
         _get(payload, "weights", "payload", list), "payload.weights", len(pairs_raw)
     )
@@ -177,6 +190,7 @@ def _parse_lines(payload, F):
 def _parse_bl(payload, F):
     n = _get(payload, "dim", "payload", int)
     maps_raw = _get(payload, "maps", "payload", list)
+    _budget(n, len(maps_raw), "payload.dim")
     p_raw = _get(payload, "p", "payload", list)
     if len(p_raw) != len(maps_raw):
         _fail("payload.p", f"expected {len(maps_raw)} entries")

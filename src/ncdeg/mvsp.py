@@ -151,7 +151,8 @@ class FRWitness:
         return f"FRWitness(r={self.r}, s={self.s}, value={self.value()})"
 
     def verify(self, A: SymbolicMatrix) -> bool:
-        """Exact check of the zero-block identity and invertibility."""
+        """Exact check of invertibility and of the zero block, read as
+        (S[X] C_k)(R_k T[:, Y]) when A's factors are stored."""
         p = self.F.p
         if linalg.rank(self.S, p) < self.S.shape[0]:
             return False
@@ -159,8 +160,7 @@ class FRWitness:
             return False
         if len(self.row_set) != self.r or len(self.col_set) != self.s:
             return False
-        M = linalg.matmul(linalg.matmul(self.S, A.terms, p), self.T, p)
-        return not M[:, self.row_set][:, :, self.col_set].any()
+        return A.sandwich(self.S[self.row_set], self.T[:, self.col_set]).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +663,12 @@ def _blockdiag_core(S: np.ndarray, F: GF, values, sizes):
     bs = bruhat(S, F)
     DU = (np.diag(bs.L)[:, None] * bs.U) % F.p
     core = np.where(run[:, None] == run[None, :], DU, 0)
-    tiers = [set(bs.pi[:k]) for k in sizes]
-
-    def tier(i):
-        return next((t for t, members in enumerate(tiers) if i in members), len(tiers))
-
-    order = sorted(range(n), key=lambda i: (run[i], tier(i), i))
-    pos = {i: a for a, i in enumerate(order)}
-    return core[order], [sorted(pos[i] for i in members) for members in tiers]
+    tier = np.full(n, len(sizes))
+    for t in reversed(range(len(sizes))):
+        tier[list(bs.pi[: sizes[t]])] = t
+    order = np.lexsort((tier, run))  # stable, so ties keep index order
+    pos = np.argsort(order)
+    return core[order], [sorted(pos[list(bs.pi[:k])].tolist()) for k in sizes]
 
 
 def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:

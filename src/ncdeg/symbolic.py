@@ -23,11 +23,14 @@ from .errors import (
     EnumerationCapExceeded,
     MissingSymbol,
     NotSquare,
+    SizeBudgetExceeded,
 )
 from .ratfunc import NEG_INF, RatFn, RationalMatrix
 from .scalar import GF
 
 ENUM_CAP = 8  # submatrix enumeration is C(n, l)^2; larger sides are refused
+MAX_SIDE = 2048  # largest n: P and Q are dense n x n
+MAX_STACK = 1 << 24  # largest m n^2: entries of one dense (m, n, n) stack
 
 
 def default_trials(p: int) -> int:
@@ -84,29 +87,93 @@ def blowup_cell_index(k: int, i: int, j: int, d: int) -> int:
     return (k * d + i) * d + j
 
 
+def check_budget(n: int, m: int):
+    """Refuse an n x n matrix with m terms beyond the size budget.
+
+    The monomial engines keep dense n x n P and Q and one (m, n, n) int64
+    stack P A_k Q, so instances are checked before anything of that size
+    is allocated: n <= MAX_SIDE and m n^2 <= MAX_STACK entries (128 MiB).
+    """
+    if not 0 <= n <= MAX_SIDE:
+        raise SizeBudgetExceeded(f"side {n} outside the budget 0..{MAX_SIDE}")
+    if m * n * n > MAX_STACK:
+        raise SizeBudgetExceeded(
+            f"{m} terms of side {n} make {m * n * n} stack entries, beyond the budget {MAX_STACK}"
+        )
+
+
+def rank_factors(T: np.ndarray, p: int):
+    """Factors (C, R) of a term stack, padded to the largest term rank r
+    (at least 1): C_k holds the pivot columns of T_k and R_k the nonzero
+    rows of its RREF, so T_k = C_k R_k."""
+    m, nr, nc = T.shape
+    parts = []
+    for M in T:
+        E, piv = linalg.rref(M, p)
+        parts.append((M[:, piv], E[: len(piv)]))
+    r = max([len(R) for _, R in parts] + [1])
+    C = np.zeros((m, nr, r), dtype=np.int64)
+    R = np.zeros((m, r, nc), dtype=np.int64)
+    for k, (Ck, Rk) in enumerate(parts):
+        C[k, :, : Ck.shape[1]] = Ck
+        R[k, : Rk.shape[0]] = Rk
+    return C, R
+
+
 class SymbolicMatrix:
-    """A = sum_k A_k x_k; terms held as one (m, n_rows, n_cols) int64 stack."""
+    """A = sum_k A_k x_k over GF(p).
 
-    __slots__ = ("F", "terms")
+    Every term is held as rank factors A_k = C_k R_k: C an (m, n_rows, r)
+    and R an (m, r, n_cols) stack, padded to one r no smaller than any
+    term's rank (rank_factors takes the largest rank, at least 1).  The dense (m, n_rows, n_cols) stack `terms` stays
+    available.  Either form may be given; the other is computed once, when
+    it is first read, so a matrix built from a bare dense stack is factored
+    at most once.  The monomial engines read the factors, and P A_k Q =
+    (P C_k)(R_k Q) then costs O(n^2 r) per term instead of O(n^3).
+    """
 
-    def __init__(self, F: GF, terms):
-        T = np.asarray(terms, dtype=np.int64)
-        if T.ndim != 3:
-            raise DimensionMismatch(f"terms must be a stack of matrices, ndim={T.ndim}")
+    __slots__ = ("F", "_terms", "_factors")
+
+    def __init__(self, F: GF, terms=None, factors=None):
         self.F = F
-        self.terms = T % F.p
+        self._terms = self._factors = None
+        if terms is not None:
+            T = np.asarray(terms, dtype=np.int64)
+            if T.ndim != 3:
+                raise DimensionMismatch(f"terms must be a stack of matrices, ndim={T.ndim}")
+            self._terms = T % F.p
+        if factors is not None:
+            C, R = (np.asarray(X, dtype=np.int64) % F.p for X in factors)
+            if C.ndim != 3 or R.ndim != 3 or C.shape[0] != R.shape[0] or C.shape[2] != R.shape[1]:
+                raise DimensionMismatch(f"factor stacks {C.shape} and {R.shape} do not multiply")
+            self._factors = C, R
+        if self._terms is None and self._factors is None:
+            raise DimensionMismatch("a symbolic matrix needs its terms or their factors")
+
+    @property
+    def terms(self) -> np.ndarray:
+        if self._terms is None:
+            self._terms = linalg.matmul(*self._factors, self.F.p)
+        return self._terms
+
+    @property
+    def factors(self):
+        """(C, R) with terms[k] == C[k] @ R[k] mod p."""
+        if self._factors is None:
+            self._factors = rank_factors(self._terms, self.F.p)
+        return self._factors
 
     @property
     def n_rows(self):
-        return self.terms.shape[1]
+        return self._terms.shape[1] if self._factors is None else self._factors[0].shape[1]
 
     @property
     def n_cols(self):
-        return self.terms.shape[2]
+        return self._terms.shape[2] if self._factors is None else self._factors[1].shape[2]
 
     @property
     def n_terms(self):
-        return self.terms.shape[0]
+        return self._terms.shape[0] if self._factors is None else self._factors[0].shape[0]
 
     @property
     def shape(self):
@@ -117,6 +184,38 @@ class SymbolicMatrix:
 
     def term(self, k: int) -> np.ndarray:
         return self.terms[k]
+
+    def sandwich(self, L: np.ndarray, Rt: np.ndarray) -> "SymbolicMatrix":
+        """The matrix with terms L A_k Rt, factored as (L C_k)(R_k Rt) when
+        the factors are stored, else dense."""
+        p = self.F.p
+        if self._factors is None:
+            return SymbolicMatrix(self.F, linalg.matmul(linalg.matmul(L, self._terms, p), Rt, p))
+        C, R = self._factors
+        return SymbolicMatrix(self.F, factors=(linalg.matmul(L, C, p), linalg.matmul(R, Rt, p)))
+
+    def is_zero(self) -> bool:
+        """Whether every term vanishes; rank-one factors answer in O(mn),
+        as u v^t = 0 exactly when u = 0 or v = 0."""
+        if self._factors is None or self._factors[0].shape[2] > 1:
+            return not self.terms.any()
+        C, R = self._factors
+        return not (C.any(axis=(1, 2)) & R.any(axis=(1, 2))).any()
+
+    def support(self):
+        """(k, i, j) of the nonzero term entries, in C order.  Rank-one
+        factors give them in O(nnz) with no dense stack: u_i v_j != 0
+        exactly when u_i != 0 and v_j != 0."""
+        if self._factors is None or self._factors[0].shape[2] > 1:
+            return np.nonzero(self.terms)
+        C, R = self._factors
+        ku, iu = np.nonzero(C[:, :, 0])
+        kv, jv = np.nonzero(R[:, 0, :])
+        nv = np.bincount(kv, minlength=C.shape[0])
+        first = np.cumsum(nv) - nv  # where term k's columns start in jv
+        rep = nv[ku]  # each (k, i) meets every column of term k
+        step = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
+        return np.repeat(ku, rep), np.repeat(iu, rep), jv[np.repeat(first[ku], rep) + step]
 
     def transpose(self):
         return SymbolicMatrix(self.F, np.transpose(self.terms, (0, 2, 1)))
@@ -130,9 +229,10 @@ class SymbolicMatrix:
         n = max(nr, nc)
         if nr == nc:
             return self
-        T = np.zeros((self.n_terms, n, n), dtype=np.int64)
-        T[:, :nr, :nc] = self.terms
-        return SymbolicMatrix(self.F, T)
+        C, R = self.factors
+        return SymbolicMatrix(
+            self.F, factors=(np.pad(C, ((0, 0), (0, n - nr), (0, 0))), np.pad(R, ((0, 0), (0, 0), (0, n - nc))))
+        )
 
     def substitute(self, s) -> np.ndarray:
         vals = s.as_array() if isinstance(s, Substitution) else np.asarray(s, dtype=np.int64)

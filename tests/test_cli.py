@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -361,6 +362,10 @@ def _negative_trials(report):
     report["trials"] = -1
 
 
+def _bool_seed(report):
+    report["seed"] = True
+
+
 @pytest.mark.parametrize(
     "command, edit",
     [
@@ -370,6 +375,7 @@ def _negative_trials(report):
         ("hungarian", _extra_level),
         ("ncrank", _list_seed),
         ("hungarian", _negative_trials),
+        ("hungarian", _bool_seed),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
@@ -615,7 +621,25 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["hungarian", path, "--trials", "-1"]) == 1
     assert cli.main(["fmm", path]) == 1  # wrong kind
     assert cli.main(["nonsense"]) == 1
+    # each subcommand takes only the flags it reads
+    assert cli.main(["selftest", "--json", "--trials", "3", "--prime", "7"]) == 1
+    assert cli.main(["verify", "R.json", "I.json", "--trials", "1", "--seed", "5"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["hungarian", "subdet", "ncrank", "oracle"])
+def test_size_budget_refuses_before_allocating(tmp_path, capsys, command):
+    # a dense 200000 x 200000 stack would take 298 GiB
+    doc = k3_bipartite_doc()
+    doc["payload"] = {"size": 200000, "edges": [[1, 1]], "weights": [1]}
+    path = write(tmp_path, "huge.json", doc)
+    tracemalloc.start()
+    code = cli.main([command, path])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 1 << 24
+    assert err.startswith("ncdeg: error: payload.size:") and "Traceback" not in err
 
 
 def test_selftest(capsys):

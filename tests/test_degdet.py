@@ -224,6 +224,18 @@ def test_hungarian_two_by_two_complete():
         assert verify_dual(prof.duals[ell], Ac, ell, prof.values[ell])
 
 
+def test_hungarian_weights_beyond_int64():
+    # past 2^61 the slack arithmetic runs on Python ints, still exactly
+    big = 10**30
+    F = GF(65521)
+    Ac = edmonds_w(F, 2, 2, [(0, 0, 3 * big), (0, 1, big), (1, 0, 2 * big), (1, 1, 4 * big + 1)])
+    prof = hungarian_deg_det(Ac, rng=random.Random(12))
+    assert prof.values == {0: 0, 1: 4 * big + 1, 2: 7 * big + 1}
+    assert all(verify_dual(prof.duals[l], Ac, l, prof.values[l]) for l in (1, 2))
+    sym = symmetric_hungarian(tutte_k3(GF(5)), [2 * big, big, big], rng=random.Random(22))
+    assert sym.values == {0: 0, 1: 2 * big, 2: 4 * big, 3: 4 * big}
+
+
 def test_hungarian_k3_unit_weights():
     F = GF(5)
     Ac = WeightedSymbolicMatrix(tutte_k3(F), [1, 1, 1])
@@ -306,13 +318,14 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     n_bipartite = 0
     for A in seen:
         witnesses = [mvsp_exhaustive(A)[0], blowup_witness(A, random.Random(0))[0]]
-        factors = degdet._rank_one_factors(A)
-        if factors is not None:
-            witnesses.append(mvsp_matroid_intersection(*factors, F))
-        edges = degdet._single_entry_edges(A)
-        if edges is not None:
-            n_bipartite += 1
-            witnesses.append(mvsp_bipartite(A.n_rows, A.n_cols, edges, F))
+        C, R = A.factors
+        if C.shape[2] == 1:
+            u, v = C[:, :, 0], R[:, 0, :]
+            witnesses.append(mvsp_matroid_intersection(u, v, F))
+            if ((u != 0).sum(axis=1) <= 1).all() and ((v != 0).sum(axis=1) <= 1).all():
+                n_bipartite += 1
+                edges = [(a.argmax(), b.argmax()) for a, b in zip(u, v) if a.any() and b.any()]
+                witnesses.append(mvsp_bipartite(A.n_rows, A.n_cols, edges, F))
         assert all(w.verify(A) for w in witnesses)
         assert len({w.value() for w in witnesses}) == 1
         assert route(A, random.Random(0)).value() == witnesses[0].value()
@@ -395,7 +408,7 @@ def test_step_sizes_prefix_sets_unbounded_kappa2():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0)])
     inc_a, inc_b = degdet._two_sided_direction([0], [0], 2)
-    ks = degdet._step_bounds(Ac.base.terms, [0, 0], [-5, -5], Ac.c, inc_a, inc_b)
+    ks = degdet._step_bounds(Ac.base.support(), [0, 0], [-5, -5], Ac.c, inc_a, inc_b)
     assert ks.kappa2 == float("inf")
     assert ks.kappa1 == 5
     assert ks.kappa == 5
@@ -405,7 +418,7 @@ def test_step_sizes_adjacent_gap_binds():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(1, 0, 0)])
     inc_a, inc_b = degdet._two_sided_direction([1], [0, 1], 2)
-    ks = degdet._step_bounds(Ac.base.terms, [2, 0], [0, -1], Ac.c, inc_a, inc_b)
+    ks = degdet._step_bounds(Ac.base.support(), [2, 0], [0, -1], Ac.c, inc_a, inc_b)
     assert ks.kappa2 == 2
 
 

@@ -305,6 +305,30 @@ def test_exhaustive_dominance_containment():
 # bipartite solver
 
 
+@pytest.mark.parametrize("stored", ["factors", "terms"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_verify_rejects_bad_witnesses(rank, stored):
+    F = GF(5)
+    e = np.eye(3, dtype=np.int64)
+    if rank == 1:  # e_0 e_0^t
+        C, R = e[None, :, :1], e[None, :1, :]
+        X, Y = [1, 2], [1, 2]
+    else:  # e_0 e_1^t - e_1 e_0^t = [e_0 e_1] [e_1; -e_0]^t
+        C, R = e[None, :, :2], np.stack([e[1], -e[0]])[None]
+        X, Y = [0, 2], [0, 2]
+    A = SymbolicMatrix(F, factors=(C, R))
+    if stored == "terms":
+        A = SymbolicMatrix(F, A.terms)
+    S_sing, T_sing = e.copy(), e.copy()
+    S_sing[({0, 1, 2} - set(X)).pop()] = 0  # singular, same zero block
+    T_sing[:, ({0, 1, 2} - set(Y)).pop()] = 0
+    assert FRWitness(F, e, e, 2, 2, X, Y).verify(A)
+    assert not FRWitness(F, e, e, 2, 2, [0, 1], [0, 1]).verify(A)  # nonzero in the block
+    assert not FRWitness(F, S_sing, e, 2, 2, X, Y).verify(A)
+    assert not FRWitness(F, e, T_sing, 2, 2, X, Y).verify(A)
+    assert not FRWitness(F, e, e, 2, 2, X[:1], Y).verify(A)  # row_set of the wrong length
+
+
 def test_bipartite_single_edge():
     # dominant: r maximum, so both rows join the zero block against the
     # untouched column

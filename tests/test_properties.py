@@ -1,8 +1,11 @@
 """Property tests on small random instances: the monomial engines and
 optimize_Q against brute force, the engines against each other and
 against the Monte-Carlo blow-up oracle, the blow-up and matroid
-witnesses against subspace enumeration, and the stacked matmul against
-the per-term loop."""
+witnesses against subspace enumeration, the builders' rank factors
+against their dense terms, and the stacked matmul and the factored
+products against the per-term loop."""
+
+import json
 
 import random
 
@@ -14,13 +17,15 @@ from hypothesis import strategies as st
 from ncdeg import linalg
 from ncdeg.apps import (
     BipartiteInstance,
+    LineCollection,
     MatroidPairInstance,
     brute_force_matching_oracles,
     build_edmonds,
     build_matroid_intersection,
+    build_matroid_matching,
+    build_tutte,
 )
 from ncdeg.degdet import (
-    _rank_one_factors,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -28,6 +33,7 @@ from ncdeg.degdet import (
     verify_dual,
 )
 from ncdeg.errors import DimensionMismatch
+from ncdeg.instances import parse_text
 from ncdeg.mvsp import blowup_witness, mvsp_exhaustive, mvsp_matroid_intersection
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
@@ -172,9 +178,9 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     _, U_enum, V_enum = mvsp_exhaustive(A)
     assert (U, V) == (U_enum, V_enum)
     assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
-    factors = _rank_one_factors(A) if A.terms.any() else None
-    if factors is not None:
-        w = mvsp_matroid_intersection(*factors, A.F)
+    C, R = A.factors
+    if C.shape[2] == 1:
+        w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
         assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
 
 
@@ -243,3 +249,94 @@ def test_stacked_matmul_equals_per_term_loop(operands):
         ]
     )
     assert np.array_equal(linalg.matmul(A, B, p), per_term)
+
+
+@st.composite
+def built_matrices(draw):
+    """(A, dense terms built entry by entry) for every builder and for a
+    parsed symbolic file."""
+    p = draw(st.sampled_from([2, 3, 5, 65521]))
+    F = GF(p)
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["edmonds", "tutte", "matroid", "lines", "symbolic"]))
+    m = draw(st.integers(0, 6))
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    ref = np.zeros((m, n, n), dtype=np.int64)
+    if kind in ("edmonds", "tutte"):
+        cells = [(i, j) for i in range(n) for j in range(n) if kind == "edmonds" or i != j]
+        edges = draw(st.lists(st.sampled_from(cells), max_size=m, unique=True))
+        m = len(edges)
+        ref = ref[:m]
+        inst = BipartiteInstance(n, edges, [0] * m)
+        for k, (i, j) in enumerate(edges):
+            ref[k, i, j] = 1
+            if kind == "tutte":
+                ref[k, j, i] = p - 1
+        build = build_edmonds if kind == "edmonds" else build_tutte
+        return build(inst, F).base, ref
+    a = np.array(draw(st.lists(vec, min_size=m, max_size=m)), dtype=np.int64).reshape(m, n)
+    b = np.array(draw(st.lists(vec, min_size=m, max_size=m)), dtype=np.int64).reshape(m, n)
+    if kind == "matroid":
+        inst = MatroidPairInstance(F, a, b, [0] * m)
+        for k in range(m):
+            ref[k] = np.outer(a[k], b[k]) % p
+        return build_matroid_intersection(inst).base, ref
+    if kind == "lines":
+        for k in range(m):
+            if linalg.rank(np.stack([a[k], b[k]]), p) < 2:  # not a line: take e_1, e_2
+                a[k], b[k] = np.eye(2, n, dtype=np.int64)
+            ref[k] = (np.outer(a[k], b[k]) - np.outer(b[k], a[k])) % p
+        H = LineCollection(F, list(zip(a, b)), [0] * m)
+        H.n = n  # keep the dimension even with no lines, as the parser does
+        return build_matroid_matching(H).base, ref
+    m = max(m, 1)
+    entry = st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-p, p))
+    triples = draw(st.lists(st.lists(entry, max_size=n * n), min_size=m, max_size=m))
+    ref = np.zeros((m, n, n), dtype=np.int64)
+    for k, term in enumerate(triples):
+        for i, j, v in term:
+            ref[k, i - 1, j - 1] = (ref[k, i - 1, j - 1] + v) % p
+    doc = {"field": {"p": p}, "kind": "symbolic", "payload": {"rows": n, "cols": n, "terms": triples}}
+    return parse_text(json.dumps(doc)).obj, ref
+
+
+@PROPERTY
+@given(built_matrices())
+def test_builder_factors_multiply_to_the_terms(built):
+    A, ref = built
+    C, R = A.factors
+    m, n, r = C.shape
+    p = A.F.p
+    ranks = [linalg.rank(T, p) for T in ref]
+    assert R.shape == (m, r, n) and r >= max(ranks + [1])
+    assert np.array_equal(C @ R % p, ref)
+    assert np.array_equal(A.terms, ref)
+
+
+@st.composite
+def factored_products(draw):
+    """(A, L, Rt): a stack stored as rank-r factors with sparse entries,
+    and the two sides of L A_k Rt."""
+    p = draw(st.sampled_from([2, 3, 65521]))
+    m, nr, nc, r, a, b = (draw(st.integers(lo, 4)) for lo in (0, 1, 1, 1, 1, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(shape):
+        return rng.integers(0, p, size=shape) * (rng.random(shape) < 0.5)
+
+    A = SymbolicMatrix(GF(p), factors=(sparse((m, nr, r)), sparse((m, r, nc))))
+    return A, sparse((a, nr)), sparse((nc, b))
+
+
+@PROPERTY
+@given(factored_products())
+def test_factored_products_equal_the_per_term_loop(case):
+    A, L, Rt = case
+    p = A.F.p
+    ref = np.zeros((A.n_terms, L.shape[0], Rt.shape[1]), dtype=np.int64)
+    for k in range(A.n_terms):
+        ref[k] = (L @ A.terms[k] % p) @ Rt % p
+    for stored in (A, SymbolicMatrix(A.F, A.terms)):
+        B = stored.sandwich(L, Rt)
+        assert np.array_equal(B.terms, ref)
+        assert all(np.array_equal(x, y) for x, y in zip(B.support(), np.nonzero(ref)))
