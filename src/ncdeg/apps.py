@@ -80,22 +80,31 @@ class MatroidPairInstance:
         return f"MatroidPairInstance(n={self.n}, m={self.m}, p={self.F.p})"
 
 
+def _ambient_dim(first, n):
+    """n, or the length of the first vector when n is None; a collection
+    with nothing to read it from must give n."""
+    if n is None:
+        if first is None:
+            raise DimensionMismatch("an empty collection needs its dimension n")
+        return first.shape[-1]
+    return int(n)
+
+
 class LineCollection:
-    """2-dimensional subspaces H_k = span(a_k, b_k) of K^n with weights."""
+    """2-dimensional subspaces H_k = span(a_k, b_k) of K^n with weights;
+    n is read off the first pair unless given, which it must be for no
+    pairs."""
 
     __slots__ = ("F", "pairs", "weights", "n", "m")
 
-    def __init__(self, F: GF, pairs, weights):
+    def __init__(self, F: GF, pairs, weights, n=None):
         self.F = F
+        pairs = [tuple(np.asarray(v, dtype=np.int64) % F.p for v in ab) for ab in pairs]
+        n = _ambient_dim(pairs[0][0] if pairs else None, n)
         self.pairs = []
-        n = None
         for a, b in pairs:
-            a = np.asarray(a, dtype=np.int64) % F.p
-            b = np.asarray(b, dtype=np.int64) % F.p
-            if n is None:
-                n = a.shape[0]
             if a.shape != (n,) or b.shape != (n,):
-                raise DimensionMismatch("spanning vectors of unequal length")
+                raise DimensionMismatch(f"spanning vectors of shapes {a.shape}, {b.shape} in K^{n}")
             if linalg.rank(np.stack([a, b]), F.p) != 2:
                 raise DimensionMismatch(
                     "spanning pair is linearly dependent; not a 2-space"
@@ -104,7 +113,7 @@ class LineCollection:
         if len(weights) != len(self.pairs):
             raise DimensionMismatch("one weight per line")
         self.weights = [int(w) for w in weights]
-        self.n = 0 if n is None else int(n)
+        self.n = n
         self.m = len(self.pairs)
 
     def basis(self, k: int) -> np.ndarray:
@@ -142,22 +151,21 @@ class FractionalMatching:
 
 
 class BLDatum:
-    """Surjective 2-row maps B_j with exponents p_j."""
+    """Surjective 2-row maps B_j : K^n -> K^2 with exponents p_j; n is
+    read off the first map unless given, which it must be for no maps."""
 
     __slots__ = ("F", "maps", "p", "n", "m")
 
-    def __init__(self, F: GF, maps, p):
+    def __init__(self, F: GF, maps, p, n=None):
         self.F = F
+        maps = [np.asarray(B, dtype=np.int64) % F.p for B in maps]
+        n = _ambient_dim(maps[0] if maps else None, n)
         self.maps = []
-        n = None
         for B in maps:
-            B = np.asarray(B, dtype=np.int64) % F.p
             if B.ndim != 2 or B.shape[0] != 2:
                 raise DimensionMismatch("each map needs exactly two rows")
-            if n is None:
-                n = B.shape[1]
             if B.shape[1] != n:
-                raise DimensionMismatch("maps over different ambient spaces")
+                raise DimensionMismatch(f"map of shape {B.shape} on K^{n}")
             if linalg.rank(B, F.p) != 2:
                 raise DimensionMismatch("map is not surjective onto K^2")
             self.maps.append(B)
@@ -166,14 +174,12 @@ class BLDatum:
             raise DimensionMismatch("one exponent per map")
         if any(v < 0 for v in self.p):
             raise DimensionMismatch("negative exponent")
-        self.n = 0 if n is None else int(n)
+        self.n = n
         self.m = len(self.maps)
 
     def lines(self) -> LineCollection:
         """Row spaces of the maps in K^n, weighted trivially."""
-        H = LineCollection(self.F, [(B[0], B[1]) for B in self.maps], [0] * self.m)
-        H.n = self.n  # keep the ambient dimension even with no maps
-        return H
+        return LineCollection(self.F, [(B[0], B[1]) for B in self.maps], [0] * self.m, self.n)
 
     def __repr__(self):
         return f"BLDatum(n={self.n}, m={self.m}, p={self.F.p})"

@@ -439,25 +439,9 @@ def _cmd_verify(args):
         ok, cert = bl_membership_rank2(inst.obj)
         same = _get(values, "member", "values") == ok
         checks = [("verdict", same)]
-    elif cmd == "ncrank":
-        sub = argparse.Namespace(
-            command="ncrank",
-            instance=args.instance,
-            prime=prime,
-            seed=seed,
-            trials=trials,
-        )
-        redo = _cmd_ncrank(sub)
-        checks = [("recomputation", redo["values"] == values)]
-    elif cmd == "oracle":
-        sub = argparse.Namespace(
-            command="oracle",
-            instance=args.instance,
-            prime=prime,
-            seed=seed,
-            trials=trials,
-        )
-        redo = _cmd_oracle(sub)
+    elif cmd in ("ncrank", "oracle"):
+        sub = argparse.Namespace(command=cmd, instance=args.instance, prime=prime, seed=seed, trials=trials)
+        redo = _DISPATCH[cmd](sub)
         checks = [("recomputation", redo["values"] == values)]
     else:
         raise ParseError(f"report has no verifiable command (got {cmd!r})")

@@ -182,9 +182,7 @@ def _parse_lines(payload, F):
         a = _int_list(pr[0], f"{ctx}[0]", n)
         b = _int_list(pr[1], f"{ctx}[1]", n)
         pairs.append((a, b))
-    H = LineCollection(F, pairs, weights)
-    H.n = n  # keep the declared dimension even with no lines
-    return H
+    return LineCollection(F, pairs, weights, n)
 
 
 def _parse_bl(payload, F):
@@ -206,9 +204,7 @@ def _parse_bl(payload, F):
             )
         )
     pv = [_fraction(x, f"payload.p[{t}]") for t, x in enumerate(p_raw)]
-    datum = BLDatum(F, maps, pv)
-    datum.n = n
-    return datum
+    return BLDatum(F, maps, pv, n)
 
 
 def parse_text(text, name="<instance>", prime=None) -> ParsedInstance:

@@ -435,27 +435,6 @@ class RationalMatrix:
         return self.determinant().deg
 
 
-def deg(r) -> "int | float":
-    """Degree of a Poly or RatFn; -inf for zero."""
-    return r.deg
-
-
-def mindeg(r) -> "int | float":
-    """Order at t = 0 of a Poly or RatFn; +inf for zero."""
-    if isinstance(r, Poly):
-        return r.ord
-    return r.mindeg
-
-
-def mat_rank(M: RationalMatrix) -> int:
-    return M.rank()
-
-
-def mat_degdet(M: RationalMatrix):
-    """deg det over K(t), exactly; -inf when singular.  Raises NotSquare."""
-    return M.degdet()
-
-
 class BiproperFlag(NamedTuple):
     is_proper: bool
     leading_invertible: bool

@@ -1,16 +1,15 @@
 """Linear symbolic matrices A = sum_k A_k x_k, weighted variants A[c] with
 monomial coefficients t^{c_k}, blow-ups, random substitution, and the
-Monte-Carlo degree oracles delta_ell / Delta via blow-up.
+Monte-Carlo degree oracles delta_ell / Delta via one compressed blow-up.
 
 The degree oracles never touch rational-function arithmetic on the hot
 path: a substituted weighted matrix is a matrix of polynomials in t,
 held as an (n_rows, n_cols, L) int64 coefficient array, and its deg det
 is computed exactly either by evaluation-interpolation (enough points
-available, p > degree bound) or by fraction-free elimination on the
-coefficient arrays (small p).
+available, p > degree bound, the evaluation stack within the budget) or
+by fraction-free elimination on the coefficient arrays.
 """
 
-import itertools
 from random import Random
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
 from .ratfunc import NEG_INF, RatFn, RationalMatrix
 from .scalar import GF
 
-ENUM_CAP = 8  # submatrix enumeration is C(n, l)^2; larger sides are refused
+ENUM_CAP = 8  # largest side for the degree oracles: the blow-up stack grows as m (n d)^2
 MAX_SIDE = 2048  # largest n: P and Q are dense n x n
 MAX_STACK = 1 << 24  # largest m n^2: entries of one dense (m, n, n) stack
 
@@ -52,39 +51,6 @@ def as_rng(rng) -> Random:
     if isinstance(rng, Random):
         return rng
     return Random(0 if rng is None else rng)
-
-
-class Substitution:
-    """Scalar values for the symbols x_1..x_m (flat index order).
-
-    Blow-up matrices index their fresh symbols as (k, i, j) cells; those
-    flatten k-major then row-major, see blowup_cell_index.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = [int(v) for v in values]
-
-    @classmethod
-    def random(cls, F: GF, count: int, rng: Random):
-        return cls([F.random_elem(rng) for _ in range(count)])
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def cell(self, k: int, i: int, j: int, d: int) -> int:
-        return self.values[blowup_cell_index(k, i, j, d)]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.int64)
-
-
-def blowup_cell_index(k: int, i: int, j: int, d: int) -> int:
-    return (k * d + i) * d + j
 
 
 def check_budget(n: int, m: int):
@@ -235,7 +201,7 @@ class SymbolicMatrix:
         )
 
     def substitute(self, s) -> np.ndarray:
-        vals = s.as_array() if isinstance(s, Substitution) else np.asarray(s, dtype=np.int64)
+        vals = np.asarray(s, dtype=np.int64)
         if vals.shape[0] < self.n_terms:
             raise MissingSymbol(
                 f"{self.n_terms} symbols, substitution covers {vals.shape[0]}"
@@ -248,14 +214,9 @@ class SymbolicMatrix:
         if d < 1:
             raise ValueError("blow-up order must be >= 1")
         m, nr, nc = self.terms.shape
-        out = np.zeros((m * d * d, nr * d, nc * d), dtype=np.int64)
-        for k in range(m):
-            for i in range(d):
-                for j in range(d):
-                    E = np.zeros((d, d), dtype=np.int64)
-                    E[i, j] = 1
-                    out[blowup_cell_index(k, i, j, d)] = np.kron(self.terms[k], E)
-        return SymbolicMatrix(self.F, out)
+        E = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+        out = np.einsum("kab,ecd->keacbd", self.terms, E)  # symbol (k, i, j) at k d^2 + i d + j
+        return SymbolicMatrix(self.F, out.reshape(m * d * d, nr * d, nc * d))
 
     def blowup_substitute(self, Rs: np.ndarray) -> np.ndarray:
         """sum_k A_k (x) R_k for given d x d matrices R_k, without materializing
@@ -320,8 +281,9 @@ class WeightedSymbolicMatrix:
 
     def coeff_array(self, s):
         """Substituted matrix as polynomial coefficients: (C, shift) with
-        entry (i, j) equal to t^shift * sum_l C[i,j,l] t^l."""
-        vals = s.as_array() if isinstance(s, Substitution) else np.asarray(s, dtype=np.int64)
+        entry (i, j) equal to t^shift * sum_l C[i,j,l] t^l.  An array of
+        more than MAX_STACK entries is refused before it is allocated."""
+        vals = np.asarray(s, dtype=np.int64)
         if vals.shape[0] < self.n_terms:
             raise MissingSymbol(
                 f"{self.n_terms} symbols, substitution covers {vals.shape[0]}"
@@ -329,6 +291,11 @@ class WeightedSymbolicMatrix:
         p = self.F.p
         shift = min(self.c)
         L = max(self.c) - shift + 1
+        if self.n_rows * self.n_cols * L > MAX_STACK:
+            raise SizeBudgetExceeded(
+                f"weights {shift}..{max(self.c)} make a {self.n_rows} x {self.n_cols} x {L} "
+                f"coefficient array, beyond the budget {MAX_STACK}"
+            )
         C = np.zeros((self.n_rows, self.n_cols, L), dtype=np.int64)
         for k in range(self.n_terms):
             C[:, :, self.c[k] - shift] += (vals[k] % p) * self.base.terms[k]
@@ -386,7 +353,7 @@ class RationalSymbolicMatrix:
         return best
 
     def shrink(self, s) -> RationalMatrix:
-        vals = s.values if isinstance(s, Substitution) else list(s)
+        vals = list(s)
         if len(vals) < self.n_terms:
             raise MissingSymbol(
                 f"{self.n_terms} symbols, substitution covers {len(vals)}"
@@ -414,34 +381,6 @@ class RationalSymbolicMatrix:
         )
 
 
-def shrink(A, s):
-    """Substitute scalars for symbols.
-
-    SymbolicMatrix -> int64 matrix; WeightedSymbolicMatrix -> RationalMatrix
-    with entries sum_k s_k t^{c_k} (A_k)_{ij}.
-    """
-    if isinstance(A, WeightedSymbolicMatrix):
-        vals = s.values if isinstance(s, Substitution) else list(s)
-        if len(vals) < A.n_terms:
-            raise MissingSymbol(f"{A.n_terms} symbols, substitution covers {len(vals)}")
-        F = A.F
-        rows = []
-        for i in range(A.n_rows):
-            row = []
-            for j in range(A.n_cols):
-                e = RatFn.zero(F)
-                for k in range(A.n_terms):
-                    a = F.mul(vals[k], int(A.base.terms[k][i, j]))
-                    if a:
-                        e = e + RatFn.monomial(F, a, A.c[k])
-                row.append(e)
-            rows.append(row)
-        return RationalMatrix(F, rows)
-    if isinstance(A, SymbolicMatrix):
-        return A.substitute(s)
-    raise TypeError(f"cannot shrink {type(A).__name__}")
-
-
 def random_rank(A: SymbolicMatrix, rng=None, trials: int = None) -> int:
     """Monte-Carlo commutative rank: max rank over random substitutions.
 
@@ -453,7 +392,7 @@ def random_rank(A: SymbolicMatrix, rng=None, trials: int = None) -> int:
     best = 0
     top = min(A.shape)
     for _ in range(trials):
-        s = Substitution.random(A.F, A.n_terms, rng)
+        s = linalg.rand_mat(rng, 1, A.n_terms, A.F.p)[0]
         r = linalg.rank(A.substitute(s), A.F.p)
         if r > best:
             best = r
@@ -471,24 +410,18 @@ def poly_degree(coeffs: np.ndarray):
     return int(nz[-1]) if nz.size else NEG_INF
 
 
-def _newton_degrees(x: np.ndarray, V: np.ndarray, p: int):
-    """Degrees of the interpolating polynomials, one per column of V.
-
-    x: (N,) distinct points; V: (N, cols) values.  N must exceed every
-    true degree, which makes the divided-difference tail exactly zero and
-    the last nonzero index the degree.
+def _newton_degree(x: np.ndarray, v: np.ndarray, p: int):
+    """Degree of the polynomial taking the values v at the distinct points
+    x.  len(x) must exceed the true degree, which makes the
+    divided-difference tail exactly zero and the last nonzero index the
+    degree.
     """
-    a = V.copy() % p
+    a = v % p
     x = x % p
-    N = x.shape[0]
     inv = linalg.inv_table(p)
-    for k in range(1, N):
-        a[k:] = ((a[k:] - a[k - 1 : -1]) * inv[(x[k:] - x[:-k]) % p][:, None]) % p
-    out = []
-    for col in range(V.shape[1]):
-        nz = np.nonzero(a[:, col])[0]
-        out.append(int(nz[-1]) if nz.size else NEG_INF)
-    return out
+    for k in range(1, x.shape[0]):
+        a[k:] = ((a[k:] - a[k - 1 : -1]) * inv[(x[k:] - x[:-k]) % p]) % p
+    return poly_degree(a)
 
 
 def _trim3(C: np.ndarray) -> np.ndarray:
@@ -582,13 +515,15 @@ def _degdet_interp(C: np.ndarray, p: int, bound: int):
         P[:, e] = (P[:, e - 1] * pts) % p
     stack = np.einsum("ijl,pl->pij", C % p, P) % p
     vals = linalg.batched_det(stack, p)
-    return _newton_degrees(pts, vals[:, None], p)[0]
+    return _newton_degree(pts, vals, p)
 
 
 def polymat_degdet(C: np.ndarray, p: int):
     """deg det of a square polynomial matrix, exactly; -inf if det = 0.
 
-    C has shape (n, n, L): entry (i, j) is sum_l C[i,j,l] t^l.
+    C has shape (n, n, L): entry (i, j) is sum_l C[i,j,l] t^l.  Evaluation
+    and interpolation need p above the degree bound and a (bound+1, n, n)
+    stack within MAX_STACK; otherwise fraction-free elimination runs.
     """
     n = C.shape[0]
     if C.ndim != 3 or C.shape[1] != n:
@@ -596,7 +531,7 @@ def polymat_degdet(C: np.ndarray, p: int):
     if n == 0:
         return 0
     bound = n * (C.shape[2] - 1)
-    if p >= bound + 1:
+    if p > bound and (bound + 1) * n * n <= MAX_STACK:
         return _degdet_interp(C, p, bound)
     return _degdet_bareiss(C, p)
 
@@ -627,142 +562,68 @@ def _check_cap(Ac):
     side = max(Ac.n_rows, Ac.n_cols)
     if side > ENUM_CAP:
         raise EnumerationCapExceeded(
-            f"submatrix enumeration refused for side {side} > {ENUM_CAP}"
+            f"degree oracle refused for side {side} > {ENUM_CAP}"
         )
 
 
 def delta_ell_oracle(Ac: WeightedSymbolicMatrix, ell: int, trials: int = None, rng=None):
-    """Monte-Carlo delta_l: max over l x l submatrices of deg det after a
-    random substitution, maximized over trials.
+    """Monte-Carlo delta_l, the largest deg det of an l x l submatrix
+    over K(x): the compressed blow-up kernel at order d = 1.
 
     One-sided: result <= true delta_l, equality w.h.p.  l = 0 gives 0.
+    """
+    return _compressed_blowup_oracle(Ac, ell, 1, trials, rng)
+
+
+def Delta_blowup_oracle(Ac: WeightedSymbolicMatrix, ell: int, trials: int = None, rng=None):
+    """Monte-Carlo Delta_l via the blow-up of order d = max(l-1, 1).
+
+    One-sided: result <= true Delta_l, equality w.h.p.  l = 0 gives 0.
+    """
+    return _compressed_blowup_oracle(Ac, ell, max(ell - 1, 1), trials, rng)
+
+
+def _compressed_blowup_oracle(Ac, ell, d, trials, rng):
+    """max over trials of deg det(sum_k t^{c_k} R1 (A_k (x) R_k) R2) // d.
+
+    A trial draws the d x d matrices R_k as one rand_mat and full-rank
+    compressors R1 (ld x nd) and R2 (nd x ld), n the padded side.  With
+    M = sum_k t^{c_k} A_k (x) R_k, Cauchy-Binet writes det(R1 M R2) as
+    sum over ld-subsets I, J of det R1[:, I] det M[I, J] det R2[J, :], a
+    combination of ld-minors of the substituted blow-up with scalar
+    coefficients.  Its degree is never above the largest minor degree,
+    at most d Delta_l by the blow-up regularity of Ivanyos, Qiao and
+    Subrahmanyam (2017) (at d = 1, delta_l by definition), so the
+    estimate is one-sided.  When every ld-minor vanishes
+    identically the combination is zero under every draw, so -inf is
+    exact.  A draw below the true value need not be divisible by d; it
+    floor-divides, still a lower bound, and counts toward the Monte-Carlo
+    error budget.
     """
     _check_ell(Ac, ell)
     if ell == 0:
         return 0
     _check_cap(Ac)
     rng = as_rng(rng)
-    p = Ac.F.p
+    F, p, m = Ac.F, Ac.F.p, Ac.n_terms
     if trials is None:
         trials = default_trials(p)
-    nr, nc = Ac.shape
-    pairs = [
-        (I, J)
-        for I in itertools.combinations(range(nr), ell)
-        for J in itertools.combinations(range(nc), ell)
-    ]
+    sq = Ac.base.pad_square()
+    n = sq.n_rows
+    check_budget(n * d, m)
     best = NEG_INF
     for _ in range(trials):
-        s = Substitution.random(Ac.F, Ac.n_terms, rng)
-        C, shift = Ac.coeff_array(s)
-        bound = ell * (C.shape[2] - 1)
-        if p >= bound + 1:
-            got = _batched_submatrix_degdets(C, pairs, ell, bound, p)
-        else:
-            got = [
-                _degdet_bareiss(C[np.ix_(I, J)], p) for I, J in pairs
-            ]
-        for d in got:
-            if d != NEG_INF and d + ell * shift > best:
-                best = d + ell * shift
-    return best
-
-
-def _batched_submatrix_degdets(C, pairs, ell, bound, p):
-    """deg det for every row/column selection at once: evaluate the full
-    matrix at bound+1 points, take batched determinants of all selected
-    submatrices, interpolate degrees columnwise."""
-    pts = np.arange(bound + 1, dtype=np.int64)
-    L = C.shape[2]
-    P = np.ones((bound + 1, L), dtype=np.int64)
-    for e in range(1, L):
-        P[:, e] = (P[:, e - 1] * pts) % p
-    stack = np.einsum("ijl,pl->pij", C % p, P) % p
-    npts = bound + 1
-    npairs = len(pairs)
-    rowsel = np.array([I for I, _ in pairs])
-    colsel = np.array([J for _, J in pairs])
-    sub = stack[
-        np.arange(npts)[:, None, None, None],
-        rowsel[None, :, :, None],
-        colsel[None, :, None, :],
-    ]
-    # sub: (npts, npairs, ell, ell) -> flatten for one batched elimination
-    dets = linalg.batched_det(sub.reshape(npts * npairs, ell, ell), p)
-    V = dets.reshape(npts, npairs)
-    return _newton_degrees(pts, V, p)
-
-
-def Delta_blowup_oracle(
-    Ac: WeightedSymbolicMatrix,
-    ell: int,
-    trials: int = None,
-    rng=None,
-    strategy: str = "submatrices",
-):
-    """Monte-Carlo Delta_l via blow-ups of order d = max(l-1, 1).
-
-    strategy "submatrices": per l x l submatrix, substitute random d x d
-    matrices for the symbols and take deg det / d; this follows the
-    defining maximum directly.  strategy "mixed": one blow-up of the full
-    matrix compressed to an ld x ld corner by random side multipliers;
-    much cheaper, same one-sided guarantee, used at scale.
-
-    Estimates below the true value can fail to be divisible by d; those
-    floor-divide (still a valid lower bound) rather than abort, and count
-    toward the Monte-Carlo error budget.
-    """
-    _check_ell(Ac, ell)
-    if ell == 0:
-        return 0
-    rng = as_rng(rng)
-    p = Ac.F.p
-    F = Ac.F
-    if trials is None:
-        trials = default_trials(p)
-    d = max(ell - 1, 1)
-    m = Ac.n_terms
-    best = NEG_INF
-    if strategy == "submatrices":
-        _check_cap(Ac)
-        nr, nc = Ac.shape
-        pairs = [
-            (I, J)
-            for I in itertools.combinations(range(nr), ell)
-            for J in itertools.combinations(range(nc), ell)
-        ]
-        subs = [Ac.base.submatrix(I, J) for I, J in pairs]
-        for _ in range(trials):
-            Rs = np.stack([linalg.rand_mat(rng, d, d, p) for _ in range(m)])
-            for bse in subs:
-                got, shift = _weighted_blowup_degdet(bse, Ac.c, Rs, p)
-                if got != NEG_INF:
-                    got = (got + ell * d * shift) // d
-                    if got > best:
-                        best = got
-    elif strategy == "mixed":
-        n2 = max(Ac.n_rows, Ac.n_cols)
-        sq = Ac.base.pad_square()
-        for _ in range(trials):
-            Rs = np.stack([linalg.rand_mat(rng, d, d, p) for _ in range(m)])
-            # a rank-deficient compressor wastes the whole trial, which
-            # over GF(2) happens more often than not; condition on full
-            # rank instead (any fixed pair still gives a lower bound)
-            R1 = _full_rank_mat(rng, ell * d, n2 * d, p)
-            R2 = _full_rank_mat(rng, n2 * d, ell * d, p)
-            shift = min(Ac.c)
-            L = max(Ac.c) - shift + 1
-            C = np.zeros((ell * d, ell * d, L), dtype=np.int64)
-            for k in range(m):
-                Mk = np.kron(sq.terms[k], Rs[k]) % p
-                C[:, :, Ac.c[k] - shift] += (R1 @ Mk @ R2) % p
-            got = polymat_degdet(C % p, p)
-            if got != NEG_INF:
-                got = (got + ell * d * shift) // d
-                if got > best:
-                    best = got
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        Rs = linalg.rand_mat(rng, m * d, d, p).reshape(m, d, d)
+        # a rank-deficient compressor wastes the whole trial, which over
+        # GF(2) happens more often than not; condition on full rank
+        # instead (any fixed pair still gives a lower bound)
+        R1 = _full_rank_mat(rng, ell * d, n * d, p)
+        R2 = _full_rank_mat(rng, n * d, ell * d, p)
+        M = np.einsum("kab,kcd->kacbd", sq.terms, Rs).reshape(m, n * d, n * d)
+        T = linalg.matmul(linalg.matmul(R1, M, p), R2, p)
+        got = weighted_degdet(WeightedSymbolicMatrix(SymbolicMatrix(F, T), Ac.c), np.ones(m, dtype=np.int64))
+        if got != NEG_INF and got // d > best:
+            best = got // d
     return best
 
 
@@ -772,14 +633,3 @@ def _full_rank_mat(rng, nr: int, nc: int, p: int) -> np.ndarray:
         if linalg.rank(M, p) == min(nr, nc):
             return M
     raise AlgorithmStall(f"no full-rank {nr}x{nc} draw over GF({p})")
-
-
-def _weighted_blowup_degdet(base: SymbolicMatrix, c, Rs: np.ndarray, p: int):
-    shift = min(c)
-    L = max(c) - shift + 1
-    d = Rs.shape[1]
-    nr, nc = base.shape
-    C = np.zeros((nr * d, nc * d, L), dtype=np.int64)
-    for k in range(base.n_terms):
-        C[:, :, c[k] - shift] += np.kron(base.terms[k], Rs[k]) % p
-    return polymat_degdet(C % p, p), shift

@@ -202,9 +202,7 @@ def test_criterion_05_blowup_oracle_consistency():
     for Ac, prof in all_weighted_runs():
         n = prof.n
         ell = rng.randint(1, n)
-        est = Delta_blowup_oracle(
-            Ac, ell, rng=random.Random(rng.randrange(2**30)), strategy="mixed"
-        )
+        est = Delta_blowup_oracle(Ac, ell, rng=random.Random(rng.randrange(2**30)))
         true = prof.values[ell]
         assert est <= true or true == NEG_INF and est == NEG_INF, (ell, est, true)
         total += 1

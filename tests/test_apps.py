@@ -101,6 +101,24 @@ def test_builder_validation():
         BLDatum(F, [[[1, 0, 0], [2, 0, 0]]], [Fraction(1, 2)])
 
 
+def test_collections_take_their_dimension():
+    F = GF(5)
+    H = LineCollection(F, [], [], n=3)
+    assert H.n == 3
+    assert build_matroid_matching(H).base.terms.shape == (0, 3, 3)
+    assert BLDatum(F, [], [], n=3).lines().n == 3
+    e = np.eye(2, dtype=np.int64)
+    assert LineCollection(F, [(e[0], e[1])], [1]).n == BLDatum(F, [e], [1]).n == 2
+    with pytest.raises(DimensionMismatch):
+        LineCollection(F, [], [])
+    with pytest.raises(DimensionMismatch):
+        BLDatum(F, [], [])
+    with pytest.raises(DimensionMismatch):
+        LineCollection(F, [(e[0], e[1])], [1], n=3)
+    with pytest.raises(DimensionMismatch):
+        BLDatum(F, [e], [1], n=3)
+
+
 # ---------------------------------------------------------------------------
 # fractional matroid matching LP
 
@@ -132,7 +150,7 @@ def test_fmp_lp_nonpositive_weights():
 
 def test_fmp_lp_empty():
     F = GF(3)
-    H = LineCollection(F, [], [])
+    H = LineCollection(F, [], [], n=0)
     assert fmp_lp_oracle(H) == (0, [])
     assert fmp_lp_oracle(H, ell=2) == (NEG_INF, None)
 

@@ -642,6 +642,20 @@ def test_size_budget_refuses_before_allocating(tmp_path, capsys, command):
     assert err.startswith("ncdeg: error: payload.size:") and "Traceback" not in err
 
 
+def test_wide_weight_range_refuses_before_allocating(tmp_path, capsys):
+    # the oracle's 1 x 1 x (10^12 + 1) coefficient array would take 7.3 TiB
+    doc = diag_weighted_doc()
+    doc["payload"]["weights"] = [0, 10**12]
+    path = write(tmp_path, "wide.json", doc)
+    tracemalloc.start()
+    code = cli.main(["oracle", path])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 1 << 24
+    assert err.startswith("ncdeg: error: weights 0..1000000000000") and "Traceback" not in err
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

@@ -41,6 +41,7 @@ from ncdeg.symbolic import (
     RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
+    delta_ell_oracle,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
@@ -211,11 +212,12 @@ def test_general_engine_matches_hungarian(Ac):
 @PROPERTY
 @given(weighted_matrices())
 def test_blowup_oracle_never_exceeds_exact_value(Ac):
-    # one-sided at any trial count; 3 keeps every l x l submatrix cheap
+    # both oracles are one-sided at any trial count; delta_l <= Delta_l
     exact = hungarian_deg_det(Ac, rng=random.Random(0)).values
     rng = random.Random(1)
     for l, v in exact.items():
         assert Delta_blowup_oracle(Ac, l, trials=3, rng=rng) <= v
+        assert delta_ell_oracle(Ac, l, trials=3, rng=rng) <= v
 
 
 @st.composite
@@ -286,9 +288,7 @@ def built_matrices(draw):
             if linalg.rank(np.stack([a[k], b[k]]), p) < 2:  # not a line: take e_1, e_2
                 a[k], b[k] = np.eye(2, n, dtype=np.int64)
             ref[k] = (np.outer(a[k], b[k]) - np.outer(b[k], a[k])) % p
-        H = LineCollection(F, list(zip(a, b)), [0] * m)
-        H.n = n  # keep the dimension even with no lines, as the parser does
-        return build_matroid_matching(H).base, ref
+        return build_matroid_matching(LineCollection(F, list(zip(a, b)), [0] * m, n)).base, ref
     m = max(m, 1)
     entry = st.tuples(st.integers(1, n), st.integers(1, n), st.integers(-p, p))
     triples = draw(st.lists(st.lists(entry, max_size=n * n), min_size=m, max_size=m))

@@ -12,11 +12,7 @@ from ncdeg.ratfunc import (
     RatFn,
     RationalMatrix,
     classify_biproper,
-    deg,
     leading_coeff_matrix,
-    mat_degdet,
-    mat_rank,
-    mindeg,
     poly_gcd,
 )
 from ncdeg.scalar import GF
@@ -219,18 +215,18 @@ def test_degdet_of_shifted_identity():
     assert M.rank() == n
 
 
-def test_function_wrappers():
+def test_degree_and_order_accessors():
     F = GF(5)
     f = RatFn(Poly(F, [1, 0, 1]), Poly.t_power(F, 5))
-    assert deg(f) == -3
-    assert mindeg(f) == -5
-    assert deg(Poly(F, [0, 1])) == 1
-    assert mindeg(Poly(F, [0, 0, 3])) == 2
-    assert deg(RatFn.zero(F)) == NEG_INF
-    assert mindeg(RatFn.zero(F)) == POS_INF
+    assert f.deg == -3
+    assert f.mindeg == -5
+    assert Poly(F, [0, 1]).deg == 1
+    assert Poly(F, [0, 0, 3]).ord == 2
+    assert RatFn.zero(F).deg == NEG_INF
+    assert RatFn.zero(F).mindeg == POS_INF
     M = RationalMatrix.identity(F, 3)
-    assert mat_rank(M) == 3
-    assert mat_degdet(M) == 0
+    assert M.rank() == 3
+    assert M.degdet() == 0
 
 
 @pytest.mark.parametrize("p", [5, 65521])

@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 
 from ncdeg import linalg
+from ncdeg.degdet import hungarian_deg_det
 from ncdeg.errors import (
     BadCardinality,
     EnumerationCapExceeded,
     MissingSymbol,
 )
-from ncdeg.ratfunc import NEG_INF, RationalMatrix, mat_degdet, mat_rank
+from ncdeg.ratfunc import NEG_INF, RatFn, RationalMatrix
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
     RationalSymbolicMatrix,
-    Substitution,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
-    blowup_cell_index,
     delta_ell_oracle,
     polymat_degdet,
     random_rank,
-    shrink,
     weighted_degdet,
 )
 
@@ -47,6 +45,10 @@ def edmonds(F, nr, nc, edges):
     return SymbolicMatrix(F, np.stack(terms))
 
 
+def rand_values(rng, F, m):
+    return linalg.rand_mat(rng, 1, m, F.p)[0]
+
+
 def rand_weighted(rng, F, nr, nc, m, wmax):
     terms = np.stack([linalg.rand_mat(rng, nr, nc, F.p) for _ in range(m)])
     c = [rng.randrange(-wmax, wmax + 1) for _ in range(m)]
@@ -61,19 +63,19 @@ def test_substitute_and_missing_symbol():
     with pytest.raises(MissingSymbol):
         A.substitute([3])
     with pytest.raises(MissingSymbol):
-        shrink(WeightedSymbolicMatrix(A, [0, 0]), [1])
+        RationalSymbolicMatrix.from_weighted(WeightedSymbolicMatrix(A, [0, 0])).shrink([1])
 
 
 def test_shrink_zero_substitution():
     F = GF(5)
     A = tutte_k3(F)
-    assert not shrink(A, [0, 0, 0]).any()
+    assert not A.substitute([0, 0, 0]).any()
 
 
 def test_shrink_single_edge():
     F = GF(5)
     A = edmonds(F, 2, 2, [(0, 0)])
-    M = shrink(A, [1])
+    M = A.substitute([1])
     assert np.array_equal(M, unit(2, 0, 0))
 
 
@@ -81,7 +83,7 @@ def test_k3_rank_two():
     F = GF(65521)
     A = tutte_k3(F)
     rng = random.Random(42)
-    s = Substitution.random(F, 3, rng)
+    s = rand_values(rng, F, 3)
     assert linalg.rank(A.substitute(s), F.p) == 2
     assert random_rank(A, rng) == 2
 
@@ -95,9 +97,10 @@ def test_blow_up_shapes():
     B2 = A.blow_up(2)
     assert B2.shape == (4, 4) and B2.n_terms == 4
     # cell (0, i, j) holds A_0 (x) E_ij
+    cells = B2.terms.reshape(1, 2, 2, 4, 4)
     for i in range(2):
         for j in range(2):
-            T = B2.term(blowup_cell_index(0, i, j, 2))
+            T = cells[0, i, j]
             assert T[i, 2 + j] == 1 and T.sum() == 1
 
 
@@ -107,7 +110,7 @@ def test_k3_blowup_rank_six():
     B = A.blow_up(2)
     assert B.shape == (6, 6) and B.n_terms == 12
     rng = random.Random(7)
-    s = Substitution.random(F, 12, rng)
+    s = rand_values(rng, F, 12)
     assert linalg.rank(B.substitute(s), F.p) == 6
 
 
@@ -118,26 +121,19 @@ def test_blowup_substitute_matches_materialized():
     B = A.blow_up(2)
     Rs = np.stack([linalg.rand_mat(rng, 2, 2, F.p) for _ in range(2)])
     direct = A.blowup_substitute(Rs)
-    vals = np.zeros(8, dtype=np.int64)
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                vals[blowup_cell_index(k, i, j, 2)] = Rs[k, i, j]
-    assert np.array_equal(direct, B.substitute(vals))
+    # the blow-up's symbols run k-major, then row-major over each R_k
+    assert np.array_equal(direct, B.substitute(Rs.reshape(-1)))
 
 
 def test_block_scalar_substitution_multiplies_rank():
     F = GF(65521)
     rng = random.Random(13)
     A = SymbolicMatrix(F, np.stack([linalg.rand_mat(rng, 3, 3, F.p) for _ in range(2)]))
-    s = Substitution.random(F, 2, rng)
+    s = rand_values(rng, F, 2)
     base_rank = linalg.rank(A.substitute(s), F.p)
     for d in [2, 3]:
         B = A.blow_up(d)
-        vals = np.zeros(2 * d * d, dtype=np.int64)
-        for k in range(2):
-            for i in range(d):
-                vals[blowup_cell_index(k, i, i, d)] = s[k]
+        vals = np.einsum("k,ij->kij", s, np.eye(d, dtype=np.int64)).reshape(-1)
         assert linalg.rank(B.substitute(vals), F.p) == d * base_rank
 
 
@@ -145,7 +141,7 @@ def test_shrink_commutes_with_submatrix():
     F = GF(65521)
     rng = random.Random(17)
     A = SymbolicMatrix(F, np.stack([linalg.rand_mat(rng, 4, 5, F.p) for _ in range(3)]))
-    s = Substitution.random(F, 3, rng)
+    s = rand_values(rng, F, 3)
     rowsel, colsel = [0, 2, 3], [1, 2, 4]
     M1 = A.submatrix(rowsel, colsel).substitute(s)
     M2 = A.substitute(s)[np.ix_(rowsel, colsel)]
@@ -196,7 +192,7 @@ def test_polymat_degdet_vs_rational_elimination(p):
         L = rng.randrange(1, 4)
         C = rand_polymat_coeffs(rng, n, L, p)
         got = polymat_degdet(C, p)
-        want = mat_degdet(coeffs_to_rational(C, F))
+        want = coeffs_to_rational(C, F).degdet()
         assert got == want
     assert polymat_degdet(np.zeros((0, 0, 1), dtype=np.int64), p) == 0
 
@@ -216,6 +212,17 @@ def test_polymat_degdet_forced_paths(p):
         assert _degdet_bareiss(C, 65521) == _degdet_interp(C, 65521, bound)
 
 
+def test_polymat_degdet_keeps_the_evaluation_stack_in_budget(monkeypatch):
+    import ncdeg.symbolic as sym
+
+    C = rand_polymat_coeffs(random.Random(803), 3, 3, 65521)
+    want = polymat_degdet(C, 65521)
+    # 7 evaluation points make a 7 x 3 x 3 stack, beyond a budget of 27
+    monkeypatch.setattr(sym, "MAX_STACK", 27)
+    monkeypatch.setattr(sym, "_degdet_interp", None)
+    assert polymat_degdet(C, 65521) == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_weighted_degdet_vs_shrink(p):
     F = GF(p)
@@ -224,9 +231,9 @@ def test_weighted_degdet_vs_shrink(p):
         n = rng.randrange(1, 4)
         m = rng.randrange(1, 4)
         Ac = rand_weighted(rng, F, n, n, m, 3)
-        s = Substitution.random(F, m, rng)
+        s = rand_values(rng, F, m)
         got = weighted_degdet(Ac, s)
-        want = mat_degdet(shrink(Ac, s))
+        want = RationalSymbolicMatrix.from_weighted(Ac).shrink(s).degdet()
         assert got == want
 
 
@@ -282,22 +289,20 @@ def test_blowup_oracle_k3_unit_weights():
     assert got == 3
     # dual route: materialize the 6x6 blow-up, shrink, exact deg det over K(t)
     B = Ac.blow_up(2)
-    rng = random.Random(6)
-    s = Substitution.random(F, B.n_terms, rng)
-    dd = mat_degdet(shrink(B, s))
+    s = rand_values(random.Random(6), F, B.n_terms)
+    dd = RationalSymbolicMatrix.from_weighted(B).shrink(s).degdet()
     assert dd == 6  # divided by d = 2 gives 3
 
 
-def test_blowup_oracle_mixed_strategy_agrees():
+def test_blowup_oracle_matches_hungarian():
     F = GF(65521)
     rng = random.Random(8)
     for _ in range(6):
         Ac = rand_weighted(rng, F, 3, 3, 3, 3)
+        exact = hungarian_deg_det(Ac, rng=random.Random(0)).values
         for ell in range(1, 4):
-            a = Delta_blowup_oracle(Ac, ell, rng=random.Random(100))
-            b = Delta_blowup_oracle(Ac, ell, rng=random.Random(100), strategy="mixed")
-            assert b <= a or a == NEG_INF
-            assert b == a  # both attain w.h.p. over a big field
+            # attained w.h.p. over a big field
+            assert Delta_blowup_oracle(Ac, ell, rng=random.Random(100)) == exact[ell]
 
 
 def test_delta_le_Delta_invariant():
@@ -321,7 +326,12 @@ def test_rational_symbolic_matrix():
     assert R.max_deg() <= 2
     s = [1, 3]
     M = R.shrink(s)
-    direct = shrink(Ac.pad_square(), s)
-    assert M.rows == direct.rows
+    C, shift = Ac.pad_square().coeff_array(s)
+    for i in range(3):
+        for j in range(3):
+            want = RatFn.zero(F)
+            for l, a in enumerate(C[i, j]):
+                want = want + RatFn.monomial(F, int(a), shift + l)
+            assert M.rows[i][j] == want
     P = RationalMatrix.identity(F, 3)
     assert R.transform(P, P).terms[0].rows == R.terms[0].rows
