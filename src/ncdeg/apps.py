@@ -379,14 +379,12 @@ def _lp_by_half_integral_points(H, c, ell, constraints):
     return best
 
 
-def fmp_lp_oracle(H: LineCollection, c=None, ell=None, method="halfint"):
+def fmp_lp_oracle(H: LineCollection, c=None, ell=None):
     """Exact optimum of max c^t y over the covering constraints, plus an
     optimal y; with ell fixed, restricted to 2 1^t y = ell (value -inf
-    when that slice is empty).
-
-    method 'halfint' is the fast production route; 'enumerate' is the
-    assumption-free cross-check for small instances.
-    """
+    when that slice is empty).  Read off the half-integral points;
+    _lp_by_basis_enumeration is the assumption-free cross-check for small
+    instances."""
     if c is None:
         c = H.weights
     if len(c) != H.m:
@@ -395,12 +393,7 @@ def fmp_lp_oracle(H: LineCollection, c=None, ell=None, method="halfint"):
         if ell in (None, 0):
             return Fraction(0), []
         return NEG_INF, None
-    constraints = _fmp_constraints(H)
-    if method == "halfint":
-        return _lp_by_half_integral_points(H, c, ell, constraints)
-    if method == "enumerate":
-        return _lp_by_basis_enumeration(H, c, ell, constraints)
-    raise ValueError(f"unknown method {method!r}")
+    return _lp_by_half_integral_points(H, c, ell, _fmp_constraints(H))
 
 
 def fmm_max_weight(H: LineCollection, c=None, rng=None):

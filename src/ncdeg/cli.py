@@ -369,8 +369,8 @@ def _cmd_oracle(args):
 def _verify_levels(report, F, target, expected, rank):
     """A check per reported level, where expected maps each level key to
     its value: level 0 is 0, a finite level carries a dual that meets
-    strong duality against target, and a -inf level lies above rank, a
-    lower bound on the nc-rank, so a true -inf claim is never refuted."""
+    strong duality against target, and a -inf level lies above rank, the
+    certified nc-rank, so a -inf claim is accepted exactly when true."""
     duals = _get(report, "duals", "report", dict)
     for key in duals:
         if key not in expected:
@@ -426,7 +426,7 @@ def _cmd_verify(args):
             raise ParseError("values: level keys must be decimal")
         scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
-        rank = 0  # a one-sided lower bound on the nc-rank
+        rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
             rank = nc_rank(base, random.Random(seed), trials)
         checks = _verify_levels(report, inst.F, target, expected, rank)

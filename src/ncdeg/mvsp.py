@@ -8,9 +8,10 @@ first r rows span U and nonsingular T whose first s columns span V, so
 S A_k T has an upper-left r x s zero block for every k.
 
 Every solver returns the dominant optimum, the optimal pair with the
-largest U: the blow-up witness, a random substitution into the (n-1)-th
-blow-up followed by the second Wong sequence and certified by the
-substitution's rank (Las Vegas, any field); Koenig max-matching/min-cover
+largest U: the blow-up witness, a random substitution into the d-th
+blow-up, d = 1, 2, 4, ..., n-1, followed by the second Wong sequence and
+certified by the substitution's rank (Las Vegas, any field), whose value
+is also the certified nc_rank; Koenig max-matching/min-cover
 for bipartite-support matrices; linear matroid intersection for stacks of
 rank-one terms; and exhaustive subspace enumeration over small fields,
 the referee for tests and the LP oracles.
@@ -18,6 +19,7 @@ Bruhat decomposition and witness block-diagonalization feed the degree
 algorithms.
 """
 
+import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,9 +33,10 @@ from .errors import (
     NotSorted,
     PartitionMismatch,
     Singular,
+    SizeBudgetExceeded,
 )
 from .scalar import GF
-from .symbolic import SymbolicMatrix, as_rng, default_trials
+from .symbolic import MAX_SIDE, SymbolicMatrix, as_rng, default_trials
 
 SUBSPACE_CAP = 5000
 
@@ -167,39 +170,9 @@ class FRWitness:
 # nc-rank by blow-up
 
 
-def _blowup_draws(sq: SymbolicMatrix, d: int, rng, trials: int):
-    """Random substitutions sum_k A_k (x) R_k into the d-th blow-up of the
-    square sq, numbered from 1: one rand_mat per draw, at most 64
-    batches of trials draws."""
-    p = sq.F.p
-    for spent in range(1, 64 * trials + 1):
-        Rs = linalg.rand_mat(rng, sq.n_terms * d, d, p).reshape(-1, d, d)
-        yield spent, sq.blowup_substitute(Rs)
-
-
 def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
-    """nc-rank via random substitution into the (n-1)-th blow-up.
-
-    One-sided Monte Carlo: never above the true value, equal w.h.p.  The
-    attained maximum is divisible by the blow-up order, so a remainder
-    proves every trial so far undershot; over a small field that happens
-    often enough that we keep drawing, in batches of the original trial
-    count, until the maximum is divisible or a hard cap gives up.
-    """
-    rng = as_rng(rng)
-    if trials is None:
-        trials = default_trials(A.F.p)
-    sq = A.pad_square()
-    n = sq.n_rows
-    if n == 0:
-        return 0
-    d = max(n - 1, 1)
-    best = 0
-    for spent, B in _blowup_draws(sq, d, rng, trials):
-        best = max(best, linalg.rank(B, A.F.p))
-        if (best == n * d or spent % trials == 0) and best % d == 0:
-            return best // d
-    raise AlgorithmStall(f"blow-up rank stuck at {best}, not divisible by {d}")
+    """nc-rank, certified: the value of blowup_witness's pair (Las Vegas)."""
+    return blowup_witness(A, rng, trials)[0].value()
 
 
 def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
@@ -220,40 +193,59 @@ def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
         Wb = grown
 
 
-def blowup_witness(A: SymbolicMatrix, rng=None):
+def blowup_witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None):
     """Dominant optimum from a random blow-up, certified by its rank.
 
-    Draw B = sum_k A_k (x) R_k with d = n - 1, as nc_rank does, and run
-    the second Wong sequence (Ivanyos-Karpinski-Qiao-Santha) from W = 0
-    to its limit; then U = W^perp and V is the largest vanishing space
-    for U.  Every vanishing pair bounds the nc-rank from above and
-    rank(B) / d bounds it from below, so value * d == rank(B) certifies
-    the optimum; any other draw is redrawn, under nc_rank's cap.
+    Draw B = sum_k A_k (x) R_k into the d-th blow-up and run the second
+    Wong sequence (Ivanyos-Karpinski-Qiao-Santha) from W = 0 to its limit;
+    then U = W^perp and V is the largest vanishing space for U.  Every
+    vanishing pair bounds the nc-rank from above and rank(B) / d bounds it
+    from below, so value * d == rank(B) certifies the optimum at every
+    order d.  Each of at most 64 rounds spends trials draws (default
+    default_trials(p)) at each order d = 1, 2, 4, ..., n - 1 whose side
+    n d is within MAX_SIDE.  Low orders are cheap and certify whenever
+    their maximum rank reaches d * nc-rank; d = n - 1 always can, by
+    blow-up regularity (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank
+    is not a multiple of d, or not above every earlier rank at its order,
+    cannot certify and skips the Wong sequence.
 
-    The certified witness is also dominant.  Write A V' for the image
-    sum_k A_k V'.  A B of maximum rank has ker B inside V' (x) K^d and
+    The certified witness is also dominant; the proof uses only
+    rank(B) = d * nc-rank, so it holds at every order.  Write A V' for
+    the image sum_k A_k V'.  Such a B has ker B inside V' (x) K^d and
     B (V' (x) K^d) = (A V') (x) K^d for every optimal V'.  So if W lies
     in A V', then B^-1(W (x) K^d) lies in V' (x) K^d, its slices lie in
     V', and the next W lies in A V' again: by induction the limit W is
     the least image of all optima, and U = W^perp is the largest optimal
     U.
 
-    Returns (witness, U, V) like mvsp_exhaustive.
+    Returns (witness, U, V) like mvsp_exhaustive.  Raises
+    SizeBudgetExceeded when nothing certified and n - 1 was beyond the
+    budget, else AlgorithmStall.
     """
     rng = as_rng(rng)
     sq = A.pad_square()
     n, F = sq.n_rows, A.F
-    d = max(n - 1, 1)
-    best = 0
-    for _, B in _blowup_draws(sq, d, rng, default_trials(F.p)):
+    if n == 0:  # the empty pair is optimal with no draw
+        U = Subspace.zero(F, 0)
+        return _witness_from_subspaces(F, U, U), U, U
+    if trials is None:
+        trials = default_trials(F.p)
+    top = max(n - 1, 1)
+    doubling = [1 << i for i in range((top - 1).bit_length())]
+    orders = [d for d in doubling + [top] if d == 1 or n * d <= MAX_SIDE]
+    best = dict.fromkeys(orders, -1)
+    for _, d, _ in itertools.product(range(64), orders, range(trials)):
+        Rs = linalg.rand_mat(rng, sq.n_terms * d, d, F.p).reshape(-1, d, d)
+        B = sq.blowup_substitute(Rs)
         rB = linalg.rank(B, F.p)
-        best = max(best, rB)
-        if rB < best or rB % d:
-            continue  # below the maximum rank, which is a multiple of d
-        U = Subspace(F, _wong_limit(sq, B, d))
-        V = Subspace(F, _max_vanishing_V(sq, U.basis))
-        if (2 * n - U.dim - V.dim) * d == rB:
-            return _witness_from_subspaces(F, U, V), U, V
+        if rB % d == 0 and rB > best[d]:
+            U = Subspace(F, _wong_limit(sq, B, d))
+            V = Subspace(F, _max_vanishing_V(sq, U.basis))
+            if (2 * n - U.dim - V.dim) * d == rB:
+                return _witness_from_subspaces(F, U, V), U, V
+        best[d] = max(best[d], rB)
+    if orders[-1] < top:
+        raise SizeBudgetExceeded(f"no draw certified, and order {top} needs side {n * top} > {MAX_SIDE}")
     raise AlgorithmStall("no blow-up draw certified a vanishing pair")
 
 
@@ -289,8 +281,6 @@ def enumerate_subspaces(F: GF, n: int):
             f"{total} subspaces of GF({F.p})^{n} exceeds cap {SUBSPACE_CAP}"
         )
     q = F.p
-    import itertools
-
     out = [np.zeros((0, n), dtype=np.int64)]
     for k in range(1, n + 1):
         for piv in itertools.combinations(range(n), k):

@@ -56,9 +56,10 @@ def as_rng(rng) -> Random:
 def check_budget(n: int, m: int):
     """Refuse an n x n matrix with m terms beyond the size budget.
 
-    The monomial engines keep dense n x n P and Q and one (m, n, n) int64
-    stack P A_k Q, so instances are checked before anything of that size
-    is allocated: n <= MAX_SIDE and m n^2 <= MAX_STACK entries (128 MiB).
+    The monomial engines keep dense n x n P and Q, and an instance may
+    materialize its dense (m, n, n) int64 term stack, so instances are
+    checked before anything of that size is allocated: n <= MAX_SIDE and
+    m n^2 <= MAX_STACK entries (128 MiB).
     """
     if not 0 <= n <= MAX_SIDE:
         raise SizeBudgetExceeded(f"side {n} outside the budget 0..{MAX_SIDE}")
@@ -327,7 +328,15 @@ class RationalSymbolicMatrix:
 
     @classmethod
     def from_weighted(cls, Ac: WeightedSymbolicMatrix):
+        """The terms as RatFn matrices.  A RatFn entry takes some 220 bytes
+        where check_budget charges 8, so m n^2 is held to MAX_STACK >> 5,
+        checked before the dense terms are read."""
         sq = Ac.pad_square()
+        m, n = sq.n_terms, sq.n_rows
+        if m * n * n > MAX_STACK >> 5:
+            raise SizeBudgetExceeded(
+                f"{m} terms of side {n} make {m * n * n} rational entries, beyond the budget {MAX_STACK >> 5}"
+            )
         mats = []
         for k in range(sq.n_terms):
             M = RationalMatrix.from_scalars(sq.F, sq.base.terms[k])

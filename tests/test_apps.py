@@ -19,6 +19,8 @@ from ncdeg.apps import (
     build_tutte,
     fmm_max_weight,
     fmp_lp_oracle,
+    _fmp_constraints,
+    _lp_by_basis_enumeration,
 )
 from ncdeg.degdet import hungarian_deg_det, symmetric_hungarian
 from ncdeg.errors import DimensionMismatch
@@ -158,7 +160,7 @@ def test_fmp_lp_empty():
 def test_fmp_lp_k3_skewed_regression():
     H = k3_lines(GF(3))
     val, y = fmp_lp_oracle(H, c=[2, 1, 1])
-    val_e, _ = fmp_lp_oracle(H, c=[2, 1, 1], method="enumerate")
+    val_e, _ = _lp_by_basis_enumeration(H, [2, 1, 1], None, _fmp_constraints(H))
     assert val == val_e == 2
 
 
@@ -170,8 +172,8 @@ def test_fmp_routes_agree_random():
         m = rng.randint(1, 3)
         H = random_lines(rng, F, n, m)
         for ell in [None] + list(range(n + 1)):
-            fast = fmp_lp_oracle(H, ell=ell, method="halfint")
-            slow = fmp_lp_oracle(H, ell=ell, method="enumerate")
+            fast = fmp_lp_oracle(H, ell=ell)
+            slow = _lp_by_basis_enumeration(H, H.weights, ell, _fmp_constraints(H))
             assert fast[0] == slow[0], (H, ell)
             if fast[0] != NEG_INF:
                 # both optimal points must verify

@@ -520,6 +520,48 @@ def test_bipartite_without_edges(tmp_path, capsys, command):
     assert verified(capsys, report, path, tmp_path)
 
 
+def gf2_matroid_pair_doc():
+    """Eight rank-one terms over GF(2) with nc-rank 6, where a draw into
+    the 7th blow-up often stops short of 42."""
+    return {
+        "field": {"p": 2},
+        "kind": "matroid-pair",
+        "payload": {
+            "a": [
+                [1, 1, 0, 1, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0, 0],
+                [1, 1, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0],
+                [1, 1, 0, 0, 0, 0, 1, 1], [0, 1, 1, 0, 0, 1, 0, 1],
+                [1, 0, 1, 0, 1, 1, 1, 1], [1, 0, 1, 1, 0, 0, 1, 0],
+            ],
+            "b": [
+                [1, 1, 0, 1, 1, 1, 0, 1], [0, 0, 0, 0, 0, 1, 1, 1],
+                [1, 1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 0, 1, 1, 0, 1],
+                [1, 1, 0, 0, 0, 1, 1, 0], [0, 0, 1, 0, 0, 1, 1, 1],
+                [1, 0, 0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 1, 1, 0, 0],
+            ],
+            "weights": [1, -1, -3, 2, 4, -3, 3, 2],
+        },
+    }
+
+
+def test_neg_inf_levels_verify_over_gf2(tmp_path, capsys):
+    path = write(tmp_path, "gf2.json", gf2_matroid_pair_doc())
+    code, out = run(capsys, "hungarian", path, "--json")
+    report = json.loads(out)
+    assert code == 2 and report["values"]["7"] is None and report["values"]["8"] is None
+    assert verified(capsys, report, path, tmp_path)
+    code, out = run(capsys, "ncrank", path, "--json")
+    assert (code, json.loads(out)["values"]["nc_rank"]) == (0, 6)
+
+
+def test_ncrank_of_size_zero(tmp_path, capsys):
+    doc = k3_bipartite_doc()
+    doc["payload"] = {"size": 0, "edges": [], "weights": []}
+    path = write(tmp_path, "size0.json", doc)
+    code, out = run(capsys, "ncrank", path, "--json")
+    assert (code, json.loads(out)["values"]["nc_rank"]) == (0, 0)
+
+
 def skew_lines_doc():
     """The skew terms a b^t - b a^t of the lines (e3, e2) and (e2 + e3, e1)
     of GF(65521)^3: each has rank two, and splitting them into rank-one
@@ -640,6 +682,22 @@ def test_size_budget_refuses_before_allocating(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 1 and peak < 1 << 24
     assert err.startswith("ncdeg: error: payload.size:") and "Traceback" not in err
+
+
+def test_subdet_refuses_rational_entries_beyond_budget(tmp_path, capsys):
+    # K_{64,64} passes the parser at m n^2 = 2^24, but as RatFn entries
+    # of some 220 bytes its terms would take 3.4 GiB
+    doc = k3_bipartite_doc()
+    edges = [[i, j] for i in range(1, 65) for j in range(1, 65)]
+    doc["payload"] = {"size": 64, "edges": edges, "weights": [1] * len(edges)}
+    path = write(tmp_path, "k64.json", doc)
+    tracemalloc.start()
+    code = cli.main(["subdet", path])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 1 << 24
+    assert err.startswith("ncdeg: error: 4096 terms of side 64") and "Traceback" not in err
 
 
 def test_wide_weight_range_refuses_before_allocating(tmp_path, capsys):

@@ -14,6 +14,7 @@ from ncdeg.errors import (
     NotSorted,
     PartitionMismatch,
     Singular,
+    SizeBudgetExceeded,
 )
 from ncdeg.mvsp import (
     BruhatTriple,
@@ -149,23 +150,46 @@ def test_nc_rank_rectangular():
 
 
 def test_nc_rank_stalls_when_blowup_rank_never_divides(monkeypatch):
-    # blow-up order 2 for n = 3; a rank of 1 is never divisible by it
+    # orders 1 and 2 for n = 3: a rank of 1 never divides 2, and at order
+    # 1 the identity's pair has value 3, so no draw certifies
     monkeypatch.setattr(mvsp.linalg, "rank", lambda A, p: 1)
     A = SymbolicMatrix(GF(5), [linalg.identity(3)])
-    with pytest.raises(AlgorithmStall, match="not divisible"):
+    with pytest.raises(AlgorithmStall, match="certified"):
         nc_rank(A, random.Random(0))
 
 
 def test_blowup_witness_stalls_under_the_nc_rank_cap(monkeypatch):
-    # no draw reaches a rank that certifies a pair: 64 batches of the
-    # field's trial count are drawn, then the search gives up
+    # no draw reaches a rank that certifies a pair: 64 rounds of the
+    # field's trial count at each of the orders 1 and 2 are drawn, then
+    # the search gives up
     draws = []
     monkeypatch.setattr(mvsp.linalg, "rank", lambda A, p: 1)
     rand_mat = mvsp.linalg.rand_mat
     monkeypatch.setattr(mvsp.linalg, "rand_mat", lambda *a: draws.append(1) or rand_mat(*a))
     with pytest.raises(AlgorithmStall, match="certified"):
         blowup_witness(SymbolicMatrix(GF(5), [linalg.identity(3)]), random.Random(0))
-    assert len(draws) == 64 * default_trials(5)
+    assert len(draws) == 64 * default_trials(5) * 2
+
+
+def test_nc_rank_of_a_perfect_matching_certifies_at_order_one(monkeypatch):
+    # a commutative rank of n certifies at d = 1, so no draw goes past
+    # n x n, where the (n - 1)-th blow-up would be 1560 x 1560
+    n = 40
+    r = random.Random(3)
+    edges = {(i, i) for i in range(n)} | {(r.randrange(n), r.randrange(n)) for _ in range(n)}
+    A = edmonds(GF(65521), n, n, sorted(edges))
+    shapes = []
+    rank = mvsp.linalg.rank
+    monkeypatch.setattr(mvsp.linalg, "rank", lambda M, p: shapes.append(M.shape) or rank(M, p))
+    assert nc_rank(A, random.Random(0)) == n
+    assert shapes and set(shapes) == {(n, n)}
+
+
+def test_blowup_witness_refuses_orders_beyond_the_side_cap(monkeypatch):
+    # K3's Tutte matrix has rank 2 at d = 1 and needs d = 2, a side of 6
+    monkeypatch.setattr(mvsp, "MAX_SIDE", 5)
+    with pytest.raises(SizeBudgetExceeded, match="order"):
+        blowup_witness(tutte_k3(GF(65521)), random.Random(0))
 
 
 def test_guarantees_hold_under_optimize_flag():

@@ -34,7 +34,7 @@ from ncdeg.degdet import (
 )
 from ncdeg.errors import DimensionMismatch
 from ncdeg.instances import parse_text
-from ncdeg.mvsp import blowup_witness, mvsp_exhaustive, mvsp_matroid_intersection
+from ncdeg.mvsp import blowup_witness, mvsp_exhaustive, mvsp_matroid_intersection, nc_rank
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -179,6 +179,7 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     _, U_enum, V_enum = mvsp_exhaustive(A)
     assert (U, V) == (U_enum, V_enum)
     assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+    assert nc_rank(A, random.Random(1)) == w.value()
     C, R = A.factors
     if C.shape[2] == 1:
         w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
