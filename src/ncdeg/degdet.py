@@ -21,7 +21,7 @@ The two monomial engines run one Hungarian loop and differ only in the
 weight scale, the witness route and its block-diagonal shape (T = S^t
 for the symmetric one) and the step direction.  The symmetric engine
 always takes the blow-up witness; every other leading matrix gets its
-witness by the cheapest route its structure allows (see _witness).
+witness from mvsp.witness, the cheapest route its factors allow.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -45,16 +45,14 @@ from .errors import (
     NotSorted,
 )
 from .mvsp import (
-    FRWitness,
     Subspace,
     _check_skew,
     block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
     bruhat,
-    mvsp_bipartite,
-    mvsp_matroid_intersection,
     nested_witness,
+    witness,
 )
 from .ratfunc import NEG_INF, POS_INF, RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
 from .symbolic import (
@@ -174,27 +172,6 @@ class DegreeProfile:
     def __repr__(self):
         vals = [self.values.get(l) for l in range(self.n + 1)]
         return f"DegreeProfile({vals})"
-
-
-# ---------------------------------------------------------------------------
-# witness route for leading matrices
-
-
-def _witness(A: SymbolicMatrix, rng) -> FRWitness:
-    """Certified dominant witness for a square leading matrix, by the
-    cheapest route its factors allow: Koenig when every term is a single
-    entry, matroid intersection when every term has rank at most one
-    (exact by Lovasz, 1989), else the blow-up witness."""
-    C, R = A.factors
-    if C.shape[2] == 1:
-        u, v = C[:, :, 0], R[:, 0, :]
-        live = u.any(axis=1) & v.any(axis=1)
-        u, v = u[live], v[live]
-        if ((u != 0).sum(axis=1) == 1).all() and ((v != 0).sum(axis=1) == 1).all():
-            edges = sorted(set(zip(u.argmax(axis=1).tolist(), v.argmax(axis=1).tolist())))
-            return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
-        return mvsp_matroid_intersection(u, v, A.F)
-    return blowup_witness(A, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +340,7 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
     while True:
         G = B.transform(P, Q).terms
         At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
-        w = _witness(At, rng)
+        w = witness(At, rng)
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
@@ -488,7 +465,7 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
         if symmetric:
             w = nested_witness(F, *blowup_witness(At, rng)[1:])
         else:
-            w = _witness(At, rng)
+            w = witness(At, rng)
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")

@@ -3,9 +3,15 @@ import tracemalloc
 
 import pytest
 
-from ncdeg import cli, instances
-from ncdeg.apps import BipartiteInstance, brute_force_matching_oracles
+from ncdeg import cli, instances, mvsp
+from ncdeg.apps import (
+    BipartiteInstance,
+    MatroidPairInstance,
+    brute_force_matching_oracles,
+    build_matroid_intersection,
+)
 from ncdeg.errors import ParseError
+from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, WeightedSymbolicMatrix
 
 
@@ -552,6 +558,50 @@ def test_neg_inf_levels_verify_over_gf2(tmp_path, capsys):
     assert verified(capsys, report, path, tmp_path)
     code, out = run(capsys, "ncrank", path, "--json")
     assert (code, json.loads(out)["values"]["nc_rank"]) == (0, 6)
+
+
+def gf2_matroid_pair_12_doc():
+    """Eleven rank-one terms of side 12 over GF(2) with nc-rank 10, where
+    blow-up draws rarely reach full rank."""
+    a = [
+        "101111101001", "011011110101", "011111000110", "101011100011",
+        "101001010011", "111000010001", "010111110100", "101101111001",
+        "110100011110", "010001001100", "001100000100",
+    ]
+    b = [
+        "001100110000", "110000110000", "100111001011", "110000000111",
+        "100101101101", "111100011110", "001010110111", "001110101101",
+        "010110000110", "001110001011", "010110001110",
+    ]
+    return {
+        "field": {"p": 2},
+        "kind": "matroid-pair",
+        "payload": {
+            "a": [[int(x) for x in row] for row in a],
+            "b": [[int(x) for x in row] for row in b],
+            "weights": [3, -4, 0, 5, -2, 2, 5, -5, 5, -4, -3],
+        },
+    }
+
+
+def no_blowup(*args, **kwargs):
+    raise AssertionError("rank-one terms must not reach the blow-up witness")
+
+
+def test_nc_rank_of_rank_one_terms_draws_no_blowup(monkeypatch):
+    monkeypatch.setattr(mvsp, "blowup_witness", no_blowup)
+    payload = gf2_matroid_pair_12_doc()["payload"]
+    inst = MatroidPairInstance(GF(2), payload["a"], payload["b"], payload["weights"])
+    assert mvsp.nc_rank(build_matroid_intersection(inst).base) == 10
+
+
+def test_verify_of_rank_one_terms_draws_no_blowup(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mvsp, "blowup_witness", no_blowup)
+    path = write(tmp_path, "gf2_12.json", gf2_matroid_pair_12_doc())
+    code, out = run(capsys, "hungarian", path, "--json")
+    report = json.loads(out)
+    assert code == 2 and report["values"]["11"] is None and report["values"]["12"] is None
+    assert verified(capsys, report, path, tmp_path)
 
 
 def test_ncrank_of_size_zero(tmp_path, capsys):

@@ -302,13 +302,13 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     # every leading matrix the engine meets gets the same certified value
     # from each witness solver that applies to it
     seen = []
-    route = degdet._witness
+    route = degdet.witness
 
     def record(A, rng):
         seen.append(A)
         return route(A, rng)
 
-    monkeypatch.setattr(degdet, "_witness", record)
+    monkeypatch.setattr(degdet, "witness", record)
     F = GF(5)
     hungarian_deg_det(WeightedSymbolicMatrix(tutte_k3(F), [2, 1, 1]), rng=random.Random(18))
     hungarian_deg_det(

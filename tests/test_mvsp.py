@@ -173,7 +173,8 @@ def test_blowup_witness_stalls_under_the_nc_rank_cap(monkeypatch):
 
 def test_nc_rank_of_a_perfect_matching_certifies_at_order_one(monkeypatch):
     # a commutative rank of n certifies at d = 1, so no draw goes past
-    # n x n, where the (n - 1)-th blow-up would be 1560 x 1560
+    # n x n, where the (n - 1)-th blow-up would be 1560 x 1560; nc_rank
+    # takes Koenig here, so the blow-up witness is called directly
     n = 40
     r = random.Random(3)
     edges = {(i, i) for i in range(n)} | {(r.randrange(n), r.randrange(n)) for _ in range(n)}
@@ -181,7 +182,7 @@ def test_nc_rank_of_a_perfect_matching_certifies_at_order_one(monkeypatch):
     shapes = []
     rank = mvsp.linalg.rank
     monkeypatch.setattr(mvsp.linalg, "rank", lambda M, p: shapes.append(M.shape) or rank(M, p))
-    assert nc_rank(A, random.Random(0)) == n
+    assert blowup_witness(A, random.Random(0))[0].value() == n
     assert shapes and set(shapes) == {(n, n)}
 
 
@@ -460,7 +461,7 @@ def test_matroid_dependent_a_side():
     w = mvsp_matroid_intersection(va, vb, F)
     A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(2)])
     assert w.verify(A)
-    assert w.value() == nc_rank(A, random.Random(2)) == 1
+    assert w.value() == blowup_witness(A, random.Random(2))[0].value() == 1
 
 
 def test_matroid_matches_nc_rank_random():
@@ -474,7 +475,7 @@ def test_matroid_matches_nc_rank_random():
         A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(m)])
         w = mvsp_matroid_intersection(va, vb, F)
         assert w.verify(A)
-        assert w.value() == nc_rank(A, rng)
+        assert w.value() == blowup_witness(A, rng)[0].value()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Property tests on small random instances: the monomial engines and
 optimize_Q against brute force, the engines against each other and
 against the Monte-Carlo blow-up oracle, the blow-up and matroid
-witnesses against subspace enumeration, the builders' rank factors
-against their dense terms, and the stacked matmul and the factored
-products against the per-term loop."""
+witnesses against subspace enumeration, matroid intersection against
+brute force, the builders' rank factors against their dense terms, and
+the stacked matmul and the factored products against the per-term
+loop."""
 
 import json
 
@@ -34,7 +35,13 @@ from ncdeg.degdet import (
 )
 from ncdeg.errors import DimensionMismatch
 from ncdeg.instances import parse_text
-from ncdeg.mvsp import blowup_witness, mvsp_exhaustive, mvsp_matroid_intersection, nc_rank
+from ncdeg.mvsp import (
+    blowup_witness,
+    matroid_intersection,
+    mvsp_exhaustive,
+    mvsp_matroid_intersection,
+    nc_rank,
+)
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -184,6 +191,37 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     if C.shape[2] == 1:
         w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
         assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Up to seven pairs (a_k, b_k) over GF(2) or GF(3), each entry zero
+    or not by its own draw, so sparse and zero vectors come up."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 7))
+    vec = st.lists(st.just(0) | st.integers(1, p - 1), min_size=n, max_size=n)
+    va, vb = (np.array(draw(st.lists(vec, min_size=m, max_size=m)), dtype=np.int64).reshape(m, n) for _ in "ab")
+    return va, vb, p
+
+
+@PROPERTY
+@given(vector_pairs())
+def test_matroid_intersection_matches_brute_force(pair):
+    # J is common independent, |J| is the least r1(I) + r2([m] - I), and
+    # I is the intersection of all minimizers
+    va, vb, p = pair
+    m = va.shape[0]
+    J, I = matroid_intersection(va, vb, p)
+    assert linalg.rank(va[sorted(J)], p) == linalg.rank(vb[sorted(J)], p) == len(J)
+    cost = {}
+    for mask in range(1 << m):
+        S = [k for k in range(m) if mask >> k & 1]
+        rest = [k for k in range(m) if not mask >> k & 1]
+        cost[frozenset(S)] = linalg.rank(va[S], p) + linalg.rank(vb[rest], p)
+    best = min(cost.values())
+    assert len(J) == best
+    assert I == set.intersection(*(set(S) for S, v in cost.items() if v == best))
 
 
 @st.composite
