@@ -434,12 +434,7 @@ def _cmd_verify(args):
             best = dec_num(_get(values, "best", "values"), "values.best")
             top = max((v for v in expected.values() if v != NEG_INF), default=NEG_INF)
             checks.append(("best", scale * best == top))
-    elif cmd == "bl-member":
-        _require_kind(inst, ("bl",), "bl-member")
-        ok, cert = bl_membership_rank2(inst.obj)
-        same = _get(values, "member", "values") == ok
-        checks = [("verdict", same)]
-    elif cmd in ("ncrank", "oracle"):
+    elif cmd in ("ncrank", "bl-member", "oracle"):
         sub = argparse.Namespace(command=cmd, instance=args.instance, prime=prime, seed=seed, trials=trials)
         redo = _DISPATCH[cmd](sub)
         checks = [("recomputation", redo["values"] == values)]

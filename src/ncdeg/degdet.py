@@ -50,8 +50,8 @@ from .mvsp import (
     block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
-    bruhat,
     nested_witness,
+    pivot_form,
     witness,
 )
 from .ratfunc import NEG_INF, POS_INF, RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
@@ -359,13 +359,13 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
             emit_neg(ell + 1)
             break
 
-        # kappa1 bounds the zero block of (pi U_S) G (pi U_T)^t, so only
-        # the first r rows of pi U_S and s rows of pi U_T enter; G meets
-        # the s columns first, as the dominant witness maximizes r
-        bs = bruhat(w.S, F)
-        bt = bruhat(w.T.T, F)
-        S_rat = RationalMatrix.from_scalars(F, bs.U[list(bs.pi[:w.r])])
-        T_rat = RationalMatrix.from_scalars(F, bt.U[list(bt.pi[:w.s])].T)
+        # kappa1 bounds the zero block of S G T, so only the first r rows
+        # of S and s columns of T enter; G meets the s columns first, as
+        # the dominant witness maximizes r
+        pi_s, U_s = pivot_form(w.S)
+        pi_t, U_t = pivot_form(w.T.T)
+        S_rat = RationalMatrix.from_scalars(F, w.S[:w.r])
+        T_rat = RationalMatrix.from_scalars(F, w.T[:, :w.s])
         kappa1 = POS_INF
         for Gk in G:
             H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta).matmul(T_rat))
@@ -379,10 +379,10 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
         if kappa1 < 1:
             raise AlgorithmStall("witness zero block must clear the tight entries")
 
-        X = {bs.pi[i] for i in range(w.r)}
-        Y = {bt.pi[j] for j in range(w.s)}
-        alpha, P = renormalize(kappa1, X, alpha, bs.U, P, side="left")
-        beta, Q = renormalize(kappa1, Y, beta, bt.U.T, Q, side="right")
+        X = set(pi_s[:w.r].tolist())
+        Y = set(pi_t[:w.s].tolist())
+        alpha, P = renormalize(kappa1, X, alpha, U_s, P, side="left")
+        beta, Q = renormalize(kappa1, Y, beta, U_t.T, Q, side="right")
         profile.meta["iterations"] += 1
         if profile.meta["iterations"] > budget:
             raise AlgorithmStall(

@@ -17,12 +17,13 @@ enumeration over small fields, the referee for tests and the LP oracles.
 `witness` is the one route the engines and nc_rank take: Koenig, then
 matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
-Bruhat decomposition and witness block-diagonalization feed the degree
-algorithms.
+Every route builds S and T^t in pivot form (each row zero on the pivots
+of the rows above it), so the degree algorithms read each row's pivot
+off directly when they block-diagonalize a witness.
 """
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +42,13 @@ from .scalar import GF
 from .symbolic import MAX_SIDE, SymbolicMatrix, as_rng, default_trials
 
 SUBSPACE_CAP = 5000
+
+
+def _pivots(M: np.ndarray) -> np.ndarray:
+    """Column of each row's first nonzero (0 for a zero row)."""
+    if M.shape[1] == 0:
+        return np.zeros(M.shape[0], dtype=np.intp)
+    return (M != 0).argmax(axis=1)
 
 
 class Subspace:
@@ -110,15 +118,9 @@ class Subspace:
     def completion(self) -> np.ndarray:
         """Rows extending the basis to a basis of K^n (unit vectors on the
         non-pivot coordinates)."""
-        piv = []
-        for row in self.basis:
-            nz = np.nonzero(row)[0]
-            piv.append(int(nz[0]))
-        rest = [j for j in range(self.n) if j not in set(piv)]
-        out = np.zeros((len(rest), self.n), dtype=np.int64)
-        for k, j in enumerate(rest):
-            out[k, j] = 1
-        return out
+        rest = np.ones(self.n, dtype=bool)
+        rest[_pivots(self.basis)] = False
+        return linalg.identity(self.n)[rest]
 
 
 class FRWitness:
@@ -319,7 +321,7 @@ def enumerate_subspaces(F: GF, n: int):
         raise AlgorithmStall(f"enumerated {len(out)} subspaces, expected {total}")
     residues = np.tile(linalg.identity(n), (total, 1, 1))
     for t, X in enumerate(out):
-        residues[t, (X != 0).argmax(axis=1)] -= X
+        residues[t, _pivots(X)] -= X
     _SUBSPACE_CACHE[key] = out
     _RESIDUE_CACHE[key] = residues % q
     return out
@@ -396,28 +398,14 @@ def mvsp_symmetric_exhaustive(A: SymbolicMatrix):
 
 def nested_witness(F: GF, U: Subspace, V: Subspace) -> FRWitness:
     """T = S^t witness for the dominant optimum (U, V) of a skew matrix,
-    which nests V in U: S lists a basis of V first, extended to U, then
-    completed."""
+    which nests V in U.  S is in pivot form: V's canonical basis, then the
+    rows of U's canonical basis whose pivots V lacks (V inside U puts V's
+    pivots among U's, so these rows extend V to U), then U's completion."""
     if not U.contains_subspace(V):
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
-    head = np.concatenate([V.basis, _extend_basis(V.basis, U.basis, F.p)])
-    S = np.concatenate([head, _extend_basis(head, linalg.identity(U.n), F.p)])
+    extra = U.basis[~np.isin(_pivots(U.basis), _pivots(V.basis))]
+    S = np.concatenate([V.basis, extra, U.completion()])
     return FRWitness(F, S, S.T, U.dim, V.dim)
-
-
-def _extend_basis(inner: np.ndarray, outer: np.ndarray, p: int) -> np.ndarray:
-    """Rows of outer that extend span(inner) to span(outer)."""
-    cur = inner
-    picked = []
-    for row in outer:
-        if linalg.rank(np.concatenate([cur, row[None, :]]), p) > cur.shape[0]:
-            picked.append(row)
-            cur = np.concatenate([cur, row[None, :]])
-    return (
-        np.stack(picked)
-        if picked
-        else np.zeros((0, inner.shape[1]), dtype=np.int64)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -602,62 +590,40 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
 
 
 # ---------------------------------------------------------------------------
-# Bruhat decomposition
-
-
-class BruhatTriple(NamedTuple):
-    L: np.ndarray  # lower-triangular, nonsingular
-    pi: tuple  # pi[i] = column of the sole nonzero in row i
-    U: np.ndarray  # upper-unitriangular
-
-    def reconstruct(self, p: int) -> np.ndarray:
-        return linalg.matmul(self.L, self.U[list(self.pi)], p)
-
-
-def bruhat(S: np.ndarray, F: GF) -> BruhatTriple:
-    """S = L pi U by the forward sweep: for each row in order, the pivot is
-    its leftmost surviving nonzero, and later rows are cleared below it.
-
-    Clearing the pivot's row to its right would touch no other row, so
-    the sweep reads the factors off directly: L's column i is the pivot
-    column from row i down, and U's row pi[i] is row i scaled to a unit
-    pivot.  A row with no surviving nonzero means S is singular.
-    """
-    p = F.p
-    cur = np.asarray(S, dtype=np.int64) % p
-    n = cur.shape[0]
-    if cur.shape != (n, n):
-        raise Singular(f"Bruhat decomposition needs a square matrix, got {cur.shape}")
-    L = np.zeros((n, n), dtype=np.int64)
-    U = np.zeros((n, n), dtype=np.int64)
-    pi = []
-    inv = linalg.inv_table(p)
-    for i in range(n):
-        nz = np.nonzero(cur[i])[0]
-        if nz.size == 0:
-            raise Singular("Bruhat decomposition needs a nonsingular matrix")
-        j = int(nz[0])
-        pi.append(j)
-        pv_inv = int(inv[cur[i, j]])
-        L[i:, i] = cur[i:, j]
-        U[j] = (cur[i] * pv_inv) % p
-        f = (cur[i + 1:, j] * pv_inv) % p
-        cur[i + 1:] = (cur[i + 1:] - f[:, None] * cur[i]) % p
-    return BruhatTriple(L, tuple(pi), U)
-
-
-# ---------------------------------------------------------------------------
 # witness block-diagonalization
 
 
-def _blockdiag_core(S: np.ndarray, F: GF, values, sizes):
-    """S = L pi U shaped block-diagonal for the equal-value runs of the
-    non-increasing vector values.
+def pivot_form(S: np.ndarray):
+    """(pi, U) for an S in pivot form: square, with every row zero on the
+    pivots (first nonzeros) of all rows above it.
 
-    Dropping L's off-diagonal part keeps the pivot pattern, and masking
-    D U (D the diagonal of L) to the runs' diagonal blocks keeps the
-    zero block because the certified pattern ties tight entries to
-    single block pairs.  Within each run, rows come in tiers: first the
+    pi[i] is row i's pivot and U[pi[i]] = S[i], so U is upper-triangular
+    with a nonzero diagonal and S = pi U is S's Bruhat decomposition with
+    L = 1: the forward sweep would eliminate nothing.  Raises Singular
+    when S is not square, has a zero row, or is nonzero on the pivot of a
+    row above, as a row repeating an earlier pivot is.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    n = S.shape[0]
+    if S.shape != (n, n):
+        raise Singular(f"pivot form needs a square matrix, got {S.shape}")
+    pi = _pivots(S)
+    if not S[np.arange(n), pi].all():
+        raise Singular("pivot form needs a nonzero row")
+    if np.tril(S[:, pi], -1).any():
+        raise Singular("pivot form needs each row zero on the pivots above it")
+    U = np.zeros_like(S)
+    U[pi] = S
+    return pi, U
+
+
+def _blockdiag_core(S: np.ndarray, values, sizes):
+    """S = pi U, in pivot form, shaped block-diagonal for the equal-value
+    runs of the non-increasing vector values.
+
+    Masking U to the runs' diagonal blocks keeps the pivot pattern, and
+    keeps the zero block because the certified pattern ties tight entries
+    to single block pairs.  Within each run, rows come in tiers: first the
     pivots of S's first sizes[0] rows, then those of its first sizes[1]
     rows, and so on, then the rest.  Returns the reordered core and, for
     each tier, the sorted positions of its pivots in that order.
@@ -668,15 +634,14 @@ def _blockdiag_core(S: np.ndarray, F: GF, values, sizes):
     if any(values[i] < values[i + 1] for i in range(n - 1)):
         raise NotSorted(f"expected non-increasing values, got {list(values)}")
     run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(n - 1)])
-    bs = bruhat(S, F)
-    DU = (np.diag(bs.L)[:, None] * bs.U) % F.p
-    core = np.where(run[:, None] == run[None, :], DU, 0)
+    pi, U = pivot_form(S)
+    core = np.where(run[:, None] == run[None, :], U, 0)
     tier = np.full(n, len(sizes))
     for t in reversed(range(len(sizes))):
-        tier[list(bs.pi[: sizes[t]])] = t
+        tier[pi[: sizes[t]]] = t
     order = np.lexsort((tier, run))  # stable, so ties keep index order
     pos = np.argsort(order)
-    return core[order], [sorted(pos[list(bs.pi[:k])].tolist()) for k in sizes]
+    return core[order], [sorted(pos[pi[:k]].tolist()) for k in sizes]
 
 
 def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:
@@ -690,8 +655,8 @@ def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) 
     """
     if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
         raise PartitionMismatch("expected an upper-left zero block witness")
-    S, (X,) = _blockdiag_core(w.S, w.F, alpha, [w.r])
-    Tt, (Y,) = _blockdiag_core(w.T.T, w.F, beta, [w.s])
+    S, (X,) = _blockdiag_core(w.S, alpha, [w.r])
+    Tt, (Y,) = _blockdiag_core(w.T.T, beta, [w.s])
     out = FRWitness(w.F, S, Tt.T, w.r, w.s, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
@@ -702,7 +667,7 @@ def block_diagonalize_symmetric(w: FRWitness, alpha, terms: SymbolicMatrix) -> F
     """Block-diagonal form of a witness with T = S^t that keeps T = S^t:
     one shared ordering puts column-set pivots first, then the remaining
     row-set pivots, in each run of alpha."""
-    S, (Y, X) = _blockdiag_core(w.S, w.F, alpha, [w.s, w.r])
+    S, (Y, X) = _blockdiag_core(w.S, alpha, [w.s, w.r])
     out = FRWitness(w.F, S, S.T, w.r, w.s, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("symmetric block-diagonalization lost the zero block")

@@ -273,6 +273,25 @@ def test_bl_member_exit_codes(tmp_path, capsys):
     assert report["values"]["certificate"]["kind"] in ("dimension", "subspace")
 
 
+def test_verify_bl_member_recomputes_the_certificate(tmp_path, capsys):
+    path = write(tmp_path, "bl_bad.json", bl_doc(["1/2", "1/2", "3/4"]))
+    code, out = run(capsys, "bl-member", path, "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["values"]["certificate"]["kind"] == "dimension"
+    code, captured = verify_edited(tmp_path, capsys, report, path, lambda r: None)
+    assert code == 0
+    assert captured.out.splitlines() == ["  recomputation: ok", "verified"]
+
+    def forge(report):
+        # same verdict, a certificate that proves nothing
+        report["values"]["certificate"] = {"kind": "subspace", "basis": [[9, 9, 9]], "lhs": "100", "rhs": -7}
+
+    code, captured = verify_edited(tmp_path, capsys, report, path, forge)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "NOT verified"
+
+
 def test_oracle_matches_brute_force(tmp_path, capsys):
     doc = {
         "field": {"p": 65521},

@@ -17,13 +17,11 @@ from ncdeg.errors import (
     SizeBudgetExceeded,
 )
 from ncdeg.mvsp import (
-    BruhatTriple,
     FRWitness,
     Subspace,
     block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
-    bruhat,
     count_subspaces,
     enumerate_subspaces,
     matroid_intersection,
@@ -33,7 +31,9 @@ from ncdeg.mvsp import (
     mvsp_matroid_intersection,
     mvsp_symmetric_exhaustive,
     nc_rank,
+    pivot_form,
     _max_vanishing_V,
+    _witness_from_subspaces,
 )
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, default_trials
@@ -522,74 +522,27 @@ def test_symmetric_random_skew_nests_subspaces():
 
 
 # ---------------------------------------------------------------------------
-# Bruhat
+# pivot form
 
 
-def test_bruhat_identity_and_antidiagonal():
-    F = GF(5)
-    eye = linalg.identity(3)
-    b = bruhat(eye, F)
-    assert b.pi == (0, 1, 2)
-    assert np.array_equal(b.reconstruct(5), eye)
-    J = eye[::-1].copy()
-    b = bruhat(J, F)
-    assert b.pi == (2, 1, 0)
-    assert np.array_equal(b.reconstruct(5), J)
+def test_pivot_form_reads_pivots():
+    S = np.array([[0, 1, 2], [1, 0, 0], [0, 0, 3]], dtype=np.int64)
+    pi, U = pivot_form(S)
+    assert pi.tolist() == [1, 0, 2]
+    assert np.array_equal(U, [[1, 0, 0], [0, 1, 2], [0, 0, 3]])
+    assert np.array_equal(U[pi], S)
 
 
-def test_bruhat_textbook_two_by_two():
-    F = GF(2)
-    S = np.array([[0, 1], [1, 1]], dtype=np.int64)
-    b = bruhat(S, F)
-    assert b.pi == (1, 0)
-    assert np.array_equal(b.reconstruct(2), S)
-
-
-def test_bruhat_reconstructs_random():
-    rng = random.Random(61)
-    for p in [2, 5, 65521]:
-        F = GF(p)
-        for _ in range(10):
-            n = rng.randint(1, 7)
-            while True:
-                S = linalg.rand_mat(rng, n, n, p)
-                if linalg.rank(S, p) == n:
-                    break
-            b = bruhat(S, F)
-            assert np.array_equal(b.reconstruct(p), S)
-            # L lower with a nonzero diagonal, U upper-unitriangular
-            assert not np.triu(b.L, 1).any()
-            assert np.diag(b.L).all()
-            assert not np.tril(b.U, -1).any()
-            assert all(int(x) == 1 for x in np.diag(b.U))
-
-
-def test_bruhat_permutation_invariant_under_triangular_factors():
-    rng = random.Random(67)
-    p = 5
-    F = GF(p)
-    for _ in range(10):
-        n = 4
-        while True:
-            S = linalg.rand_mat(rng, n, n, p)
-            if linalg.rank(S, p) == n:
-                break
-        L2 = np.tril(linalg.rand_mat(rng, n, n, p))
-        np.fill_diagonal(L2, [rng.randrange(1, p) for _ in range(n)])
-        U2 = np.triu(linalg.rand_mat(rng, n, n, p))
-        np.fill_diagonal(U2, [rng.randrange(1, p) for _ in range(n)])
-        S2 = linalg.matmul(linalg.matmul(L2, S, p), U2, p)
-        assert bruhat(S2, F).pi == bruhat(S, F).pi
-
-
-def test_bruhat_rejects_singular():
-    with pytest.raises(Singular):
-        bruhat(np.zeros((2, 2), dtype=np.int64), GF(3))
-    # the first row has a pivot; the second vanishes only once cleared
-    with pytest.raises(Singular):
-        bruhat(np.array([[1, 2], [2, 4]], dtype=np.int64), GF(5))
-    with pytest.raises(Singular):
-        bruhat(np.ones((2, 3), dtype=np.int64), GF(5))
+def test_pivot_form_rejects():
+    for S in (
+        np.zeros((2, 2), dtype=np.int64),  # a zero row
+        np.array([[1, 0], [0, 0]], dtype=np.int64),  # a zero row below
+        np.array([[1, 1], [1, 0]], dtype=np.int64),  # a repeated pivot
+        np.array([[0, 1], [1, 1]], dtype=np.int64),  # nonzero on the pivot above
+        np.ones((2, 3), dtype=np.int64),  # not square
+    ):
+        with pytest.raises(Singular):
+            pivot_form(S)
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +598,10 @@ def test_blockdiag_structure_is_block_diagonal():
     rng = random.Random(73)
     F = GF(3)
     n = 4
-    while True:
-        S = linalg.rand_mat(rng, n, n, 3)
-        if linalg.rank(S, 3) == n:
-            break
-    while True:
-        T = linalg.rand_mat(rng, n, n, 3)
-        if linalg.rank(T, 3) == n:
-            break
-    w = FRWitness(F, S, T, 0, 0)
-    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], SymbolicMatrix(F, [S]))
+    U, V = (Subspace(F, linalg.rand_mat(rng, rng.randint(1, n), n, 3)) for _ in range(2))
+    w = _witness_from_subspaces(F, U, V)
+    w = FRWitness(F, w.S, w.T, 0, 0)
+    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], SymbolicMatrix(F, [w.S]))
     assert out.S[np.ix_([0, 1], [2, 3])].sum() == 0
     assert out.S[np.ix_([2, 3], [0, 1])].sum() == 0
     assert out.T[np.ix_([0, 1], [2, 3])].sum() == 0

@@ -1,7 +1,8 @@
 """Property tests on small random instances: the monomial engines and
 optimize_Q against brute force, the engines against each other and
 against the Monte-Carlo blow-up oracle, the blow-up and matroid
-witnesses against subspace enumeration, matroid intersection against
+witnesses against subspace enumeration, every route's witness in pivot
+form and through block-diagonal shaping, matroid intersection against
 brute force, the builders' rank factors against their dense terms, and
 the stacked matmul and the factored products against the per-term
 loop."""
@@ -36,11 +37,18 @@ from ncdeg.degdet import (
 from ncdeg.errors import DimensionMismatch
 from ncdeg.instances import parse_text
 from ncdeg.mvsp import (
+    SUBSPACE_CAP,
+    block_diagonalize_symmetric,
+    block_diagonalize_witness,
     blowup_witness,
+    count_subspaces,
     matroid_intersection,
     mvsp_exhaustive,
     mvsp_matroid_intersection,
     nc_rank,
+    nested_witness,
+    pivot_form,
+    witness,
 )
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
@@ -191,6 +199,59 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     if C.shape[2] == 1:
         w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
         assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+
+
+@st.composite
+def leading_matrices(draw):
+    """A stack shaped like an engine's leading matrix: term k lives on the
+    cells where alpha_i + beta_j = t_k, for non-increasing alpha and beta.
+    Terms are general, single entries, rank one (u on one run of alpha, v
+    on one run of beta) or, with beta = alpha, skew."""
+    p = draw(st.sampled_from([2, 3, 65521]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["general", "entry", "rank-one", "skew"]))
+    exps = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    alpha = np.array(sorted(draw(exps), reverse=True))
+    beta = alpha if kind == "skew" else np.array(sorted(draw(exps), reverse=True))
+    cell = st.integers(0, p - 1)
+    terms = []
+    for _ in range(m):
+        if kind == "entry":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            term = np.zeros((n, n), dtype=np.int64)
+            term[i, j] = 1
+        elif kind == "rank-one":
+            a0, b0 = draw(st.sampled_from(alpha.tolist())), draw(st.sampled_from(beta.tolist()))
+            u, v = (np.array(draw(st.lists(cell, min_size=n, max_size=n))) for _ in "uv")
+            term = np.outer(np.where(alpha == a0, u, 0), np.where(beta == b0, v, 0))
+        else:
+            M = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+            tight = np.add.outer(alpha, beta) == draw(st.integers(-4, 4))
+            term = np.where(tight, M - (M.T if kind == "skew" else 0), 0)
+        terms.append(term % p)
+    return SymbolicMatrix(GF(p), terms), alpha.tolist(), beta.tolist(), kind == "skew"
+
+
+@PROPERTY
+@given(leading_matrices())
+def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
+    # every route builds S and T^t in pivot form, and shaping each witness
+    # for the runs of alpha and beta keeps its zero block
+    A, alpha, beta, skew = case
+    F, n = A.F, A.n_rows
+    w_blowup, U, V = blowup_witness(A, random.Random(0))
+    witnesses = [witness(A, random.Random(1)), w_blowup]
+    if count_subspaces(F.p, n) <= SUBSPACE_CAP:
+        witnesses.append(mvsp_exhaustive(A)[0])
+    nested = [nested_witness(F, U, V)] if skew else []
+    for w in witnesses + nested:
+        for M in (w.S, w.T.T):
+            pi, Up = pivot_form(M)
+            assert np.array_equal(Up[pi], M)
+        assert block_diagonalize_witness(w, alpha, beta, A).verify(A)
+    for w in nested:
+        assert block_diagonalize_symmetric(w, alpha, A).verify(A)
 
 
 @st.composite
