@@ -10,8 +10,8 @@ K(t):
   the leading coefficient matrix drive dual updates; renormalization
   restores sortedness and biproperness after each long step.
 * hungarian_deg_det: monomial engine for weighted matrices A[c].  P, Q
-  stay over the base field, alpha and beta move by integral steps
-  bounded by feasibility (kappa1) and sortedness (kappa2), with
+  stay over the base field, alpha and beta move by the longest feasible
+  integral step (kappa1) and are re-sorted by permutations, with
   block-diagonal dominant witnesses keeping the bookkeeping tight.
 * symmetric_hungarian: one-sided half-integral variant for
   skew-symmetric inputs; alpha is scaled by two internally so the
@@ -30,7 +30,6 @@ feasible dual upper-bounds every Delta_ell (weak duality).
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,15 +66,6 @@ _EXACT = 1 << 61  # below this, sums of three weights stay exact in int64
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-class StepSizes(NamedTuple):
-    kappa1: object  # positive int or +inf
-    kappa2: object
-
-    @property
-    def kappa(self):
-        return min(self.kappa1, self.kappa2)
 
 
 class DualSolution:
@@ -178,18 +168,6 @@ class DegreeProfile:
 # step sizes and renormalization
 
 
-def _kappa2_direction(values, increment):
-    """Largest integer kappa keeping values + kappa*increment
-    non-increasing; +inf when nothing binds."""
-    best = POS_INF
-    for i in range(len(values) - 1):
-        d = increment[i + 1] - increment[i]
-        if d > 0:
-            gap = values[i] - values[i + 1]
-            best = min(best, gap // d)
-    return best
-
-
 def _two_sided_direction(X, Y, n):
     """(1_X, -1_{not Y}): raise alpha on X, drop beta off Y."""
     Xs, Ys = set(X), set(Y)
@@ -211,17 +189,15 @@ def _slacks(support, alpha, beta, c):
     return _exact(alpha)[i] + _exact(beta)[j] + _exact(c)[k]
 
 
-def _step_bounds(support, alpha, beta, c, inc_a, inc_b) -> StepSizes:
-    """Bounds on kappa for alpha + kappa*inc_a, beta + kappa*inc_b, where
-    support holds the nonzero entries (k, i, j) of the stack P A_k Q:
-    kappa1 keeps every one feasible, kappa2 keeps alpha and beta sorted."""
+def _step_bound(support, alpha, beta, c, inc_a, inc_b):
+    """kappa1, the largest kappa keeping every nonzero entry (k, i, j) of
+    the stack P A_k Q feasible under alpha + kappa*inc_a and
+    beta + kappa*inc_b; +inf when no entry's slack shrinks."""
     _, i, j = support
     inc = np.asarray(inc_a, dtype=np.int64)[i] + np.asarray(inc_b, dtype=np.int64)[j]
     up = inc > 0
     slack = _slacks([x[up] for x in support], alpha, beta, c)
-    k1 = int((-slack // inc[up]).min()) if up.any() else POS_INF
-    k2 = min(_kappa2_direction(alpha, inc_a), _kappa2_direction(beta, inc_b))
-    return StepSizes(k1, k2)
+    return int((-slack // inc[up]).min()) if up.any() else POS_INF
 
 
 def _sorting_sigma(raw):
@@ -417,6 +393,16 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     supp u and v on the columns where beta is largest over supp v (or
     zero), so the leading matrix comes out factored.  Higher ranks mask
     the dense terms.
+
+    A step runs until the next entry becomes tight (kappa1), as in Kuhn's
+    Hungarian method; sorting permutations then reorder alpha with the rows
+    of P and P C_k, and beta with the columns of Q and R_k Q (alpha = beta
+    on the symmetric engine, so one serves both sides and Q = P^t holds).
+    Feasibility, alpha_i + beta_j + c_k <= 0 on the support of P A_k Q,
+    survives any simultaneous permutation, which only restores the runs
+    _blockdiag_core needs.  The leading rank cannot drop: with X x Y the
+    witness's zero block, X x notY and notX x Y carry nc-rank (n-s) +
+    (n-r) = ell, and the step keeps alpha_i + beta_j on both, in any order.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -488,17 +474,18 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
         Q = linalg.matmul(Q, bd.T, p)
         B = B.sandwich(bd.S, bd.T)
         support = B.support()
-        ks = _step_bounds(support, alpha, beta, c, inc_a, inc_b)
-        if ks.kappa1 == POS_INF:
+        kappa = _step_bound(support, alpha, beta, c, inc_a, inc_b)
+        if kappa == POS_INF:
             emit_neg(ell + 1)
             break
-        kappa = ks.kappa
         if kappa < 1:
-            raise AlgorithmStall(
-                f"step collapsed to {kappa}; positioning invariant broken"
-            )
+            raise AlgorithmStall(f"step collapsed to {kappa}; positioning invariant broken")
         alpha = [a + kappa * d for a, d in zip(alpha, inc_a)]
         beta = [b + kappa * d for b, d in zip(beta, inc_b)]
+        sa, sb = _sorting_sigma(alpha), _sorting_sigma(beta)
+        alpha, beta = [alpha[i] for i in sa], [beta[j] for j in sb]
+        P, Q, B = P[sa], Q[:, sb], B.submatrix(sa, sb)
+        support = support[0], np.argsort(sa)[support[1]], np.argsort(sb)[support[2]]
         profile.meta["iterations"] += 1
         if profile.meta["iterations"] > hard_cap:
             raise AlgorithmStall(f"no convergence within {hard_cap} iterations")
@@ -513,10 +500,10 @@ def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
     """All Delta_ell of A[c] with field-valued P, Q.
 
     The dual never leaves the monomial world: alpha and beta move by
-    integer steps kappa = min(kappa1, kappa2), and the witness for the
-    tight leading matrix is made block-diagonal for the equal-value
-    runs of alpha and beta so composing it into P, Q preserves
-    feasibility entry by entry.
+    integer steps kappa1, the longest that keeps every entry feasible,
+    and are re-sorted after each; the witness for the tight leading
+    matrix is made block-diagonal for the equal-value runs of alpha and
+    beta so composing it into P, Q preserves feasibility entry by entry.
     """
     sq = Ac.pad_square()
     n = sq.base.n_rows
@@ -538,9 +525,10 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
     is integer, and emitted values and duals shed the factor again.
 
     The dominant optimum of a skew leading matrix, found by the blow-up
-    witness, nests V inside U, so a single transform serves both
-    sides (T = S^t, which keeps Q = P^t) and the step direction is +1 on
-    the V part, 0 on the rest of the U part, -1 outside.
+    witness, nests V inside U, so a single transform serves both sides
+    (T = S^t, and one sorting permutation after each step, keeping
+    Q = P^t) and the step direction is +1 on the V part, 0 on the rest
+    of the U part, -1 outside.
     """
     _check_skew(A)
     if len(c) != A.n_terms:

@@ -188,7 +188,11 @@ class SymbolicMatrix:
         return SymbolicMatrix(self.F, np.transpose(self.terms, (0, 2, 1)))
 
     def submatrix(self, rows, cols):
-        return SymbolicMatrix(self.F, self.terms[np.ix_(range(self.n_terms), rows, cols)])
+        """Terms A_k[rows][:, cols], in whichever of the dense and factored
+        forms are stored; index lists that are permutations reorder."""
+        T = None if self._terms is None else self._terms[:, rows][:, :, cols]
+        CR = None if self._factors is None else (self._factors[0][:, rows], self._factors[1][:, :, cols])
+        return SymbolicMatrix(self.F, T, CR)
 
     def pad_square(self):
         """Zero-pad to n x n, n = max(n_rows, n_cols)."""
@@ -329,13 +333,20 @@ class RationalSymbolicMatrix:
     @classmethod
     def from_weighted(cls, Ac: WeightedSymbolicMatrix):
         """The terms as RatFn matrices.  A RatFn entry takes some 220 bytes
-        where check_budget charges 8, so m n^2 is held to MAX_STACK >> 5,
-        checked before the dense terms are read."""
+        where check_budget charges 8, so m n^2 is held to MAX_STACK >> 5;
+        t^{c_k} stores |c_k| + 1 dense coefficients per entry, so
+        n^2 sum_k (|c_k| + 1) is held to MAX_STACK, as in coeff_array.
+        Both are checked before the dense terms are read."""
         sq = Ac.pad_square()
         m, n = sq.n_terms, sq.n_rows
         if m * n * n > MAX_STACK >> 5:
             raise SizeBudgetExceeded(
                 f"{m} terms of side {n} make {m * n * n} rational entries, beyond the budget {MAX_STACK >> 5}"
+            )
+        coeffs = n * n * sum(abs(ck) + 1 for ck in sq.c)
+        if coeffs > MAX_STACK:
+            raise SizeBudgetExceeded(
+                f"weights {min(sq.c)}..{max(sq.c)} make {coeffs} dense coefficients, beyond the budget {MAX_STACK}"
             )
         mats = []
         for k in range(sq.n_terms):

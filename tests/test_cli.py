@@ -783,6 +783,25 @@ def test_wide_weight_range_refuses_before_allocating(tmp_path, capsys):
     assert err.startswith("ncdeg: error: weights 0..1000000000000") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["subdet", "degdet", "verify"])
+def test_wide_weights_refuse_rational_terms_before_allocating(tmp_path, capsys, command):
+    # t^(10^20) as a dense RatFn would hold 10^20 + 1 coefficients
+    doc = k3_bipartite_doc()
+    doc["payload"] = {"size": 2, "edges": [[1, 1], [2, 2]], "weights": [10**20, 10**20]}
+    path = write(tmp_path, "wide.json", doc)
+    argv = [command, path]
+    if command == "verify":
+        report = {"command": "subdet", "field": {"p": 65521}, "values": {"0": 0}, "duals": {}}
+        argv = ["verify", write(tmp_path, "report.json", report), path]
+    tracemalloc.start()
+    code = cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1 and peak < 1 << 24
+    assert err.startswith("ncdeg: error: weights 100000000000000000000..") and "Traceback" not in err
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

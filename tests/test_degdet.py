@@ -11,7 +11,6 @@ from ncdeg.degdet import (
     DegreeProfile,
     DualSolution,
     NEG_INF,
-    StepSizes,
     deg_det,
     deg_subdet,
     dual_forms_convert,
@@ -408,18 +407,21 @@ def test_step_sizes_prefix_sets_unbounded_kappa2():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0)])
     inc_a, inc_b = degdet._two_sided_direction([0], [0], 2)
-    ks = degdet._step_bounds(Ac.base.support(), [0, 0], [-5, -5], Ac.c, inc_a, inc_b)
-    assert ks.kappa2 == float("inf")
-    assert ks.kappa1 == 5
-    assert ks.kappa == 5
+    assert degdet._step_bound(Ac.base.support(), [0, 0], [-5, -5], Ac.c, inc_a, inc_b) == 5
 
 
-def test_step_sizes_adjacent_gap_binds():
-    F = GF(5)
-    Ac = edmonds_w(F, 2, 2, [(1, 0, 0)])
-    inc_a, inc_b = degdet._two_sided_direction([1], [0, 1], 2)
-    ks = degdet._step_bounds(Ac.base.support(), [2, 0], [0, -1], Ac.c, inc_a, inc_b)
-    assert ks.kappa2 == 2
+def test_long_step_crosses_runs_and_resorts():
+    # the second step drops beta from [-7, -7, -14] to [-7, -16, -14],
+    # past beta_2; a step that stopped where beta would become unsorted
+    # takes three rounds here
+    inst = BipartiteInstance(3, [(0, 0), (0, 1), (1, 0), (1, 2)], [7, 0, -2, 0])
+    Ac = build_edmonds(inst, GF(5))
+    prof = hungarian_deg_det(Ac, rng=random.Random(0))
+    assert [prof.values[l] for l in range(4)] == [0, 7, 7, NEG_INF]
+    assert prof.meta["iterations"] == 2
+    for l, sol in prof.duals.items():
+        assert sol.is_sorted()
+        assert verify_dual(sol, Ac, l, prof.values[l])
 
 
 def test_renormalize_spec_example():

@@ -63,17 +63,21 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 
 
 def check_profile(prof, Ac, want):
+    """A Hungarian profile: the wanted values, within the iteration bound,
+    and every dual sorted and certifying its level."""
     assert [prof.values[l] for l in range(prof.n + 1)] == want
+    assert prof.meta["iteration_bound_ok"]
     for l, sol in prof.duals.items():
+        assert sol.is_sorted()
         assert verify_dual(sol, Ac, l, prof.values[l])
 
 
 @st.composite
-def bipartite_instances(draw):
-    n = draw(st.integers(1, 5))
+def bipartite_instances(draw, max_n=5, max_w=10):
+    n = draw(st.integers(1, max_n))
     cells = [(i, j) for i in range(n) for j in range(n)]
     edges = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
-    weights = draw(st.lists(st.integers(-10, 10), min_size=len(edges), max_size=len(edges)))
+    weights = draw(st.lists(st.integers(-max_w, max_w), min_size=len(edges), max_size=len(edges)))
     return BipartiteInstance(n, edges, weights)
 
 
@@ -94,8 +98,10 @@ def oracle_values(inst, n):
 
 
 @PROPERTY
-@given(bipartite_instances())
+@given(bipartite_instances(max_n=7, max_w=1000))
 def test_hungarian_matches_brute_force_on_bipartite(inst):
+    # wide weights make long steps that cross equal-value runs of alpha
+    # and beta, which the loop re-sorts
     Ac = build_edmonds(inst, GF(65521))
     prof = hungarian_deg_det(Ac, rng=random.Random(0))
     check_profile(prof, Ac, oracle_values(inst, inst.n))
@@ -166,6 +172,8 @@ def test_symmetric_engine_matches_two_sided_engine(skew):
     two = hungarian_deg_det(Ac, rng=random.Random(0))
     sym = symmetric_hungarian(A, c, rng=random.Random(0))
     check_profile(sym, Ac, [two.values[l] for l in range(A.n_rows + 1)])
+    for sol in sym.duals.values():
+        assert np.array_equal(sol.Q, sol.P.T)
 
 
 @st.composite
