@@ -250,7 +250,7 @@ def _cmd_ncrank(args):
     inst = parse_instance(args.instance, args.prime)
     A = _base_matrix(inst)
     rng = random.Random(args.seed)
-    r = nc_rank(A, rng, args.trials)
+    r = nc_rank(A, rng)
     ordinary = random_rank(A, random.Random(args.seed), args.trials)
     values = {
         "nc_rank": r,
@@ -428,7 +428,7 @@ def _cmd_verify(args):
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
         rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
-            rank = nc_rank(base, random.Random(seed), trials)
+            rank = nc_rank(base, random.Random(seed))
         checks = _verify_levels(report, inst.F, target, expected, rank)
         if cmd == "fmm":
             best = dec_num(_get(values, "best", "values"), "values.best")

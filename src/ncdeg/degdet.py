@@ -18,10 +18,13 @@ K(t):
   integer machinery applies unchanged.
 
 The two monomial engines run one Hungarian loop and differ only in the
-weight scale, the witness route and its block-diagonal shape (T = S^t
-for the symmetric one) and the step direction.  The symmetric engine
-always takes the blow-up witness; every other leading matrix gets its
-witness from mvsp.witness, the cheapest route its factors allow.
+weight scale, the witness route and the step direction.  The symmetric
+engine always takes the nested blow-up witness (T = S^t), which
+block-diagonal shaping keeps nested because alpha = beta; every other
+leading matrix gets its witness from mvsp.witness, the cheapest route
+its factors allow.  All three engines fold a witness alike: its
+triangular pivot-form factor goes into P and Q, the step raises alpha
+on the zero block's pivots, and a stable sort restores the order.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -46,14 +49,13 @@ from .errors import (
 from .mvsp import (
     Subspace,
     _check_skew,
-    block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
     nested_witness,
     pivot_form,
     witness,
 )
-from .ratfunc import NEG_INF, POS_INF, RatFn, RationalMatrix, classify_biproper, leading_coeff_matrix
+from .ratfunc import NEG_INF, POS_INF, Poly, RationalMatrix, classify_biproper, leading_coeff_matrix, poly_gcd
 from .symbolic import (
     RationalSymbolicMatrix,
     SymbolicMatrix,
@@ -205,69 +207,48 @@ def _sorting_sigma(raw):
     return sorted(range(len(raw)), key=lambda i: (-raw[i], i))
 
 
-def renormalize(kappa, indices, exponents, tri, mat, side="left"):
-    """Push a long step through the stored prefix.
+def renormalize(kappa, indices, exponents, tri, mat):
+    """Push a long step through the stored prefix:
 
-    left: (t^{kappa 1_r}) pi U (t^alpha) P  ==  pi sigma (t^{alpha'}) P'
-    with U upper-triangular; the conjugate (t^{-alpha}) U (t^alpha) is
+        (t^{kappa 1_X}) pi U (t^alpha) P  ==  pi sigma (t^{alpha'}) P'
+
+    with U upper-triangular.  The conjugate (t^{-alpha}) U (t^alpha) is
     proper because alpha is sorted, so it folds into P, and a sorting
     permutation restores alpha + kappa*1_X to non-increasing order.
-    right: the mirror image with lower-triangular M folding into Q.
+    Columns fold as the rows of the transpose.
 
     Returns (exponents', mat').  Raises NotSorted for unsorted input.
     """
     exps = list(exponents)
     if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
         raise NotSorted(f"exponents must be non-increasing: {exps}")
-    n = len(exps)
     marked = set(indices)
-    F = mat.F
-
-    tri_rat = RationalMatrix.from_scalars(F, tri)
-    if side == "left":
-        raised = [exps[i] + (kappa if i in marked else 0) for i in range(n)]
-        conj = tri_rat.scale_rows([-e for e in exps]).scale_cols(exps)
-        folded = conj.matmul(mat)
-    elif side == "right":
-        raised = [exps[j] + (0 if j in marked else -kappa) for j in range(n)]
-        conj = tri_rat.scale_rows(exps).scale_cols([-e for e in exps])
-        folded = mat.matmul(conj)
-    else:
-        raise ValueError(f"side must be left or right, got {side!r}")
-
+    raised = [e + (kappa if i in marked else 0) for i, e in enumerate(exps)]
+    conj = RationalMatrix.from_scalars(mat.F, tri).scale_rows([-e for e in exps]).scale_cols(exps)
+    folded = conj.matmul(mat)
     sigma = _sorting_sigma(raised)
-    new_exps = [raised[i] for i in sigma]
-    if side == "left":
-        out = RationalMatrix(
-            F, [[folded.rows[sigma[a]][j] for j in range(n)] for a in range(n)]
-        )
-    else:
-        out = RationalMatrix(
-            F, [[folded.rows[i][sigma[b]] for b in range(n)] for i in range(n)]
-        )
-    return new_exps, out
+    return [raised[i] for i in sigma], RationalMatrix(mat.F, [folded.rows[i] for i in sigma])
 
 
 # ---------------------------------------------------------------------------
 # general engine (rational-function state)
 
 
-def _floor_mindeg(r: RatFn):
-    # order minus full denominator degree: a multiplicative floor that
-    # survives cancellation inside sums of products
-    return r.num.ord - r.den.deg
-
-
 def _general_degree_data(B: RationalSymbolicMatrix):
-    d = NEG_INF
-    d0 = POS_INF
+    """(d, d0): the largest entry degree, and a floor with every nonzero
+    ell-minor of degree at least ell*d0.  Over the common denominator D,
+    the lcm of all denominators, an ell-minor is det(N')/D^ell with N'
+    polynomial of order at least min mindeg + ord D, and a nonzero
+    polynomial's degree is at least its order."""
+    d, low, D = NEG_INF, POS_INF, Poly.one(B.F)
     for Bk in B.terms:
         for row in Bk.rows:
             for e in row:
                 if not e.is_zero():
                     d = max(d, e.deg)
-                    d0 = min(d0, _floor_mindeg(e))
-    return d, d0
+                    low = min(low, e.mindeg)
+                    D = D * e.den.divmod(poly_gcd(D, e.den))[0]
+    return d, low + D.ord - D.deg
 
 
 def _bound(alpha, beta, ell):
@@ -281,7 +262,10 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
     kappa is the largest feasibility-preserving step and a sorting
     renormalization absorbs any order violation.  -inf levels are
     detected either by an unbounded step or by the cutoff ell*d0 that
-    every finite Delta_ell must respect.
+    every finite Delta_ell must respect (see _general_degree_data).  The
+    run stops within n(d - d0) + 1 steps: a finite bound stays between
+    ell*d0 and ell*d, and proving -inf takes one unit step more, to put
+    the bound strictly below the cutoff.
     """
     rng = as_rng(rng)
     n = B.n
@@ -300,7 +284,7 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
     P = RationalMatrix.identity(F, n)
     Q = RationalMatrix.identity(F, n)
     ell = 0
-    budget = n * (d - d0)
+    budget = n * (d - d0) + 1
 
     def emit(lo, hi):
         for l in range(lo, hi + 1):
@@ -324,12 +308,6 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
             emit(ell + 1, lbar)
             ell = lbar
         if ell == n:
-            break
-        if d == d0:
-            # every entry is a monomial of one degree, so the leading
-            # matrix already carries full information and higher levels
-            # cannot be finite
-            emit_neg(ell + 1)
             break
         if _bound(alpha, beta, ell + 1) < (ell + 1) * d0:
             emit_neg(ell + 1)
@@ -357,13 +335,15 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
 
         X = set(pi_s[:w.r].tolist())
         Y = set(pi_t[:w.s].tolist())
-        alpha, P = renormalize(kappa1, X, alpha, U_s, P, side="left")
-        beta, Q = renormalize(kappa1, Y, beta, U_t.T, Q, side="right")
+        # beta - kappa*1_{notY} is beta + kappa*1_Y shifted down by kappa
+        alpha, P = renormalize(kappa1, X, alpha, U_s, P)
+        beta, Qt = renormalize(kappa1, Y, beta, U_t, Q.transpose())
+        beta, Q = [b - kappa1 for b in beta], Qt.transpose()
         profile.meta["iterations"] += 1
         if profile.meta["iterations"] > budget:
             raise AlgorithmStall(
                 f"{profile.meta['iterations']} iterations exceed the "
-                f"n(d - d0) = {budget} guarantee"
+                f"n(d - d0) + 1 = {budget} guarantee"
             )
     profile.meta["r_star"] = ell
     return profile
@@ -399,10 +379,14 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     of P and P C_k, and beta with the columns of Q and R_k Q (alpha = beta
     on the symmetric engine, so one serves both sides and Q = P^t holds).
     Feasibility, alpha_i + beta_j + c_k <= 0 on the support of P A_k Q,
-    survives any simultaneous permutation, which only restores the runs
-    _blockdiag_core needs.  The leading rank cannot drop: with X x Y the
-    witness's zero block, X x notY and notX x Y carry nc-rank (n-s) +
-    (n-r) = ell, and the step keeps alpha_i + beta_j on both, in any order.
+    survives any simultaneous permutation, which only restores the
+    equal-value runs that block_diagonalize_witness shapes for.  The zero
+    block's rows need not lead their runs: after the step the stable sort
+    orders each run's rows by their new values, in index order among
+    equals, wherever they stood.  The leading rank cannot drop: with
+    X x Y the witness's zero block, X x notY and notX x Y carry nc-rank
+    (n-s) + (n-r) = ell, and the step keeps alpha_i + beta_j on both, in
+    any order.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -464,12 +448,10 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             emit_neg(ell + 1)
             break
 
-        if symmetric:
-            bd = block_diagonalize_symmetric(w, alpha, At)
-            inc_a = inc_b = _symmetric_direction(bd.row_set, bd.col_set, n)
-        else:
-            bd = block_diagonalize_witness(w, alpha, beta, At)
-            inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
+        bd = block_diagonalize_witness(w, alpha, beta, At)
+        inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
+        if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
+            inc_a = inc_b = [a + b for a, b in zip(inc_a, inc_b)]
         P = linalg.matmul(bd.S, P, p)
         Q = linalg.matmul(Q, bd.T, p)
         B = B.sandwich(bd.S, bd.T)
@@ -508,15 +490,6 @@ def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
     sq = Ac.pad_square()
     n = sq.base.n_rows
     return _hungarian(sq.base, sq.c, [0] * n, [-max(sq.c, default=0)] * n, False, as_rng(rng))
-
-
-def _symmetric_direction(X, Y, n):
-    """v = 1_X - 1_{not Y}, for both alpha and beta: +1 on the column
-    set, 0 on the rest of the row set, -1 outside."""
-    Xs, Ys = set(X), set(Y)
-    if not Ys <= Xs:
-        raise AlgorithmStall("column set escaped the row set on a skew input")
-    return [1 if i in Ys else 0 if i in Xs else -1 for i in range(n)]
 
 
 def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:

@@ -35,10 +35,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=np.int64)
-
-
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p; either side may be an (m, r, c) stack of matrices,
     which multiplies every matrix of the stack."""

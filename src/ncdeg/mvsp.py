@@ -23,7 +23,6 @@ off directly when they block-diagonalize a witness.
 """
 
 import itertools
-from typing import Optional
 
 import numpy as np
 
@@ -170,7 +169,7 @@ class FRWitness:
 # witness route, nc-rank and the blow-up witness
 
 
-def witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> FRWitness:
+def witness(A: SymbolicMatrix, rng=None) -> FRWitness:
     """Certified dominant witness by the cheapest route A's factors allow:
     Koenig when every live term is a single entry, matroid intersection
     when every term has rank at most one (exact by Lovasz, 1989), else
@@ -186,13 +185,13 @@ def witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> FRWitn
             edges = sorted(set(zip(np.nonzero(u)[1].tolist(), np.nonzero(v)[1].tolist())))
             return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
         return mvsp_matroid_intersection(u, v, A.F)
-    return blowup_witness(A, rng, trials)[0]
+    return blowup_witness(A, rng)[0]
 
 
-def nc_rank(A: SymbolicMatrix, rng=None, trials: Optional[int] = None) -> int:
+def nc_rank(A: SymbolicMatrix, rng=None) -> int:
     """nc-rank, certified: the value of witness's pair, deterministic on
     rank-one stacks and Las Vegas otherwise."""
-    return witness(A, rng, trials).value()
+    return witness(A, rng).value()
 
 
 def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
@@ -213,7 +212,7 @@ def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
         Wb = grown
 
 
-def blowup_witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None):
+def blowup_witness(A: SymbolicMatrix, rng=None):
     """Dominant optimum from a random blow-up, certified by its rank.
 
     Draw B = sum_k A_k (x) R_k into the d-th blow-up and run the second
@@ -221,13 +220,14 @@ def blowup_witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None):
     then U = W^perp and V is the largest vanishing space for U.  Every
     vanishing pair bounds the nc-rank from above and rank(B) / d bounds it
     from below, so value * d == rank(B) certifies the optimum at every
-    order d.  Each of at most 64 rounds spends trials draws (default
-    default_trials(p)) at each order d = 1, 2, 4, ..., n - 1 whose side
-    n d is within MAX_SIDE.  Low orders are cheap and certify whenever
-    their maximum rank reaches d * nc-rank; d = n - 1 always can, by
-    blow-up regularity (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank
-    is not a multiple of d, or not above every earlier rank at its order,
-    cannot certify and skips the Wong sequence.
+    order d.  Each of at most 64 rounds spends default_trials(p) draws
+    at each order d = 1, 2, 4, ..., n - 1 whose side n d is within
+    MAX_SIDE; the answer is certified, so the count only sets the time.
+    Low orders are cheap and certify whenever their maximum rank reaches
+    d * nc-rank; d = n - 1 always can, by blow-up regularity
+    (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank is not a multiple of
+    d, or not above every earlier rank at its order, cannot certify and
+    skips the Wong sequence.
 
     The certified witness is also dominant; the proof uses only
     rank(B) = d * nc-rank, so it holds at every order.  Write A V' for
@@ -248,13 +248,11 @@ def blowup_witness(A: SymbolicMatrix, rng=None, trials: Optional[int] = None):
     if n == 0:  # the empty pair is optimal with no draw
         U = Subspace.zero(F, 0)
         return _witness_from_subspaces(F, U, U), U, U
-    if trials is None:
-        trials = default_trials(F.p)
     top = max(n - 1, 1)
     doubling = [1 << i for i in range((top - 1).bit_length())]
     orders = [d for d in doubling + [top] if d == 1 or n * d <= MAX_SIDE]
     best = dict.fromkeys(orders, -1)
-    for _, d, _ in itertools.product(range(64), orders, range(trials)):
+    for _, d, _ in itertools.product(range(64), orders, range(default_trials(F.p))):
         Rs = linalg.rand_mat(rng, sq.n_terms * d, d, F.p).reshape(-1, d, d)
         B = sq.blowup_substitute(Rs)
         rB = linalg.rank(B, F.p)
@@ -617,16 +615,13 @@ def pivot_form(S: np.ndarray):
     return pi, U
 
 
-def _blockdiag_core(S: np.ndarray, values, sizes):
+def _blockdiag_core(S: np.ndarray, values, k: int):
     """S = pi U, in pivot form, shaped block-diagonal for the equal-value
-    runs of the non-increasing vector values.
+    runs of the non-increasing vector values: U masked to the runs'
+    diagonal blocks, and the sorted pivots of S's first k rows.
 
-    Masking U to the runs' diagonal blocks keeps the pivot pattern, and
-    keeps the zero block because the certified pattern ties tight entries
-    to single block pairs.  Within each run, rows come in tiers: first the
-    pivots of S's first sizes[0] rows, then those of its first sizes[1]
-    rows, and so on, then the rest.  Returns the reordered core and, for
-    each tier, the sorted positions of its pivots in that order.
+    The mask keeps the pivot pattern, and keeps the zero block because
+    the certified pattern ties tight entries to single block pairs.
     """
     n = S.shape[0]
     if len(values) != n:
@@ -635,40 +630,21 @@ def _blockdiag_core(S: np.ndarray, values, sizes):
         raise NotSorted(f"expected non-increasing values, got {list(values)}")
     run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(n - 1)])
     pi, U = pivot_form(S)
-    core = np.where(run[:, None] == run[None, :], U, 0)
-    tier = np.full(n, len(sizes))
-    for t in reversed(range(len(sizes))):
-        tier[pi[: sizes[t]]] = t
-    order = np.lexsort((tier, run))  # stable, so ties keep index order
-    pos = np.argsort(order)
-    return core[order], [sorted(pos[pi[:k]].tolist()) for k in sizes]
+    return np.where(run[:, None] == run[None, :], U, 0), sorted(pi[:k].tolist())
 
 
 def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:
     """Rebuild a witness so S and T are block-diagonal for the equal-value
-    runs of the non-increasing alpha (rows) and beta (columns), with the
-    zero block's rows at the top of each row block and its columns at the
-    front of each column block.
+    runs of the non-increasing alpha (rows) and beta (columns); the zero
+    block sits on the pivots of S's first r rows and of T^t's first s.
 
-    S and T^t are shaped by _blockdiag_core, each with its zero-block
-    pivots as the one tier; r and s carry over.
+    A nested witness (T = S^t) shaped with alpha = beta keeps T = S^t.
     """
     if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
         raise PartitionMismatch("expected an upper-left zero block witness")
-    S, (X,) = _blockdiag_core(w.S, alpha, [w.r])
-    Tt, (Y,) = _blockdiag_core(w.T.T, beta, [w.s])
+    S, X = _blockdiag_core(w.S, alpha, w.r)
+    Tt, Y = _blockdiag_core(w.T.T, beta, w.s)
     out = FRWitness(w.F, S, Tt.T, w.r, w.s, row_set=X, col_set=Y)
     if not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
-    return out
-
-
-def block_diagonalize_symmetric(w: FRWitness, alpha, terms: SymbolicMatrix) -> FRWitness:
-    """Block-diagonal form of a witness with T = S^t that keeps T = S^t:
-    one shared ordering puts column-set pivots first, then the remaining
-    row-set pivots, in each run of alpha."""
-    S, (Y, X) = _blockdiag_core(w.S, alpha, [w.s, w.r])
-    out = FRWitness(w.F, S, S.T, w.r, w.s, row_set=X, col_set=Y)
-    if not out.verify(terms):
-        raise AlgorithmStall("symmetric block-diagonalization lost the zero block")
     return out

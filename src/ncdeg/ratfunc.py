@@ -383,13 +383,6 @@ class RationalMatrix:
             [[e.at_infinity() for e in row] for row in self.rows], dtype="int64"
         ).reshape(self.shape)
 
-    def eval(self, a: int):
-        import numpy as np
-
-        return np.array(
-            [[e.eval(a) for e in row] for row in self.rows], dtype="int64"
-        ).reshape(self.shape)
-
     def _eliminate(self):
         """Gaussian elimination; returns (rank, det RatFn)."""
         m, n = self.shape

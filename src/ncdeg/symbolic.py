@@ -184,9 +184,6 @@ class SymbolicMatrix:
         step = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
         return np.repeat(ku, rep), np.repeat(iu, rep), jv[np.repeat(first[ku], rep) + step]
 
-    def transpose(self):
-        return SymbolicMatrix(self.F, np.transpose(self.terms, (0, 2, 1)))
-
     def submatrix(self, rows, cols):
         """Terms A_k[rows][:, cols], in whichever of the dense and factored
         forms are stored; index lists that are permutations reorder."""
@@ -269,12 +266,6 @@ class WeightedSymbolicMatrix:
 
     def __repr__(self):
         return f"WeightedSymbolicMatrix({self.base!r}, c={self.c})"
-
-    def submatrix(self, rows, cols):
-        return WeightedSymbolicMatrix(self.base.submatrix(rows, cols), self.c)
-
-    def transpose(self):
-        return WeightedSymbolicMatrix(self.base.transpose(), self.c)
 
     def pad_square(self):
         return WeightedSymbolicMatrix(self.base.pad_square(), self.c)

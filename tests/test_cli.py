@@ -251,6 +251,16 @@ def test_degdet_singular_exit_two(tmp_path, capsys):
     assert json.loads(out)["values"]["deg_det"] is None
 
 
+def test_degdet_report_carries_the_top_dual(tmp_path, capsys):
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
+    code, out = run(capsys, "degdet", path, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["values"] == {"deg_det": 5}
+    assert set(report["duals"]) == {"2"} and report["duals"]["2"]["mode"] == "general"
+    assert verified(capsys, report, path, tmp_path)
+
+
 def test_fmm_k3(tmp_path, capsys):
     path = write(tmp_path, "lines.json", k3_lines_doc())
     code, out = run(capsys, "fmm", path, "--json")
@@ -315,6 +325,16 @@ def test_oracle_lines_doubles_lp(tmp_path, capsys):
     code, out = run(capsys, "oracle", path, "--json")
     assert code == 0
     assert json.loads(out)["values"] == {"0": 0, "1": 1, "2": 2, "3": 3}
+
+
+def test_oracle_weighted_verifies(tmp_path, capsys):
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
+    code, out = run(capsys, "oracle", path, "--json", "--seed", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["values"] == {"0": 0, "1": 3, "2": 5}
+    assert report["guarantee"] == "monte-carlo"
+    assert verified(capsys, report, path, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -813,3 +833,25 @@ def test_human_output(tmp_path, capsys):
     code, out = run(capsys, "hungarian", path)
     assert code == 0
     assert "Delta_3 = 3" in out
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, lines",
+    [
+        ("degdet", diag_weighted_doc(), 0, ["  deg Det = 5"]),
+        ("ncrank", diag_weighted_doc(), 0, ["  nc-rank = 2 (2x2)"]),
+        ("fmm", k3_lines_doc(), 0, ["  nu_0 = 0", "  nu_1 = 1/2", "  nu_2 = 1", "  nu_3 = 3/2", "  max weight = 3/2"]),
+        (
+            "bl-member",
+            bl_doc(["1/2", "1/2", "3/4"]),
+            2,
+            ["  member: False", '  certificate: {"kind": "dimension", "lhs": "7/2", "rhs": 3}'],
+        ),
+    ],
+)
+def test_human_output_of_every_report(tmp_path, capsys, command, doc, code, lines):
+    path = write(tmp_path, "inst.json", doc)
+    got, out = run(capsys, command, path)
+    guarantee = "monte-carlo" if command == "ncrank" else "strong"
+    assert got == code
+    assert out.splitlines() == [f"ncdeg {command} (p={doc['field']['p']}, seed=0)", *lines, f"  guarantee: {guarantee}"]

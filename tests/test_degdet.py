@@ -187,6 +187,20 @@ def test_deg_subdet_rational_entries():
     assert prof.values == {0: 0, 1: 0, 2: 0}
 
 
+def test_deg_subdet_denominator_not_a_power_of_t():
+    # det [[1, 1], [1, t/(1+t)]] = -1/(1+t) has degree -1; a floor taken
+    # entry by entry, ord(num) - deg(den), put the cutoff above it and
+    # claimed -inf
+    F = GF(7)
+    one = RatFn.one(F)
+    x = RatFn(Poly(F, [0, 1]), Poly(F, [1, 1]))
+    B = RationalSymbolicMatrix(F, [RationalMatrix(F, [[one, one], [one, x]])])
+    prof = deg_subdet(B, rng=random.Random(0))
+    assert prof.values == {0: 0, 1: 0, 2: -1}
+    for l, sol in prof.duals.items():
+        assert verify_dual(sol, B, l, prof.values[l])
+
+
 def test_deg_subdet_agrees_with_hungarian_on_monomials():
     rng = random.Random(99)
     F = GF(65521)
@@ -428,7 +442,7 @@ def test_renormalize_spec_example():
     F = GF(5)
     U = np.array([[1, 1], [0, 1]], dtype=np.int64)
     P = RationalMatrix.identity(F, 2)
-    exps, P2 = renormalize(1, [1], [1, 0], U, P, side="left")
+    exps, P2 = renormalize(1, [1], [1, 0], U, P)
     assert exps == [1, 1]
     assert classify_biproper(P2).is_biproper
 
@@ -436,8 +450,7 @@ def test_renormalize_spec_example():
 def test_renormalize_rejects_unsorted():
     F = GF(5)
     with pytest.raises(NotSorted):
-        renormalize(1, [0], [0, 1], np.eye(2, dtype=np.int64),
-                    RationalMatrix.identity(F, 2), side="left")
+        renormalize(1, [0], [0, 1], np.eye(2, dtype=np.int64), RationalMatrix.identity(F, 2))
 
 
 def test_renormalize_left_identity():
@@ -455,7 +468,7 @@ def test_renormalize_left_identity():
         P = RationalMatrix.from_scalars(F, linalg.rand_mat(rng, n, n, 5))
         X = {perm[i] for i in range(r)}
 
-        exps, P2 = renormalize(kappa, X, alpha, U, P, side="left")
+        exps, P2 = renormalize(kappa, X, alpha, U, P)
 
         Pi = RationalMatrix.from_scalars(
             F, np.eye(n, dtype=np.int64)[perm]
@@ -482,13 +495,15 @@ def test_renormalize_left_identity():
 
 
 def test_renormalize_right_identity():
-    # Q (t^beta) M pi (t^{kappa(1_s - 1)})  must equal  Q' (t^{beta'}) sigma pi
+    # Q (t^beta) M pi (t^{kappa(1_s - 1)})  must equal  Q' (t^{beta'}) sigma pi,
+    # with M = U^t folded as the rows of Q^t and beta' shifted down by kappa
     F = GF(5)
     rng = random.Random(32)
     for _ in range(6):
         n = 3
         beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
-        M = np.tril(linalg.rand_mat(rng, n, n, 5), -1) + np.eye(n, dtype=np.int64)
+        U = np.triu(linalg.rand_mat(rng, n, n, 5), 1) + np.eye(n, dtype=np.int64)
+        M = U.T
         perm = list(range(n))
         rng.shuffle(perm)
         s = rng.randint(1, n)
@@ -497,7 +512,8 @@ def test_renormalize_right_identity():
         Pi = RationalMatrix.from_scalars(F, np.eye(n, dtype=np.int64)[perm])
         Y = {j for j in range(n) if perm[j] < s}
 
-        exps, Q2 = renormalize(kappa, Y, beta, M, Q, side="right")
+        up, Qt2 = renormalize(kappa, Y, beta, U, Q.transpose())
+        exps, Q2 = [b - kappa for b in up], Qt2.transpose()
 
         lhs = (
             Q.matmul(RationalMatrix.from_scalars(F, M).scale_rows(beta))

@@ -59,7 +59,7 @@ def test_rank_and_rref(p):
         # build a rank-r matrix as a product of random m x r and r x n
         B = la.rand_mat(rng, m, r, p)
         C = la.rand_mat(rng, r, n, p)
-        A = la.matmul(B, C, p) if r else la.zeros(m, n)
+        A = la.matmul(B, C, p) if r else np.zeros((m, n), dtype=np.int64)
         got = la.rank(A, p)
         assert got <= r
         R, piv = la.rref(A, p)

@@ -19,7 +19,6 @@ from ncdeg.errors import (
 from ncdeg.mvsp import (
     FRWitness,
     Subspace,
-    block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
     count_subspaces,
@@ -589,9 +588,11 @@ def test_blockdiag_rejects_bad_partition():
         block_diagonalize_witness(w, [0, 0, 0], [0, 0, 1], A)
     ws, _, _ = mvsp_symmetric_exhaustive(A)
     with pytest.raises(PartitionMismatch):
-        block_diagonalize_symmetric(ws, [2, 1], A)
+        block_diagonalize_witness(ws, [2, 1], [2, 1], A)
     with pytest.raises(NotSorted):
-        block_diagonalize_symmetric(ws, [0, 1, 1], A)
+        block_diagonalize_witness(ws, [0, 1, 1], [0, 1, 1], A)
+    out = block_diagonalize_witness(ws, [0, 0, 0], [0, 0, 0], A)
+    assert np.array_equal(out.T, out.S.T) and set(out.col_set) <= set(out.row_set)
 
 
 def test_blockdiag_structure_is_block_diagonal():

@@ -5,11 +5,11 @@ witnesses against subspace enumeration, every route's witness in pivot
 form and through block-diagonal shaping, matroid intersection against
 brute force, the builders' rank factors against their dense terms, and
 the stacked matmul and the factored products against the per-term
-loop."""
+loop, and the general engine against brute force on rational entries."""
 
 import json
-
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -38,7 +38,6 @@ from ncdeg.errors import DimensionMismatch
 from ncdeg.instances import parse_text
 from ncdeg.mvsp import (
     SUBSPACE_CAP,
-    block_diagonalize_symmetric,
     block_diagonalize_witness,
     blowup_witness,
     count_subspaces,
@@ -50,6 +49,7 @@ from ncdeg.mvsp import (
     pivot_form,
     witness,
 )
+from ncdeg.ratfunc import Poly, RatFn, RationalMatrix
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -259,7 +259,8 @@ def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
             assert np.array_equal(Up[pi], M)
         assert block_diagonalize_witness(w, alpha, beta, A).verify(A)
     for w in nested:
-        assert block_diagonalize_symmetric(w, alpha, A).verify(A)
+        out = block_diagonalize_witness(w, alpha, alpha, A)
+        assert out.verify(A) and np.array_equal(out.T, out.S.T)
 
 
 @st.composite
@@ -315,6 +316,36 @@ def test_general_engine_matches_hungarian(Ac):
     assert prof.values == want
     for l, sol in prof.duals.items():
         assert sol.mode == "general" and verify_dual(sol, B, l, prof.values[l])
+
+
+def _rational_entry(rng, F):
+    """num/den with num of degree below 3 (zero a fair share of the time)
+    and den monic of degree at most 2, often not a power of t."""
+    num = Poly(F, [rng.randrange(F.p) for _ in range(rng.randint(0, 3))])
+    den = Poly(F, [rng.randrange(F.p) for _ in range(rng.randint(0, 2))] + [1])
+    return RatFn(num, den)
+
+
+def test_general_engine_matches_brute_force_on_rational_entries():
+    # single-term B = M x: Delta_l is the largest deg det over l x l
+    # minors of M, which RationalMatrix.degdet computes exactly
+    rng = random.Random(15)
+    for _ in range(300):
+        F = GF(rng.choice([2, 3, 7]))
+        n = rng.randint(1, 3)
+        M = RationalMatrix(F, [[_rational_entry(rng, F) for _ in range(n)] for _ in range(n)])
+        B = RationalSymbolicMatrix(F, [M])
+        want = {0: 0}
+        for l in range(1, n + 1):
+            want[l] = max(
+                RationalMatrix(F, [[M.rows[i][j] for j in C] for i in R]).degdet()
+                for R in combinations(range(n), l)
+                for C in combinations(range(n), l)
+            )
+        prof = deg_subdet(B, rng=random.Random(0))
+        assert prof.values == want
+        for l, sol in prof.duals.items():
+            assert verify_dual(sol, B, l, prof.values[l])
 
 
 @PROPERTY
