@@ -366,11 +366,12 @@ def _cmd_oracle(args):
     raise _UsageError(f"oracle does not handle kind {kind!r}")
 
 
-def _verify_levels(report, F, target, expected, rank):
+def _verify_levels(report, n, target, expected, rank):
     """A check per reported level, where expected maps each level key to
-    its value: level 0 is 0, a finite level carries a dual that meets
-    strong duality against target, and a -inf level lies above rank, the
-    certified nc-rank, so a -inf claim is accepted exactly when true."""
+    its value: level 0 is 0, a finite level carries a dual of side n that
+    meets strong duality against target, and a -inf level lies above
+    rank, the certified nc-rank, so a -inf claim is accepted exactly when
+    true."""
     duals = _get(report, "duals", "report", dict)
     for key in duals:
         if key not in expected:
@@ -383,7 +384,9 @@ def _verify_levels(report, F, target, expected, rank):
         elif v == NEG_INF:
             ok = rank < l
         else:
-            sol = dec_dual(duals[key], F) if key in duals else None
+            sol = dec_dual(duals[key], target.F) if key in duals else None
+            if sol is not None and sol.n != n:
+                raise ParseError(f"duals[{key}]: expected {n} entries in alpha, got {sol.n}")
             ok = sol is not None and verify_dual(sol, target, l, v)
         checks.append((f"level {l}", ok))
     return checks
@@ -429,7 +432,7 @@ def _cmd_verify(args):
         rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
             rank = nc_rank(base, random.Random(seed))
-        checks = _verify_levels(report, inst.F, target, expected, rank)
+        checks = _verify_levels(report, n, target, expected, rank)
         if cmd == "fmm":
             best = dec_num(_get(values, "best", "values"), "values.best")
             top = max((v for v in expected.values() if v != NEG_INF), default=NEG_INF)

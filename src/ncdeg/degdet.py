@@ -19,12 +19,13 @@ K(t):
 
 The two monomial engines run one Hungarian loop and differ only in the
 weight scale, the witness route and the step direction.  The symmetric
-engine always takes the nested blow-up witness (T = S^t), which
-block-diagonal shaping keeps nested because alpha = beta; every other
-leading matrix gets its witness from mvsp.witness, the cheapest route
-its factors allow.  All three engines fold a witness alike: its
-triangular pivot-form factor goes into P and Q, the step raises alpha
-on the zero block's pivots, and a stable sort restores the order.
+engine always takes the nested blow-up witness (U's basis led by V's),
+which block-diagonal shaping keeps nested because alpha = beta; every
+other leading matrix gets its witness from mvsp.witness, the cheapest
+route its factors allow.  All three engines fold a witness, the
+vanishing pair (U, V) in pivot form, alike: triangular(U) goes into P
+and triangular(V)^t into Q, the step raises alpha on U's pivots and
+beta on V's, and a stable sort restores the order.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -49,10 +50,11 @@ from .errors import (
 from .mvsp import (
     Subspace,
     _check_skew,
+    _pivots,
     block_diagonalize_witness,
     blowup_witness,
     nested_witness,
-    pivot_form,
+    triangular,
     witness,
 )
 from .ratfunc import NEG_INF, POS_INF, Poly, RationalMatrix, classify_biproper, leading_coeff_matrix, poly_gcd
@@ -210,11 +212,11 @@ def _sorting_sigma(raw):
 def renormalize(kappa, indices, exponents, tri, mat):
     """Push a long step through the stored prefix:
 
-        (t^{kappa 1_X}) pi U (t^alpha) P  ==  pi sigma (t^{alpha'}) P'
+        (t^{kappa 1_X}) L (t^alpha) P  ==  sigma (t^{alpha'}) P'
 
-    with U upper-triangular.  The conjugate (t^{-alpha}) U (t^alpha) is
-    proper because alpha is sorted, so it folds into P, and a sorting
-    permutation restores alpha + kappa*1_X to non-increasing order.
+    with L = tri upper-triangular.  The conjugate (t^{-alpha}) L (t^alpha)
+    is proper because alpha is sorted, so it folds into P, and a sorting
+    permutation sigma restores alpha + kappa*1_X to non-increasing order.
     Columns fold as the rows of the transpose.
 
     Returns (exponents', mat').  Raises NotSorted for unsorted input.
@@ -313,13 +315,11 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
             emit_neg(ell + 1)
             break
 
-        # kappa1 bounds the zero block of S G T, so only the first r rows
-        # of S and s columns of T enter; G meets the s columns first, as
-        # the dominant witness maximizes r
-        pi_s, U_s = pivot_form(w.S)
-        pi_t, U_t = pivot_form(w.T.T)
-        S_rat = RationalMatrix.from_scalars(F, w.S[:w.r])
-        T_rat = RationalMatrix.from_scalars(F, w.T[:, :w.s])
+        # kappa1 bounds U G V^t, the block the pair certifies zero in the
+        # leading matrix; G meets V^t first, as the dominant witness
+        # maximizes dim U
+        S_rat = RationalMatrix.from_scalars(F, w.U)
+        T_rat = RationalMatrix.from_scalars(F, w.V.T)
         kappa1 = POS_INF
         for Gk in G:
             H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta).matmul(T_rat))
@@ -333,11 +333,9 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
         if kappa1 < 1:
             raise AlgorithmStall("witness zero block must clear the tight entries")
 
-        X = set(pi_s[:w.r].tolist())
-        Y = set(pi_t[:w.s].tolist())
         # beta - kappa*1_{notY} is beta + kappa*1_Y shifted down by kappa
-        alpha, P = renormalize(kappa1, X, alpha, U_s, P)
-        beta, Qt = renormalize(kappa1, Y, beta, U_t, Q.transpose())
+        alpha, P = renormalize(kappa1, _pivots(w.U).tolist(), alpha, triangular(w.U), P)
+        beta, Qt = renormalize(kappa1, _pivots(w.V).tolist(), beta, triangular(w.V), Q.transpose())
         beta, Q = [b - kappa1 for b in beta], Qt.transpose()
         profile.meta["iterations"] += 1
         if profile.meta["iterations"] > budget:
@@ -365,8 +363,12 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     doubled, so every step is integral; values and duals shed the factor
     on the way out.  The loop holds B with terms P A_k Q, factored as
     (P C_k)(R_k Q), so a round costs O(n^2 r) per term.  B's tight entries
-    give the leading matrix; once the block-diagonal witness (S, T) is
-    composed in, S B T bounds the step and is the next round's B.
+    give the leading matrix, and its witness, shaped block-diagonal, is a
+    vanishing pair (U, V) in pivot form.  L = triangular(U) and
+    R = triangular(V)^t fold into P <- L P and Q <- Q R; then L B R bounds
+    the step and is the next round's B.  The symmetric engine folds
+    R = L^t instead, as its nested pair puts V's rows at V's pivots of L
+    too, so Q = P^t holds.
 
     With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
     of term k the product of u on the rows where alpha is largest over
@@ -383,10 +385,10 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     equal-value runs that block_diagonalize_witness shapes for.  The zero
     block's rows need not lead their runs: after the step the stable sort
     orders each run's rows by their new values, in index order among
-    equals, wherever they stood.  The leading rank cannot drop: with
-    X x Y the witness's zero block, X x notY and notX x Y carry nc-rank
-    (n-s) + (n-r) = ell, and the step keeps alpha_i + beta_j on both, in
-    any order.
+    equals, wherever they stood.  The leading rank cannot drop: with X
+    and Y the pivots of U and V, the leading part of L B R is zero on
+    X x Y, X x notY and notX x Y carry nc-rank (n-s) + (n-r) = ell, and
+    the step keeps alpha_i + beta_j on both, in any order.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -433,7 +435,7 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             mask[k, i, j] = True
             At = SymbolicMatrix(F, B.terms * mask)
         if symmetric:
-            w = nested_witness(F, *blowup_witness(At, rng)[1:])
+            w = nested_witness(blowup_witness(At, rng))
         else:
             w = witness(At, rng)
         lbar = w.value()
@@ -449,12 +451,14 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             break
 
         bd = block_diagonalize_witness(w, alpha, beta, At)
-        inc_a, inc_b = _two_sided_direction(bd.row_set, bd.col_set, n)
+        inc_a, inc_b = _two_sided_direction(_pivots(bd.U).tolist(), _pivots(bd.V).tolist(), n)
         if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
             inc_a = inc_b = [a + b for a, b in zip(inc_a, inc_b)]
-        P = linalg.matmul(bd.S, P, p)
-        Q = linalg.matmul(Q, bd.T, p)
-        B = B.sandwich(bd.S, bd.T)
+        L = triangular(bd.U)
+        R = (L if symmetric else triangular(bd.V)).T
+        P = linalg.matmul(L, P, p)
+        Q = linalg.matmul(Q, R, p)
+        B = B.sandwich(L, R)
         support = B.support()
         kappa = _step_bound(support, alpha, beta, c, inc_a, inc_b)
         if kappa == POS_INF:
@@ -499,9 +503,9 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
 
     The dominant optimum of a skew leading matrix, found by the blow-up
     witness, nests V inside U, so a single transform serves both sides
-    (T = S^t, and one sorting permutation after each step, keeping
-    Q = P^t) and the step direction is +1 on the V part, 0 on the rest
-    of the U part, -1 outside.
+    (triangular(U) with U's basis led by V's, and one sorting permutation
+    after each step, keeping Q = P^t) and the step direction is +1 on the
+    V part, 0 on the rest of the U part, -1 outside.
     """
     _check_skew(A)
     if len(c) != A.n_terms:

@@ -2,10 +2,12 @@
 
 The vanishing-subspace problem: given A = sum_k A_k x_k, find subspaces
 (U, V) with u' A_k v = 0 for all k, u in U, v in V, minimizing
-n_rows + n_cols - dim U - dim V.  The minimum equals the nc-rank, and a
-minimizing pair converts to a witness (S, T, r, s): nonsingular S whose
-first r rows span U and nonsingular T whose first s columns span V, so
-S A_k T has an upper-left r x s zero block for every k.
+n_rows + n_cols - dim U - dim V.  The minimum equals the nc-rank
+(Fortin-Reutenauer), and a minimizing pair is the witness: an FRWitness
+holds a basis of U and one of V, each in pivot form (every row nonzero
+at its pivot, its first nonzero, and zero on the pivots of the rows
+above it).  triangular completes such a basis to an invertible
+upper-triangular matrix, the factor the degree algorithms fold.
 
 Every solver returns the dominant optimum, the optimal pair with the
 largest U: the blow-up witness, a random substitution into the d-th
@@ -17,9 +19,8 @@ enumeration over small fields, the referee for tests and the LP oracles.
 `witness` is the one route the engines and nc_rank take: Koenig, then
 matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
-Every route builds S and T^t in pivot form (each row zero on the pivots
-of the rows above it), so the degree algorithms read each row's pivot
-off directly when they block-diagonalize a witness.
+Every route returns its bases in pivot form: canonical (RREF) bases, or
+unit vectors for Koenig.
 """
 
 import itertools
@@ -50,6 +51,25 @@ def _pivots(M: np.ndarray) -> np.ndarray:
     return (M != 0).argmax(axis=1)
 
 
+def triangular(B: np.ndarray) -> np.ndarray:
+    """The identity of side B.shape[1] with each row of B put at its pivot.
+
+    For B in pivot form this is upper-triangular with a nonzero diagonal,
+    so invertible, and its rows at B's pivots are B's rows.  Raises
+    Singular when B has a zero row or is nonzero on the pivot of a row
+    above, as a row repeating an earlier pivot is.
+    """
+    B = np.asarray(B, dtype=np.int64)
+    pi = _pivots(B)
+    if not B[np.arange(B.shape[0]), pi].all():
+        raise Singular("pivot form needs a nonzero row")
+    if np.tril(B[:, pi], -1).any():
+        raise Singular("pivot form needs each row zero on the pivots above it")
+    L = linalg.identity(B.shape[1])
+    L[pi] = B
+    return L
+
+
 class Subspace:
     """Row space of a canonical (RREF) basis; equality is structural."""
 
@@ -61,10 +81,6 @@ class Subspace:
             V = V[None, :]
         self.F = F
         self.basis = linalg.row_basis(V % F.p, F.p)
-
-    @classmethod
-    def zero(cls, F, n):
-        return cls(F, np.zeros((1, n), dtype=np.int64))
 
     @property
     def n(self):
@@ -114,36 +130,34 @@ class Subspace:
         )
         return Subspace(self.F, linalg.nullspace(both, self.F.p))
 
-    def completion(self) -> np.ndarray:
-        """Rows extending the basis to a basis of K^n (unit vectors on the
-        non-pivot coordinates)."""
-        rest = np.ones(self.n, dtype=bool)
-        rest[_pivots(self.basis)] = False
-        return linalg.identity(self.n)[rest]
-
 
 class FRWitness:
-    """Certificate (S, T, r, s): S A_k T has an r x s zero block, upper-left
-    by default or at (row_set x col_set) when those are given."""
+    """Vanishing pair (U, V): u' A_k v = 0 for every row u of the r x n_rows
+    basis U, row v of the s x n_cols basis V and term k, with both bases
+    in pivot form."""
 
-    __slots__ = ("F", "S", "T", "r", "s", "row_set", "col_set")
+    __slots__ = ("F", "U", "V")
 
-    def __init__(self, F, S, T, r, s, row_set=None, col_set=None):
+    def __init__(self, F, U, V):
         self.F = F
-        self.S = np.asarray(S, dtype=np.int64) % F.p
-        self.T = np.asarray(T, dtype=np.int64) % F.p
-        self.r = int(r)
-        self.s = int(s)
-        self.row_set = list(range(r)) if row_set is None else sorted(row_set)
-        self.col_set = list(range(s)) if col_set is None else sorted(col_set)
+        self.U = np.asarray(U, dtype=np.int64) % F.p
+        self.V = np.asarray(V, dtype=np.int64) % F.p
+
+    @property
+    def r(self):
+        return self.U.shape[0]
+
+    @property
+    def s(self):
+        return self.V.shape[0]
 
     @property
     def n_rows(self):
-        return self.S.shape[0]
+        return self.U.shape[1]
 
     @property
     def n_cols(self):
-        return self.T.shape[0]
+        return self.V.shape[1]
 
     def value(self) -> int:
         """The certified nc-rank: n_rows + n_cols - r - s."""
@@ -153,16 +167,15 @@ class FRWitness:
         return f"FRWitness(r={self.r}, s={self.s}, value={self.value()})"
 
     def verify(self, A: SymbolicMatrix) -> bool:
-        """Exact check of invertibility and of the zero block, read as
-        (S[X] C_k)(R_k T[:, Y]) when A's factors are stored."""
-        p = self.F.p
-        if linalg.rank(self.S, p) < self.S.shape[0]:
+        """Exact check of pivot form, which makes both bases independent,
+        and of the vanishing, read as (U C_k)(R_k V^t) when A's factors
+        are stored."""
+        try:
+            triangular(self.U)
+            triangular(self.V)
+        except Singular:
             return False
-        if linalg.rank(self.T, p) < self.T.shape[0]:
-            return False
-        if len(self.row_set) != self.r or len(self.col_set) != self.s:
-            return False
-        return A.sandwich(self.S[self.row_set], self.T[:, self.col_set]).is_zero()
+        return A.sandwich(self.U, self.V.T).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +198,7 @@ def witness(A: SymbolicMatrix, rng=None) -> FRWitness:
             edges = sorted(set(zip(np.nonzero(u)[1].tolist(), np.nonzero(v)[1].tolist())))
             return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
         return mvsp_matroid_intersection(u, v, A.F)
-    return blowup_witness(A, rng)[0]
+    return blowup_witness(A, rng)
 
 
 def nc_rank(A: SymbolicMatrix, rng=None) -> int:
@@ -238,7 +251,7 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     the least image of all optima, and U = W^perp is the largest optimal
     U.
 
-    Returns (witness, U, V) like mvsp_exhaustive.  Raises
+    Returns the witness of the padded square matrix.  Raises
     SizeBudgetExceeded when nothing certified and n - 1 was beyond the
     budget, else AlgorithmStall.
     """
@@ -246,8 +259,8 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     sq = A.pad_square()
     n, F = sq.n_rows, A.F
     if n == 0:  # the empty pair is optimal with no draw
-        U = Subspace.zero(F, 0)
-        return _witness_from_subspaces(F, U, U), U, U
+        E = np.zeros((0, 0), dtype=np.int64)
+        return FRWitness(F, E, E)
     top = max(n - 1, 1)
     doubling = [1 << i for i in range((top - 1).bit_length())]
     orders = [d for d in doubling + [top] if d == 1 or n * d <= MAX_SIDE]
@@ -260,7 +273,7 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
             U = Subspace(F, _wong_limit(sq, B, d))
             V = Subspace(F, _max_vanishing_V(sq, U.basis))
             if (2 * n - U.dim - V.dim) * d == rB:
-                return _witness_from_subspaces(F, U, V), U, V
+                return FRWitness(F, U.basis, V.basis)
         best[d] = max(best[d], rB)
     if orders[-1] < top:
         raise SizeBudgetExceeded(f"no draw certified, and order {top} needs side {n * top} > {MAX_SIDE}")
@@ -344,19 +357,13 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
-def _witness_from_subspaces(F, U: Subspace, V: Subspace) -> FRWitness:
-    S = np.concatenate([U.basis, U.completion()])
-    T = np.concatenate([V.basis, V.completion()]).T
-    return FRWitness(F, S, T, U.dim, V.dim)
-
-
 def mvsp_exhaustive(A: SymbolicMatrix):
     """Minimize n_rows + n_cols - dim U - dim V over vanishing pairs by
     enumerating every U; the best V for a given U is unique and maximal.
 
-    Returns (witness, U, V) for the dominant optimum: the one with the
-    largest U of all optima (their sum, since optimal pairs are closed
-    under (U + U', V intersect V')).
+    Returns the witness of the dominant optimum: the one with the largest
+    U of all optima (their sum, since optimal pairs are closed under
+    (U + U', V intersect V')).
     """
     sq = A.pad_square()
     n = sq.n_rows
@@ -375,7 +382,7 @@ def mvsp_exhaustive(A: SymbolicMatrix):
     V = Subspace(F, _max_vanishing_V(sq, U.basis))
     if 2 * n - U.dim - V.dim != best_val:
         raise AlgorithmStall("optimum not closed under joins")
-    return _witness_from_subspaces(F, U, V), U, V
+    return FRWitness(F, U.basis, V.basis)
 
 
 def _check_skew(A: SymbolicMatrix):
@@ -386,24 +393,24 @@ def _check_skew(A: SymbolicMatrix):
         raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
 
 
-def mvsp_symmetric_exhaustive(A: SymbolicMatrix):
-    """Dominant witness for a zero-diagonal skew-symmetric matrix, shaped
-    so that T = S transposed (see nested_witness)."""
+def mvsp_symmetric_exhaustive(A: SymbolicMatrix) -> FRWitness:
+    """Dominant witness for a zero-diagonal skew-symmetric matrix, nested
+    (see nested_witness)."""
     _check_skew(A)
-    _, U, V = mvsp_exhaustive(A)
-    return nested_witness(A.F, U, V), U, V
+    return nested_witness(mvsp_exhaustive(A))
 
 
-def nested_witness(F: GF, U: Subspace, V: Subspace) -> FRWitness:
-    """T = S^t witness for the dominant optimum (U, V) of a skew matrix,
-    which nests V in U.  S is in pivot form: V's canonical basis, then the
-    rows of U's canonical basis whose pivots V lacks (V inside U puts V's
-    pivots among U's, so these rows extend V to U), then U's completion."""
-    if not U.contains_subspace(V):
+def nested_witness(w: FRWitness) -> FRWitness:
+    """The dominant optimum (U, V) of a skew matrix, which nests V in U,
+    with U's basis led by V's: V's canonical basis, then the rows of U's
+    canonical basis whose pivots V lacks.  V inside U puts V's pivots
+    among U's, so these rows extend V to U in pivot form, and
+    triangular(U) holds V's rows at V's pivots as triangular(V) does: one
+    factor serves rows and columns."""
+    if linalg.rank(np.concatenate([w.U, w.V]), w.F.p) != w.r:
         raise AlgorithmStall("dominant optimum of a skew matrix should nest V in U")
-    extra = U.basis[~np.isin(_pivots(U.basis), _pivots(V.basis))]
-    S = np.concatenate([V.basis, extra, U.completion()])
-    return FRWitness(F, S, S.T, U.dim, V.dim)
+    extra = w.U[~np.isin(_pivots(w.U), _pivots(w.V))]
+    return FRWitness(w.F, np.concatenate([w.V, extra]), w.V)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +443,8 @@ def max_matching(n_rows: int, n_cols: int, edges):
 
 def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
     """Dominant witness for a matrix whose k-th term is the single entry
-    (i_k, j_k): permutation S, T from a maximum matching / minimum vertex
-    cover, with the uncovered rows and columns forming the zero block.
+    (i_k, j_k): unit-vector bases of the rows and columns a minimum vertex
+    cover, read off a maximum matching, leaves uncovered.
 
     Alternating reachability from the unmatched columns yields the minimum
     cover with the fewest covered rows, so the uncovered-row set (and with
@@ -463,15 +470,9 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
                 if j2 != -1 and not col_seen[j2]:
                     col_seen[j2] = True
                     stack.append(j2)
-    zrows = [i for i in range(n_rows) if not row_seen[i]]  # uncovered rows
-    zcols = [j for j in range(n_cols) if col_seen[j]]  # uncovered cols
-    S = np.zeros((n_rows, n_rows), dtype=np.int64)
-    for a, i in enumerate(zrows + [i for i in range(n_rows) if row_seen[i]]):
-        S[a, i] = 1
-    T = np.zeros((n_cols, n_cols), dtype=np.int64)
-    for b, j in enumerate(zcols + [j for j in range(n_cols) if not col_seen[j]]):
-        T[j, b] = 1
-    return FRWitness(F, S, T, len(zrows), len(zcols))
+    zrows = ~np.array(row_seen, dtype=bool)  # uncovered rows
+    zcols = np.array(col_seen, dtype=bool)  # uncovered cols
+    return FRWitness(F, linalg.identity(n_rows)[zrows], linalg.identity(n_cols)[zcols])
 
 
 # ---------------------------------------------------------------------------
@@ -584,67 +585,38 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
     notI = sorted(set(range(m)) - I)
     U = Subspace(F, linalg.nullspace(va[sorted(I)], F.p))
     V = Subspace(F, linalg.nullspace(vb[notI], F.p))
-    return _witness_from_subspaces(F, U, V)
+    return FRWitness(F, U.basis, V.basis)
 
 
 # ---------------------------------------------------------------------------
 # witness block-diagonalization
 
 
-def pivot_form(S: np.ndarray):
-    """(pi, U) for an S in pivot form: square, with every row zero on the
-    pivots (first nonzeros) of all rows above it.
+def _blockdiag_core(B: np.ndarray, values) -> np.ndarray:
+    """B with each row masked to the equal-value run, of the non-increasing
+    vector values, that holds its pivot.
 
-    pi[i] is row i's pivot and U[pi[i]] = S[i], so U is upper-triangular
-    with a nonzero diagonal and S = pi U is S's Bruhat decomposition with
-    L = 1: the forward sweep would eliminate nothing.  Raises Singular
-    when S is not square, has a zero row, or is nonzero on the pivot of a
-    row above, as a row repeating an earlier pivot is.
+    The mask keeps every pivot, so pivot form, and keeps the zero block
+    because the certified pattern ties tight entries to single block
+    pairs.
     """
-    S = np.asarray(S, dtype=np.int64)
-    n = S.shape[0]
-    if S.shape != (n, n):
-        raise Singular(f"pivot form needs a square matrix, got {S.shape}")
-    pi = _pivots(S)
-    if not S[np.arange(n), pi].all():
-        raise Singular("pivot form needs a nonzero row")
-    if np.tril(S[:, pi], -1).any():
-        raise Singular("pivot form needs each row zero on the pivots above it")
-    U = np.zeros_like(S)
-    U[pi] = S
-    return pi, U
-
-
-def _blockdiag_core(S: np.ndarray, values, k: int):
-    """S = pi U, in pivot form, shaped block-diagonal for the equal-value
-    runs of the non-increasing vector values: U masked to the runs'
-    diagonal blocks, and the sorted pivots of S's first k rows.
-
-    The mask keeps the pivot pattern, and keeps the zero block because
-    the certified pattern ties tight entries to single block pairs.
-    """
-    n = S.shape[0]
+    n = B.shape[1]
     if len(values) != n:
-        raise PartitionMismatch(f"{len(values)} values for {n} rows")
+        raise PartitionMismatch(f"{len(values)} values for {n} coordinates")
     if any(values[i] < values[i + 1] for i in range(n - 1)):
         raise NotSorted(f"expected non-increasing values, got {list(values)}")
     run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(n - 1)])
-    pi, U = pivot_form(S)
-    return np.where(run[:, None] == run[None, :], U, 0), sorted(pi[:k].tolist())
+    return np.where(run[_pivots(B)][:, None] == run[None, :], B, 0)
 
 
 def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:
-    """Rebuild a witness so S and T are block-diagonal for the equal-value
-    runs of the non-increasing alpha (rows) and beta (columns); the zero
-    block sits on the pivots of S's first r rows and of T^t's first s.
+    """Shape a witness for the equal-value runs of the non-increasing alpha
+    (rows) and beta (columns), so triangular(U) and triangular(V) are
+    block-diagonal for them.
 
-    A nested witness (T = S^t) shaped with alpha = beta keeps T = S^t.
+    A nested witness shaped with alpha = beta stays nested.
     """
-    if w.row_set != list(range(w.r)) or w.col_set != list(range(w.s)):
-        raise PartitionMismatch("expected an upper-left zero block witness")
-    S, X = _blockdiag_core(w.S, alpha, w.r)
-    Tt, Y = _blockdiag_core(w.T.T, beta, w.s)
-    out = FRWitness(w.F, S, Tt.T, w.r, w.s, row_set=X, col_set=Y)
+    out = FRWitness(w.F, _blockdiag_core(w.U, alpha), _blockdiag_core(w.V, beta))
     if not out.verify(terms):
         raise AlgorithmStall("block-diagonalization lost the zero block")
     return out

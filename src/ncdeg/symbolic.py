@@ -345,24 +345,6 @@ class RationalSymbolicMatrix:
             mats.append(M.scale_rows([sq.c[k]] * sq.n_rows))
         return cls(sq.F, mats, sq.n_rows)
 
-    def max_deg(self):
-        best = NEG_INF
-        for B in self.terms:
-            d = B.max_deg()
-            if d > best:
-                best = d
-        return best
-
-    def min_mindeg(self):
-        best = None
-        for B in self.terms:
-            for row in B.rows:
-                for e in row:
-                    md = e.mindeg
-                    if md != float("inf") and (best is None or md < best):
-                        best = md
-        return best
-
     def shrink(self, s) -> RationalMatrix:
         vals = list(s)
         if len(vals) < self.n_terms:

@@ -27,6 +27,7 @@ from ncdeg.apps import (
 )
 from ncdeg.degdet import (
     NEG_INF,
+    _general_degree_data,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -255,7 +256,7 @@ def test_criterion_07_iteration_bounds():
     for _, Ac, hung in (bipartite_suite()[:30] + matroid_suite()[:20]):
         B = RationalSymbolicMatrix.from_weighted(Ac)
         prof = deg_subdet(B, rng=random.Random(rng.randrange(2**30)))
-        d, d0 = B.max_deg(), B.min_mindeg()
+        d, d0 = _general_degree_data(B)
         assert prof.meta["iterations"] <= B.n * (d - d0)
         for ell in range(prof.n + 1):
             assert prof.values[ell] == hung.values[ell]

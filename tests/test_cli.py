@@ -462,6 +462,31 @@ def test_verify_rejects_singular_P(tmp_path, capsys, command):
     assert captured.out.splitlines()[-1] == "NOT verified"
 
 
+@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+def test_verify_rejects_a_dual_of_the_wrong_side(tmp_path, capsys, command):
+    # a level-1 dual cut to 1 x 1 on a 2 x 2 instance is a malformed
+    # report in both modes, and the error names the dual
+    doc = {
+        "field": {"p": 5},
+        "kind": "bipartite",
+        "payload": {"size": 2, "edges": [[1, 1], [2, 2], [1, 2]], "weights": [1, 2, 3]},
+    }
+    path = write(tmp_path, "cut.json", doc)
+    code, out = run(capsys, command, path, "--json")
+    assert code == 0
+
+    def cut(report):
+        dual = report["duals"]["1"]
+        for key in ("alpha", "beta"):
+            dual[key] = dual[key][:1]
+        for key in ("P", "Q"):
+            dual[key] = [dual[key][0][:1]]
+
+    code, captured = verify_edited(tmp_path, capsys, json.loads(out), path, cut)
+    assert code == 1
+    assert captured.err.splitlines() == ["ncdeg: error: duals[1]: expected 2 entries in alpha, got 1"]
+
+
 def test_verify_fmm_report(tmp_path, capsys):
     path = write(tmp_path, "lines.json", k3_lines_doc())
     _, out = run(capsys, "fmm", path, "--json")

@@ -330,7 +330,7 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     assert len(seen) == 5
     n_bipartite = 0
     for A in seen:
-        witnesses = [mvsp_exhaustive(A)[0], blowup_witness(A, random.Random(0))[0]]
+        witnesses = [mvsp_exhaustive(A), blowup_witness(A, random.Random(0))]
         C, R = A.factors
         if C.shape[2] == 1:
             u, v = C[:, :, 0], R[:, 0, :]

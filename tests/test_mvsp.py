@@ -30,9 +30,8 @@ from ncdeg.mvsp import (
     mvsp_matroid_intersection,
     mvsp_symmetric_exhaustive,
     nc_rank,
-    pivot_form,
+    triangular,
     _max_vanishing_V,
-    _witness_from_subspaces,
 )
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, default_trials
@@ -96,13 +95,15 @@ def test_subspace_annihilator_involution():
 
 
 def test_subspace_completion_nonsingular():
+    # triangular completes a canonical basis with unit vectors
     F = GF(7)
     rng = random.Random(5)
     for _ in range(25):
         A = Subspace(F, linalg.rand_mat(rng, rng.randint(0, 4), 4, 7))
-        full = np.concatenate([A.basis, A.completion()])
+        full = triangular(A.basis)
         assert full.shape == (4, 4)
         assert linalg.rank(full, 7) == 4
+        assert Subspace(F, full[(A.basis != 0).argmax(axis=1)]) == A
 
 
 def test_subspace_enumeration_counts():
@@ -181,7 +182,7 @@ def test_nc_rank_of_a_perfect_matching_certifies_at_order_one(monkeypatch):
     shapes = []
     rank = mvsp.linalg.rank
     monkeypatch.setattr(mvsp.linalg, "rank", lambda M, p: shapes.append(M.shape) or rank(M, p))
-    assert blowup_witness(A, random.Random(0))[0].value() == n
+    assert blowup_witness(A, random.Random(0)).value() == n
     assert shapes and set(shapes) == {(n, n)}
 
 
@@ -224,7 +225,7 @@ G = GF(65521)
 skew = [np.outer(a, b) - np.outer(b, a) for a, b in ((e[2], e[1]), (e[1] + e[2], e[0]))]
 S = SymbolicMatrix(G, skew)
 prof = hungarian_deg_det(WeightedSymbolicMatrix(S, [0, 0]), rng=random.Random(0))
-w = mvsp.blowup_witness(S, random.Random(0))[0]
+w = mvsp.blowup_witness(S, random.Random(0))
 print("skew", sorted(prof.values.items()), (w.r, w.s))
 mvsp.linalg.rank = lambda A, p: 1
 try:
@@ -265,33 +266,32 @@ except NotSorted:
 def test_exhaustive_k3_value_and_dominant_pair():
     F = GF(2)
     A = tutte_k3(F)
-    w, U, V = mvsp_exhaustive(A)
+    w = mvsp_exhaustive(A)
     assert w.value() == 3
-    assert (U.dim, V.dim) == (3, 0)
+    assert (w.r, w.s) == (3, 0)
     assert w.verify(A)
-    assert (w.r, w.s) == (U.dim, V.dim)
 
 
 def test_exhaustive_zero_matrix():
     F = GF(3)
     A = SymbolicMatrix(F, [np.zeros((2, 2), dtype=np.int64)])
-    w, U, V = mvsp_exhaustive(A)
+    w = mvsp_exhaustive(A)
     assert w.value() == 0
-    assert (U.dim, V.dim) == (2, 2)
+    assert (w.r, w.s) == (2, 2)
     assert w.verify(A)
 
 
 def test_exhaustive_single_entry():
     F = GF(2)
     A = SymbolicMatrix(F, [unit(2, 2, 0, 0)])
-    w, U, V = mvsp_exhaustive(A)
+    w = mvsp_exhaustive(A)
     assert w.value() == 1
     assert w.verify(A)
     # dominant U is everything that kills row 0 from the left, plus more:
     # u' E00 v = u_0 v_0, so U = span{e1} pairs with V = K^2, and
     # U = K^2 pairs with V = span{e1}; the former has the larger value sum
-    assert U.dim + V.dim == 3
-    assert U.contains([0, 1])
+    assert w.r + w.s == 3
+    assert Subspace(F, w.U).contains([0, 1])
 
 
 def test_exhaustive_matches_nc_rank_random():
@@ -304,7 +304,7 @@ def test_exhaustive_matches_nc_rank_random():
             A = SymbolicMatrix(
                 F, [linalg.rand_mat(rng, n, n, p) for _ in range(m)]
             )
-            w, U, V = mvsp_exhaustive(A)
+            w = mvsp_exhaustive(A)
             assert w.verify(A)
             assert w.value() == nc_rank(A, rng)
 
@@ -317,7 +317,8 @@ def test_exhaustive_dominance_containment():
         A = SymbolicMatrix(
             F, [linalg.rand_mat(rng, n, n, 2) for _ in range(rng.randint(1, 2))]
         )
-        w, U, V = mvsp_exhaustive(A)
+        w = mvsp_exhaustive(A)
+        U = Subspace(F, w.U)
         val = w.value()
         for Ub in enumerate_subspaces(F, n):
             Vb = _max_vanishing_V(A, Ub)
@@ -343,14 +344,15 @@ def test_verify_rejects_bad_witnesses(rank, stored):
     A = SymbolicMatrix(F, factors=(C, R))
     if stored == "terms":
         A = SymbolicMatrix(F, A.terms)
-    S_sing, T_sing = e.copy(), e.copy()
-    S_sing[({0, 1, 2} - set(X)).pop()] = 0  # singular, same zero block
-    T_sing[:, ({0, 1, 2} - set(Y)).pop()] = 0
-    assert FRWitness(F, e, e, 2, 2, X, Y).verify(A)
-    assert not FRWitness(F, e, e, 2, 2, [0, 1], [0, 1]).verify(A)  # nonzero in the block
-    assert not FRWitness(F, S_sing, e, 2, 2, X, Y).verify(A)
-    assert not FRWitness(F, e, T_sing, 2, 2, X, Y).verify(A)
-    assert not FRWitness(F, e, e, 2, 2, X[:1], Y).verify(A)  # row_set of the wrong length
+    assert FRWitness(F, e[X], e[Y]).verify(A)
+    assert not FRWitness(F, e[[0, 1]], e[[0, 1]]).verify(A)  # a broken zero block
+    # each basis below spans a vanishing space but is not in pivot form
+    zero_row = np.stack([e[X[0]], 0 * e[0]])
+    repeated = np.stack([e[X[0]], e[X[0]]])
+    above = np.stack([e[X[1]], e[X[0]] + e[X[1]]])  # nonzero on the pivot above
+    for bad in (zero_row, repeated, above):
+        assert not FRWitness(F, bad, e[Y]).verify(A)
+        assert not FRWitness(F, e[X], bad).verify(A)
 
 
 def test_bipartite_single_edge():
@@ -388,9 +390,9 @@ def test_bipartite_matches_exhaustive_on_square():
         edges = sorted(rng.sample(all_edges, k))
         A = edmonds(F, n, n, edges)
         wb = mvsp_bipartite(n, n, edges, F)
-        we, U, V = mvsp_exhaustive(A)
+        we = mvsp_exhaustive(A)
         assert wb.value() == we.value()
-        assert (wb.r, wb.s) == (U.dim, V.dim)
+        assert (wb.r, wb.s) == (we.r, we.s)
         assert wb.verify(A)
 
 
@@ -460,7 +462,7 @@ def test_matroid_dependent_a_side():
     w = mvsp_matroid_intersection(va, vb, F)
     A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(2)])
     assert w.verify(A)
-    assert w.value() == blowup_witness(A, random.Random(2))[0].value() == 1
+    assert w.value() == blowup_witness(A, random.Random(2)).value() == 1
 
 
 def test_matroid_matches_nc_rank_random():
@@ -474,7 +476,7 @@ def test_matroid_matches_nc_rank_random():
         A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(m)])
         w = mvsp_matroid_intersection(va, vb, F)
         assert w.verify(A)
-        assert w.value() == blowup_witness(A, rng)[0].value()
+        assert w.value() == blowup_witness(A, rng).value()
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +487,9 @@ def test_symmetric_witness_k3():
     for p in [2, 3]:
         F = GF(p)
         A = tutte_k3(F)
-        w, U, V = mvsp_symmetric_exhaustive(A)
-        assert U.contains_subspace(V)
-        assert np.array_equal(w.T, w.S.T)
+        w = mvsp_symmetric_exhaustive(A)
+        assert Subspace(F, w.U).contains_subspace(Subspace(F, w.V))
+        assert np.array_equal(w.U[: w.s], w.V)
         assert w.verify(A)
         assert w.value() == 3
 
@@ -514,9 +516,9 @@ def test_symmetric_random_skew_nests_subspaces():
                     M[j, i] = (-v) % 3
             terms.append(M)
         A = SymbolicMatrix(F, terms)
-        w, U, V = mvsp_symmetric_exhaustive(A)
-        assert U.contains_subspace(V)
-        assert np.array_equal(w.T, w.S.T)
+        w = mvsp_symmetric_exhaustive(A)
+        assert Subspace(F, w.U).contains_subspace(Subspace(F, w.V))
+        assert np.array_equal(w.U[: w.s], w.V)
         assert w.verify(A)
 
 
@@ -525,23 +527,22 @@ def test_symmetric_random_skew_nests_subspaces():
 
 
 def test_pivot_form_reads_pivots():
-    S = np.array([[0, 1, 2], [1, 0, 0], [0, 0, 3]], dtype=np.int64)
-    pi, U = pivot_form(S)
-    assert pi.tolist() == [1, 0, 2]
-    assert np.array_equal(U, [[1, 0, 0], [0, 1, 2], [0, 0, 3]])
-    assert np.array_equal(U[pi], S)
+    B = np.array([[0, 1, 2], [1, 0, 0]], dtype=np.int64)
+    L = triangular(B)
+    assert np.array_equal(L, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])
+    assert np.array_equal(L[[1, 0]], B)
+    assert np.array_equal(triangular(np.zeros((0, 2), dtype=np.int64)), linalg.identity(2))
 
 
 def test_pivot_form_rejects():
-    for S in (
-        np.zeros((2, 2), dtype=np.int64),  # a zero row
+    for B in (
+        np.zeros((1, 2), dtype=np.int64),  # a zero row
         np.array([[1, 0], [0, 0]], dtype=np.int64),  # a zero row below
         np.array([[1, 1], [1, 0]], dtype=np.int64),  # a repeated pivot
         np.array([[0, 1], [1, 1]], dtype=np.int64),  # nonzero on the pivot above
-        np.ones((2, 3), dtype=np.int64),  # not square
     ):
         with pytest.raises(Singular):
-            pivot_form(S)
+            triangular(B)
 
 
 # ---------------------------------------------------------------------------
@@ -556,28 +557,27 @@ def test_blockdiag_single_block_always_safe():
         A = SymbolicMatrix(
             F, [linalg.rand_mat(rng, n, n, 2) for _ in range(rng.randint(1, 2))]
         )
-        w, U, V = mvsp_exhaustive(A)
+        w = mvsp_exhaustive(A)
         out = block_diagonalize_witness(w, [0] * n, [0] * n, A)
-        assert out.value() == w.value()
-        assert len(out.row_set) == out.r and len(out.col_set) == out.s
+        assert np.array_equal(out.U, w.U) and np.array_equal(out.V, w.V)
         assert out.verify(A)
 
 
 def test_blockdiag_permutation_witness_any_partition():
-    # permutation S and T survive arbitrary consistent partitions
+    # unit-vector bases survive arbitrary consistent partitions
     F = GF(5)
     A = edmonds(F, 2, 2, [(0, 0)])
     w = mvsp_bipartite(2, 2, [(0, 0)], F)
     out = block_diagonalize_witness(w, [1, 0], [1, 0], A)
     assert out.verify(A)
-    # block-diagonal with singleton blocks means monomial S and T
-    assert (np.count_nonzero(out.S, axis=1) <= 1).all()
+    # block-diagonal with singleton blocks means monomial factors
+    assert (np.count_nonzero(triangular(out.U), axis=1) <= 1).all()
 
 
 def test_blockdiag_rejects_bad_partition():
     F = GF(2)
     A = tutte_k3(F)
-    w, _, _ = mvsp_exhaustive(A)
+    w = mvsp_exhaustive(A)
     with pytest.raises(PartitionMismatch):
         block_diagonalize_witness(w, [0, 0], [0, 0, 0], A)
     with pytest.raises(PartitionMismatch):
@@ -586,13 +586,13 @@ def test_blockdiag_rejects_bad_partition():
         block_diagonalize_witness(w, [1, 0, 1], [0, 0, 0], A)
     with pytest.raises(NotSorted):
         block_diagonalize_witness(w, [0, 0, 0], [0, 0, 1], A)
-    ws, _, _ = mvsp_symmetric_exhaustive(A)
+    ws = mvsp_symmetric_exhaustive(A)
     with pytest.raises(PartitionMismatch):
         block_diagonalize_witness(ws, [2, 1], [2, 1], A)
     with pytest.raises(NotSorted):
         block_diagonalize_witness(ws, [0, 1, 1], [0, 1, 1], A)
     out = block_diagonalize_witness(ws, [0, 0, 0], [0, 0, 0], A)
-    assert np.array_equal(out.T, out.S.T) and set(out.col_set) <= set(out.row_set)
+    assert np.array_equal(out.U[: out.s], out.V)
 
 
 def test_blockdiag_structure_is_block_diagonal():
@@ -600,12 +600,11 @@ def test_blockdiag_structure_is_block_diagonal():
     F = GF(3)
     n = 4
     U, V = (Subspace(F, linalg.rand_mat(rng, rng.randint(1, n), n, 3)) for _ in range(2))
-    w = _witness_from_subspaces(F, U, V)
-    w = FRWitness(F, w.S, w.T, 0, 0)
-    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], SymbolicMatrix(F, [w.S]))
-    assert out.S[np.ix_([0, 1], [2, 3])].sum() == 0
-    assert out.S[np.ix_([2, 3], [0, 1])].sum() == 0
-    assert out.T[np.ix_([0, 1], [2, 3])].sum() == 0
-    assert out.T[np.ix_([2, 3], [0, 1])].sum() == 0
-    assert linalg.rank(out.S, 3) == n
-    assert linalg.rank(out.T, 3) == n
+    w = FRWitness(F, U.basis, V.basis)
+    zero = SymbolicMatrix(F, [np.zeros((n, n), dtype=np.int64)])
+    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], zero)
+    for B in (out.U, out.V):
+        L = triangular(B)
+        assert L[np.ix_([0, 1], [2, 3])].sum() == 0
+        assert L[np.ix_([2, 3], [0, 1])].sum() == 0
+        assert linalg.rank(L, 3) == n

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncdeg import linalg
@@ -46,7 +46,7 @@ from ncdeg.mvsp import (
     mvsp_matroid_intersection,
     nc_rank,
     nested_witness,
-    pivot_form,
+    triangular,
     witness,
 )
 from ncdeg.ratfunc import Poly, RatFn, RationalMatrix
@@ -164,8 +164,27 @@ def skew_inputs(draw):
     return SymbolicMatrix(GF(p), terms), c
 
 
+# n = 5, beyond skew_inputs: on these terms a_k b_k^t - b_k a_k^t the
+# symmetric engine must fold U's whole nested basis into both sides, not
+# V's alone, or its step collapses to 0
+NESTED_FOLD = (
+    SymbolicMatrix(
+        GF(2),
+        [
+            (np.outer(a, b) - np.outer(b, a)) % 2
+            for a, b in zip(
+                np.array([(1, 1, 1, 1, 0), (0, 1, 1, 1, 0), (0, 0, 1, 1, 0)]),
+                np.array([(0, 0, 0, 1, 1), (0, 1, 0, 0, 0), (1, 1, 0, 0, 1)]),
+            )
+        ],
+    ),
+    [3, -3, -3],
+)
+
+
 @PROPERTY
 @given(skew_inputs())
+@example(NESTED_FOLD)
 def test_symmetric_engine_matches_two_sided_engine(skew):
     A, c = skew
     Ac = WeightedSymbolicMatrix(A, c)
@@ -198,15 +217,15 @@ def witness_inputs(draw):
 @PROPERTY
 @given(witness_inputs())
 def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
-    w, U, V = blowup_witness(A, random.Random(0))
-    _, U_enum, V_enum = mvsp_exhaustive(A)
-    assert (U, V) == (U_enum, V_enum)
-    assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+    w = blowup_witness(A, random.Random(0))
+    enum = mvsp_exhaustive(A)
+    assert np.array_equal(w.U, enum.U) and np.array_equal(w.V, enum.V)
+    assert w.verify(A)
     assert nc_rank(A, random.Random(1)) == w.value()
     C, R = A.factors
     if C.shape[2] == 1:
         w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
-        assert (w.r, w.s) == (U.dim, V.dim) and w.verify(A)
+        assert (w.r, w.s) == (enum.r, enum.s) and w.verify(A)
 
 
 @st.composite
@@ -244,23 +263,23 @@ def leading_matrices(draw):
 @PROPERTY
 @given(leading_matrices())
 def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
-    # every route builds S and T^t in pivot form, and shaping each witness
-    # for the runs of alpha and beta keeps its zero block
+    # every route returns both bases in pivot form, and shaping each
+    # witness for the runs of alpha and beta keeps its zero block
     A, alpha, beta, skew = case
     F, n = A.F, A.n_rows
-    w_blowup, U, V = blowup_witness(A, random.Random(0))
+    w_blowup = blowup_witness(A, random.Random(0))
     witnesses = [witness(A, random.Random(1)), w_blowup]
     if count_subspaces(F.p, n) <= SUBSPACE_CAP:
-        witnesses.append(mvsp_exhaustive(A)[0])
-    nested = [nested_witness(F, U, V)] if skew else []
+        witnesses.append(mvsp_exhaustive(A))
+    nested = [nested_witness(w_blowup)] if skew else []
     for w in witnesses + nested:
-        for M in (w.S, w.T.T):
-            pi, Up = pivot_form(M)
-            assert np.array_equal(Up[pi], M)
+        for B in (w.U, w.V):
+            assert np.array_equal(triangular(B)[(B != 0).argmax(axis=1)], B)
+        assert w.verify(A)
         assert block_diagonalize_witness(w, alpha, beta, A).verify(A)
     for w in nested:
         out = block_diagonalize_witness(w, alpha, alpha, A)
-        assert out.verify(A) and np.array_equal(out.T, out.S.T)
+        assert out.verify(A) and np.array_equal(out.U[: out.s], out.V)
 
 
 @st.composite
