@@ -255,9 +255,9 @@ def _fmp_constraints(H: LineCollection):
     One kernel reads every row off the residues B_k (I - S_X) of the
     lines' bases modulo every X (see subspace_residues): a residue's
     rank is 2 - dim(H_k ^ X), and a 2-row matrix has rank 0 when it is
-    zero, 2 when a 2x2 minor is nonzero and 1 otherwise.  Subspaces are
-    enumerated by dimension, so a row's first X is its first minimal
-    one."""
+    zero, 2 when a 2x2 minor is nonzero and 1 otherwise.  The subspaces
+    X are enumerated by dimension, so a row's first X is its first
+    minimal one."""
     subs = enumerate_subspaces(H.F, H.n)
     if H.m == 0:
         return []

@@ -117,10 +117,14 @@ def _dec_matrix(data, F, mode, n, ctx):
         isinstance(e, list) and len(e) == 2 and all(map(_is_int_list, e)) for row in data for e in row
     ):
         raise ParseError(f"{ctx}: expected [numerator, denominator] coefficient lists")
-    rows = [
-        [RatFn(Poly(F, e[0]), Poly(F, e[1])) for e in row] for row in data
-    ]
-    return RationalMatrix(F, rows)
+
+    def entry(i, j, e):
+        den = Poly(F, e[1])
+        if den.is_zero():
+            raise ParseError(f"{ctx}[{i}][{j}]: zero denominator")
+        return RatFn(Poly(F, e[0]), den)
+
+    return RationalMatrix(F, [[entry(i, j, e) for j, e in enumerate(row)] for i, row in enumerate(data)])
 
 
 def enc_dual(sol: DualSolution):

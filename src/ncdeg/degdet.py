@@ -48,7 +48,6 @@ from .errors import (
     NotSorted,
 )
 from .mvsp import (
-    Subspace,
     _check_skew,
     _pivots,
     block_diagonalize_witness,
@@ -83,7 +82,7 @@ class DualSolution:
 
     __slots__ = ("alpha", "P", "beta", "Q", "mode", "F")
 
-    def __init__(self, alpha, P, beta, Q, mode, F=None):
+    def __init__(self, alpha, P, beta, Q, mode, F):
         self.alpha = list(alpha)
         self.P = P
         self.beta = list(beta)
@@ -523,8 +522,9 @@ def dual_forms_convert(sol: DualSolution, ell):
     """Flag-form and arithmetic-form duals from a monomial one.
 
     Requires the top n - ell entries of alpha and of beta to share one
-    value each; emits xi, eta >= 0, the scalar gamma, and the two flags
-    (spans of P row prefixes and of Q column prefixes).
+    value each; emits xi, eta >= 0, the scalar gamma, and the two flags:
+    the canonical (RREF) bases of the spans of P's row prefixes and of
+    Q's column prefixes.
     """
     if sol.mode != "monomial":
         raise NotComplementarySlack("flag conversion needs a monomial dual")
@@ -543,12 +543,11 @@ def dual_forms_convert(sol: DualSolution, ell):
     gamma = -(g1 + g2)
     if min(xi + eta, default=0) < 0:
         raise NotSorted(f"alpha {sol.alpha} and beta {sol.beta} must be non-increasing")
-    if sol.F is None:
-        raise ValueError("dual solution lacks its field; flags need one")
+    p = sol.F.p
     P = np.asarray(sol.P, dtype=np.int64)
     Q = np.asarray(sol.Q, dtype=np.int64)
-    flags_U = [Subspace(sol.F, P[:i]) for i in range(1, n + 1)]
-    flags_V = [Subspace(sol.F, Q[:, :j].T) for j in range(1, n + 1)]
+    flags_U = [linalg.row_basis(P[:i], p) for i in range(1, n + 1)]
+    flags_V = [linalg.row_basis(Q[:, :j].T, p) for j in range(1, n + 1)]
     return xi, eta, gamma, flags_U, flags_V
 
 

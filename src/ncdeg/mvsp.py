@@ -19,8 +19,9 @@ enumeration over small fields, the referee for tests and the LP oracles.
 `witness` is the one route the engines and nc_rank take: Koenig, then
 matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
-Every route returns its bases in pivot form: canonical (RREF) bases, or
-unit vectors for Koenig.
+Every route returns a witness in A's own shape, U in K^n_rows and V in
+K^n_cols, with no padding to a square, and its bases in pivot form:
+canonical (RREF) bases, or unit vectors for Koenig.
 """
 
 import itertools
@@ -68,67 +69,6 @@ def triangular(B: np.ndarray) -> np.ndarray:
     L = linalg.identity(B.shape[1])
     L[pi] = B
     return L
-
-
-class Subspace:
-    """Row space of a canonical (RREF) basis; equality is structural."""
-
-    __slots__ = ("F", "basis")
-
-    def __init__(self, F: GF, vectors):
-        V = np.asarray(vectors, dtype=np.int64)
-        if V.ndim == 1:
-            V = V[None, :]
-        self.F = F
-        self.basis = linalg.row_basis(V % F.p, F.p)
-
-    @property
-    def n(self):
-        return self.basis.shape[1]
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and other.F == self.F
-            and other.basis.shape == self.basis.shape
-            and bool(np.array_equal(other.basis, self.basis))
-        )
-
-    def __hash__(self):
-        return hash((self.F, self.basis.tobytes(), self.basis.shape))
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of K^{self.n})"
-
-    def encode(self):
-        """Lexicographic key: (dim, flattened canonical basis)."""
-        return (self.dim, tuple(int(x) for x in self.basis.ravel()))
-
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64) % self.F.p
-        stacked = np.concatenate([self.basis, v[None, :]])
-        return linalg.rank(stacked, self.F.p) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        stacked = np.concatenate([self.basis, other.basis])
-        return linalg.rank(stacked, self.F.p) == self.dim
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.F, np.concatenate([self.basis, other.basis]))
-
-    def annihilator(self) -> "Subspace":
-        """{y : b . y = 0 for every basis vector b}."""
-        return Subspace(self.F, linalg.nullspace(self.basis, self.F.p))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        both = np.concatenate(
-            [self.annihilator().basis, other.annihilator().basis]
-        )
-        return Subspace(self.F, linalg.nullspace(both, self.F.p))
 
 
 class FRWitness:
@@ -207,22 +147,31 @@ def nc_rank(A: SymbolicMatrix, rng=None) -> int:
     return witness(A, rng).value()
 
 
-def _wong_limit(sq: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
+def _wong_limit(A: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
     """Limit of the second Wong sequence W <- W + sum_k A_k Z, where Z is
     the span of the column slices of ker((C_W (x) I_d) B) and the rows of
-    C_W span the annihilator of W; returns the annihilator's basis."""
-    n, p = sq.n_rows, sq.F.p
-    Wb = np.zeros((0, n), dtype=np.int64)
+    C_W span the annihilator of W; returns the annihilator's basis.  W
+    lies in K^n_rows and the slices in K^n_cols."""
+    nr, nc, p = A.n_rows, A.n_cols, A.F.p
+    Wb = np.zeros((0, nr), dtype=np.int64)
     while True:
         C = linalg.nullspace(Wb, p)
-        CB = linalg.matmul(C, B.reshape(n, -1), p).reshape(-1, n * d)
+        CB = linalg.matmul(C, B.reshape(nr, -1), p).reshape(-1, nc * d)
         Y = linalg.nullspace(CB, p)
-        Z = Y.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n)
-        gens = linalg.matmul(Z, sq.terms.transpose(0, 2, 1), p).reshape(-1, n)
+        Z = Y.reshape(-1, nc, d).transpose(0, 2, 1).reshape(-1, nc)
+        gens = linalg.matmul(Z, A.terms.transpose(0, 2, 1), p).reshape(-1, nr)
         grown = linalg.row_basis(np.concatenate([Wb, gens]), p)
         if grown.shape[0] == Wb.shape[0]:
             return C
         Wb = grown
+
+
+def _pair(A: SymbolicMatrix, U: np.ndarray) -> FRWitness:
+    """The witness of U's span and the largest V vanishing against it,
+    both as canonical (RREF) bases."""
+    p = A.F.p
+    U = linalg.row_basis(U, p)
+    return FRWitness(A.F, U, linalg.row_basis(_max_vanishing_V(A, U), p))
 
 
 def blowup_witness(A: SymbolicMatrix, rng=None):
@@ -233,14 +182,14 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     then U = W^perp and V is the largest vanishing space for U.  Every
     vanishing pair bounds the nc-rank from above and rank(B) / d bounds it
     from below, so value * d == rank(B) certifies the optimum at every
-    order d.  Each of at most 64 rounds spends default_trials(p) draws
-    at each order d = 1, 2, 4, ..., n - 1 whose side n d is within
-    MAX_SIDE; the answer is certified, so the count only sets the time.
-    Low orders are cheap and certify whenever their maximum rank reaches
-    d * nc-rank; d = n - 1 always can, by blow-up regularity
-    (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank is not a multiple of
-    d, or not above every earlier rank at its order, cannot certify and
-    skips the Wong sequence.
+    order d.  With n = max(n_rows, n_cols), each of at most 64 rounds
+    spends default_trials(p) draws at each order d = 1, 2, 4, ..., n - 1
+    whose side n d is within MAX_SIDE; the answer is certified, so the
+    count only sets the time.  Low orders are cheap and certify whenever
+    their maximum rank reaches d * nc-rank; d = n - 1 always can, by
+    blow-up regularity (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank is
+    not a multiple of d, or not above every earlier rank at its order,
+    cannot certify and skips the Wong sequence.
 
     The certified witness is also dominant; the proof uses only
     rank(B) = d * nc-rank, so it holds at every order.  Write A V' for
@@ -251,29 +200,28 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     the least image of all optima, and U = W^perp is the largest optimal
     U.
 
-    Returns the witness of the padded square matrix.  Raises
-    SizeBudgetExceeded when nothing certified and n - 1 was beyond the
-    budget, else AlgorithmStall.
+    Returns the witness in A's own shape, U in K^n_rows and V in
+    K^n_cols; a matrix with a zero dimension gives the pair of whole
+    spaces with no draw.  Raises SizeBudgetExceeded when nothing
+    certified and n - 1 was beyond the budget, else AlgorithmStall.
     """
     rng = as_rng(rng)
-    sq = A.pad_square()
-    n, F = sq.n_rows, A.F
-    if n == 0:  # the empty pair is optimal with no draw
-        E = np.zeros((0, 0), dtype=np.int64)
-        return FRWitness(F, E, E)
+    F = A.F
+    if 0 in A.shape:
+        return FRWitness(F, linalg.identity(A.n_rows), linalg.identity(A.n_cols))
+    n = max(A.shape)
     top = max(n - 1, 1)
     doubling = [1 << i for i in range((top - 1).bit_length())]
     orders = [d for d in doubling + [top] if d == 1 or n * d <= MAX_SIDE]
     best = dict.fromkeys(orders, -1)
     for _, d, _ in itertools.product(range(64), orders, range(default_trials(F.p))):
-        Rs = linalg.rand_mat(rng, sq.n_terms * d, d, F.p).reshape(-1, d, d)
-        B = sq.blowup_substitute(Rs)
+        Rs = linalg.rand_mat(rng, A.n_terms * d, d, F.p).reshape(-1, d, d)
+        B = A.blowup_substitute(Rs)
         rB = linalg.rank(B, F.p)
         if rB % d == 0 and rB > best[d]:
-            U = Subspace(F, _wong_limit(sq, B, d))
-            V = Subspace(F, _max_vanishing_V(sq, U.basis))
-            if (2 * n - U.dim - V.dim) * d == rB:
-                return FRWitness(F, U.basis, V.basis)
+            w = _pair(A, _wong_limit(A, B, d))
+            if w.value() * d == rB:
+                return w
         best[d] = max(best[d], rB)
     if orders[-1] < top:
         raise SizeBudgetExceeded(f"no draw certified, and order {top} needs side {n * top} > {MAX_SIDE}")
@@ -357,32 +305,26 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
-def mvsp_exhaustive(A: SymbolicMatrix):
+def mvsp_exhaustive(A: SymbolicMatrix) -> FRWitness:
     """Minimize n_rows + n_cols - dim U - dim V over vanishing pairs by
-    enumerating every U; the best V for a given U is unique and maximal.
+    enumerating every U in K^n_rows; the best V for a given U is unique
+    and maximal.
 
     Returns the witness of the dominant optimum: the one with the largest
     U of all optima (their sum, since optimal pairs are closed under
     (U + U', V intersect V')).
     """
-    sq = A.pad_square()
-    n = sq.n_rows
-    F = A.F
-    best_val = None
-    best = []  # (U basis, V basis) for all optimal U
-    for Ub in enumerate_subspaces(F, n):
-        Vb = _max_vanishing_V(sq, Ub)
-        val = 2 * n - Ub.shape[0] - Vb.shape[0]
+    best_val, best = None, []  # bases of all optimal U
+    for Ub in enumerate_subspaces(A.F, A.n_rows):
+        val = A.n_rows + A.n_cols - Ub.shape[0] - _max_vanishing_V(A, Ub).shape[0]
         if best_val is None or val < best_val:
-            best_val = val
-            best = [(Ub, Vb)]
+            best_val, best = val, [Ub]
         elif val == best_val:
-            best.append((Ub, Vb))
-    U = Subspace(F, np.concatenate([ub for ub, _ in best]))
-    V = Subspace(F, _max_vanishing_V(sq, U.basis))
-    if 2 * n - U.dim - V.dim != best_val:
+            best.append(Ub)
+    w = _pair(A, np.concatenate(best))
+    if w.value() != best_val:
         raise AlgorithmStall("optimum not closed under joins")
-    return FRWitness(F, U.basis, V.basis)
+    return w
 
 
 def _check_skew(A: SymbolicMatrix):
@@ -583,9 +525,9 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
     m = va.shape[0]
     _, I = matroid_intersection(va, vb, F.p)
     notI = sorted(set(range(m)) - I)
-    U = Subspace(F, linalg.nullspace(va[sorted(I)], F.p))
-    V = Subspace(F, linalg.nullspace(vb[notI], F.p))
-    return FRWitness(F, U.basis, V.basis)
+    U = linalg.row_basis(linalg.nullspace(va[sorted(I)], F.p), F.p)
+    V = linalg.row_basis(linalg.nullspace(vb[notI], F.p), F.p)
+    return FRWitness(F, U, V)
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,27 @@ def test_verify_rejects_a_dual_of_the_wrong_side(tmp_path, capsys, command):
     assert captured.err.splitlines() == ["ncdeg: error: duals[1]: expected 2 entries in alpha, got 1"]
 
 
+@pytest.mark.parametrize("den", [[], [0], [5]])
+def test_verify_names_a_zero_denominator(tmp_path, capsys, den):
+    # an empty, zero or zero-mod-p denominator is a malformed report, and
+    # the error names the entry, 0-based
+    doc = {
+        "field": {"p": 5},
+        "kind": "bipartite",
+        "payload": {"size": 2, "edges": [[1, 1], [2, 2], [1, 2]], "weights": [1, 2, 3]},
+    }
+    path = write(tmp_path, "zero_den.json", doc)
+    code, out = run(capsys, "subdet", path, "--json")
+    assert code == 0
+
+    def forge(report):
+        report["duals"]["1"]["Q"][1][0] = [[1], den]
+
+    code, captured = verify_edited(tmp_path, capsys, json.loads(out), path, forge)
+    assert code == 1
+    assert captured.err.splitlines() == ["ncdeg: error: dual.Q[1][0]: zero denominator"]
+
+
 def test_verify_fmm_report(tmp_path, capsys):
     path = write(tmp_path, "lines.json", k3_lines_doc())
     _, out = run(capsys, "fmm", path, "--json")

@@ -557,13 +557,14 @@ def test_dual_forms_convert_identity():
         )
         for i, j in zip(*np.nonzero(M)):
             assert xi[i] + eta[j] + gamma >= Ac.c[k]
-    assert [f.dim for f in flags_U] == [1, 2, 3]
-    assert all(
-        flags_U[i].contains_subspace(flags_U[i - 1]) for i in range(1, 3)
-    )
-    assert all(
-        flags_V[j].contains_subspace(flags_V[j - 1]) for j in range(1, 3)
-    )
+    # the flags are canonical bases of nested spans
+    for flags in (flags_U, flags_V):
+        assert [f.shape for f in flags] == [(1, 3), (2, 3), (3, 3)]
+        assert all(np.array_equal(linalg.row_basis(f, p), f) for f in flags)
+        assert all(
+            linalg.rank(np.concatenate([flags[i], flags[i - 1]]), p) == i + 1
+            for i in range(1, 3)
+        )
 
 
 def test_dual_forms_convert_needs_flat_head():

@@ -100,6 +100,16 @@ def test_row_basis_canonical():
     assert np.array_equal(B1, B2)
 
 
+def test_row_basis_canonical_equality():
+    # scrambling a basis by row operations, with entries off their
+    # residues, leaves the canonical basis unchanged
+    p = 5
+    a = la.row_basis(np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64), p)
+    b = la.row_basis(np.array([[1, 3, 7], [2, 4, 6]], dtype=np.int64), p)
+    assert np.array_equal(a, b)
+    assert a.shape == (2, 3)
+
+
 def test_inv_table_small():
     for p in PRIMES:
         tab = la.inv_table(p)

@@ -197,19 +197,25 @@ def test_symmetric_engine_matches_two_sided_engine(skew):
 
 @st.composite
 def witness_inputs(draw):
-    """General, skew or rank-one terms on up to five coordinates, small
-    enough for subspace enumeration to referee."""
+    """General, skew or rank-one terms on up to five coordinates a side,
+    small enough for subspace enumeration to referee; skew terms are
+    square, the others draw n_rows and n_cols apart."""
     p = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 5 if p < 5 else 4))
+    side = st.integers(1, 5 if p < 5 else 4)
+    nr = draw(side)
     m = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["general", "skew", "rank-one"]))
-    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    nc = nr if kind == "skew" else draw(side)
+
+    def vec(n):
+        return st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+
     terms = []
     for _ in range(m):
         if kind == "general":
-            terms.append(np.array(draw(st.lists(vec, min_size=n, max_size=n))))
+            terms.append(np.array(draw(st.lists(vec(nc), min_size=nr, max_size=nr))))
         else:
-            a, b = np.array(draw(vec)), np.array(draw(vec))
+            a, b = np.array(draw(vec(nr))), np.array(draw(vec(nc)))
             terms.append(np.outer(a, b) - (np.outer(b, a) if kind == "skew" else 0))
     return SymbolicMatrix(GF(p), terms)
 
