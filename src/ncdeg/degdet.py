@@ -33,6 +33,7 @@ feasibility plus objective equality is strong duality, and any
 feasible dual upper-bounds every Delta_ell (weak duality).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +122,11 @@ class DualSolution:
             if linalg.rank(linalg.matmul(self.P, self.Q, p), p) < self.n:
                 return False  # the square P Q is invertible iff P and Q are
             support = Ac.base.sandwich(self.P, self.Q).support()
-            return not (_slacks(support, self.alpha, self.beta, Ac.c) > 0).any()
+            # scaled by the lcm D of the denominators, half-integral duals
+            # compare in int64 rather than as Fractions
+            D = math.lcm(*(x.denominator for x in self.alpha + self.beta if isinstance(x, Fraction)))
+            a, b = _scaled(self.alpha, D), _scaled(self.beta, D)
+            return not (_slacks(support, a, b, [D * ck for ck in Ac.c]) > 0).any()
         try:
             if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
                 return False
@@ -184,6 +189,12 @@ def _exact(values) -> np.ndarray:
     if a.dtype == np.int64 and (not a.size or -_EXACT < a.min() and a.max() < _EXACT):
         return a
     return np.array(values, dtype=object)
+
+
+def _scaled(values, D):
+    """D * values, with Fractions made Python ints (D clears their
+    denominators) and any other entry multiplied as it is."""
+    return [int(x * D) if isinstance(x, Fraction) else x * D for x in values]
 
 
 def _slacks(support, alpha, beta, c):
@@ -301,7 +312,7 @@ def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
     while True:
         G = B.transform(P, Q).terms
         At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
-        w = witness(At, rng)
+        w = witness(At, rng)[0]
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
@@ -373,7 +384,11 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     of term k the product of u on the rows where alpha is largest over
     supp u and v on the columns where beta is largest over supp v (or
     zero), so the leading matrix comes out factored.  Higher ranks mask
-    the dense terms.
+    the dense terms.  On the matroid route the loop hands each round's
+    common independent set J back to witness as the next start, as
+    Frank's weight-splitting algorithm keeps its J across dual steps:
+    the sorting permutations move rows and columns only, so J's term
+    indices stay valid.
 
     A step runs until the next entry becomes tight (kappa1), as in Kuhn's
     Hungarian method; sorting permutations then reorder alpha with the rows
@@ -401,6 +416,7 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     support = B.support()
     cmin = min(c, default=0)
     ell = 0
+    J = ()
     hard_cap = 16 * n * n * n + 64
 
     def emit(lo, hi):
@@ -436,7 +452,7 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
         if symmetric:
             w = nested_witness(blowup_witness(At, rng))
         else:
-            w = witness(At, rng)
+            w, J = witness(At, rng, J)
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")

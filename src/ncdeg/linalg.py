@@ -72,7 +72,12 @@ def rank(A: np.ndarray, p: int) -> int:
 
 
 def rref(A: np.ndarray, p: int):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Each pivot row, scaled to a unit pivot, moves to row r and clears its
+    column with one rank-one update of the whole matrix, in which row r's
+    own factor is zero.
+    """
     R = np.array(A, dtype=np.int64, copy=True) % p
     m, n = R.shape
     inv = inv_table(p)
@@ -81,17 +86,16 @@ def rref(A: np.ndarray, p: int):
     for j in range(n):
         if r == m:
             break
-        nz = np.nonzero(R[r:, j])[0]
-        if nz.size == 0:
+        i = r + int(R[r:, j].argmax())
+        if not R[i, j]:
             continue
-        i = r + nz[0]
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * inv[R[r, j]]) % p
-        other = np.nonzero(R[:, j])[0]
-        other = other[other != r]
-        if other.size:
-            R[other] = (R[other] - np.outer(R[other, j], R[r])) % p
+        row = R[i] * inv[R[i, j]] % p
+        R[i] = R[r]
+        R[r] = row
+        f = R[:, j].copy()
+        f[r] = 0
+        R -= np.outer(f, row)
+        R %= p
         pivots.append(j)
         r += 1
     return R, pivots
@@ -104,17 +108,23 @@ def row_basis(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
-    """Rows span the right null space: A @ N.T == 0 mod p."""
-    R, piv = rref(A, p)
+    """Canonical (RREF) basis of the right null space: A @ N.T == 0 mod p.
+
+    Eliminating A with its columns reversed gives the usual basis (a 1
+    at a free column, minus that column's coordinates on the pivots), in
+    which a row's nonzeros lie at or before its free column.  Reversing
+    its columns and rows back puts each row's 1 first, at increasing
+    columns, with later nonzeros on pivot columns only: RREF.
+    """
+    R, piv = rref(np.asarray(A)[:, ::-1], p)
     n = R.shape[1]
-    pivset = set(piv)
-    free = [j for j in range(n) if j not in pivset]
-    N = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        N[k, f] = 1
-        for i, j in enumerate(piv):
-            N[k, j] = (-R[i, f]) % p
-    return N
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    N = np.zeros((free.size, n), dtype=np.int64)
+    N[np.arange(free.size), free] = 1
+    N[:, piv] = (-R[: len(piv), free].T) % p
+    return N[::-1, ::-1].copy()
 
 
 def det(A: np.ndarray, p: int) -> int:

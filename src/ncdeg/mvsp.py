@@ -122,13 +122,21 @@ class FRWitness:
 # witness route, nc-rank and the blow-up witness
 
 
-def witness(A: SymbolicMatrix, rng=None) -> FRWitness:
+def witness(A: SymbolicMatrix, rng=None, start=()):
     """Certified dominant witness by the cheapest route A's factors allow:
     Koenig when every live term is a single entry, matroid intersection
     when every term has rank at most one (exact by Lovasz, 1989), else
     the blow-up witness, the only route that draws from rng.  The solvers
     are read as module globals at call time, so the bench tracer's
-    wrappers see every call."""
+    wrappers see every call.
+
+    Returns (w, J).  On the matroid route J is the maximum common
+    independent set, as term indices of A, and start, term indices too,
+    seeds the search: a caller whose next matrix keeps the terms' indices
+    passes J back, and whatever of it is dead or dependent there is
+    dropped.  The witness does not depend on start.  Other routes return
+    J = ().
+    """
     C, R = A.factors
     if C.shape[2] == 1:
         u, v = C[:, :, 0], R[:, 0, :]
@@ -136,22 +144,25 @@ def witness(A: SymbolicMatrix, rng=None) -> FRWitness:
         u, v = u[live], v[live]
         if ((u != 0).sum(axis=1) == 1).all() and ((v != 0).sum(axis=1) == 1).all():
             edges = sorted(set(zip(np.nonzero(u)[1].tolist(), np.nonzero(v)[1].tolist())))
-            return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F)
-        return mvsp_matroid_intersection(u, v, A.F)
-    return blowup_witness(A, rng)
+            return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F), ()
+        terms = np.flatnonzero(live)
+        at = np.cumsum(live) - 1  # a live term's index among the live ones
+        w, J = mvsp_matroid_intersection(u, v, A.F, [int(at[k]) for k in start if live[k]])
+        return w, tuple(terms[list(J)].tolist())
+    return blowup_witness(A, rng), ()
 
 
 def nc_rank(A: SymbolicMatrix, rng=None) -> int:
     """nc-rank, certified: the value of witness's pair, deterministic on
     rank-one stacks and Las Vegas otherwise."""
-    return witness(A, rng).value()
+    return witness(A, rng)[0].value()
 
 
 def _wong_limit(A: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
     """Limit of the second Wong sequence W <- W + sum_k A_k Z, where Z is
     the span of the column slices of ker((C_W (x) I_d) B) and the rows of
-    C_W span the annihilator of W; returns the annihilator's basis.  W
-    lies in K^n_rows and the slices in K^n_cols."""
+    C_W span the annihilator of W; returns the annihilator's canonical
+    (RREF) basis.  W lies in K^n_rows and the slices in K^n_cols."""
     nr, nc, p = A.n_rows, A.n_cols, A.F.p
     Wb = np.zeros((0, nr), dtype=np.int64)
     while True:
@@ -164,14 +175,6 @@ def _wong_limit(A: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
         if grown.shape[0] == Wb.shape[0]:
             return C
         Wb = grown
-
-
-def _pair(A: SymbolicMatrix, U: np.ndarray) -> FRWitness:
-    """The witness of U's span and the largest V vanishing against it,
-    both as canonical (RREF) bases."""
-    p = A.F.p
-    U = linalg.row_basis(U, p)
-    return FRWitness(A.F, U, linalg.row_basis(_max_vanishing_V(A, U), p))
 
 
 def blowup_witness(A: SymbolicMatrix, rng=None):
@@ -219,7 +222,8 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
         B = A.blowup_substitute(Rs)
         rB = linalg.rank(B, F.p)
         if rB % d == 0 and rB > best[d]:
-            w = _pair(A, _wong_limit(A, B, d))
+            U = _wong_limit(A, B, d)
+            w = FRWitness(F, U, _max_vanishing_V(A, U))
             if w.value() * d == rB:
                 return w
         best[d] = max(best[d], rB)
@@ -296,8 +300,8 @@ def subspace_residues(F: GF, n: int) -> np.ndarray:
 
 
 def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
-    """Largest V with u' A_k v = 0 for all u in U, k: the null space of the
-    stacked row images u' A_k."""
+    """Canonical basis of the largest V with u' A_k v = 0 for all u in U,
+    k: the null space of the stacked row images u' A_k."""
     p = A.F.p
     if Ubasis.shape[0] == 0:
         return linalg.identity(A.n_cols)
@@ -321,7 +325,8 @@ def mvsp_exhaustive(A: SymbolicMatrix) -> FRWitness:
             best_val, best = val, [Ub]
         elif val == best_val:
             best.append(Ub)
-    w = _pair(A, np.concatenate(best))
+    U = linalg.row_basis(np.concatenate(best), A.F.p)
+    w = FRWitness(A.F, U, _max_vanishing_V(A, U))
     if w.value() != best_val:
         raise AlgorithmStall("optimum not closed under joins")
     return w
@@ -421,15 +426,22 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
 # matroid intersection solver
 
 
-def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
+def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int, start=()):
     """Maximum common independent set of the two linear matroids on [m]
     spanned by the rows of va and vb, via shortest augmenting paths, each
     round's exchange graph read off one elimination per matroid
     (Cunningham, SIAM J. Comput. 1986).
 
+    The search starts from J = start, as Frank's weight-splitting method
+    keeps its common independent set across dual steps.  The round's
+    elimination lists J's columns first, so its pivots among them show
+    whether J is independent in each matroid; if not, J shrinks to the
+    elements that are pivots in both, independent in both, and the round
+    is redone.  A cold start is start = ().
+
     Returns (J, I) where J is the common independent set and I is the
     least minimizer of r1(I) + r2([m] - I), certified by |J| = r1(I) +
-    r2([m] - I).
+    r2([m] - I).  I does not depend on start.
 
     Once no X1-X2 path is left, I is the set of elements from which X2 is
     reachable, a minimizer by Edmonds' min-max (Schrijver, Combinatorial
@@ -443,17 +455,24 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
     lies in I'.
     """
     m = va.shape[0]
-    J: set = set()
+    J = set(start)
     while True:
         Jl = list(J)
         notJ = [y for y in range(m) if y not in J]
         r = len(Jl)
-        # one RREF of the columns [v_J | v_notJ] per matroid: y lies outside
+        # one RREF of the columns [v_J | v_notJ] per matroid: J is
+        # independent iff its r columns are all pivots; then y lies outside
         # span(J) iff its column has a nonzero below row |J|, and otherwise
         # J - x + y is independent iff y's coordinate on x is nonzero
-        outs, arcs = [], []
+        Es = []
         for vecs in (va, vb):
-            E = linalg.rref(vecs[Jl + notJ].T, p)[0]
+            E, piv = linalg.rref(vecs[Jl + notJ].T, p)
+            J &= {Jl[c] for c in piv if c < r}
+            Es.append(E)
+        if len(J) < r:
+            continue
+        outs, arcs = [], []
+        for E in Es:
             out = E[r:, r:].any(axis=0)
             outs.append([y for y, o in zip(notJ, out) if o])
             arcs.append((E[:r, r:] != 0) | out)
@@ -507,10 +526,12 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int):
         J ^= set(path)
 
 
-def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
+def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF, start=()):
     """Dominant witness for A = sum_k a_k b_k' x_k from the least
     matroid-intersection minimizer I: U annihilates {a_k : k in I}, V
-    annihilates the rest of the b_k.
+    annihilates the rest of the b_k.  Returns (w, J), with J the maximum
+    common independent set, sorted, that matroid_intersection reached
+    from start; w does not depend on start.
 
     Any optimal pair (U', V') kills a_k for k in some I' and b_k for the
     rest, so U' lies in ann(a_k : k in I'), V' in ann(b_k : k not in I'),
@@ -523,11 +544,10 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF) -> FRWitness:
     if va.shape[0] != vb.shape[0]:
         raise DimensionMismatch("need one a_k per b_k")
     m = va.shape[0]
-    _, I = matroid_intersection(va, vb, F.p)
+    J, I = matroid_intersection(va, vb, F.p, start)
     notI = sorted(set(range(m)) - I)
-    U = linalg.row_basis(linalg.nullspace(va[sorted(I)], F.p), F.p)
-    V = linalg.row_basis(linalg.nullspace(vb[notI], F.p), F.p)
-    return FRWitness(F, U, V)
+    w = FRWitness(F, linalg.nullspace(va[sorted(I)], F.p), linalg.nullspace(vb[notI], F.p))
+    return w, tuple(sorted(J))
 
 
 # ---------------------------------------------------------------------------

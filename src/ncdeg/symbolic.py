@@ -117,6 +117,14 @@ class SymbolicMatrix:
         if self._terms is None and self._factors is None:
             raise DimensionMismatch("a symbolic matrix needs its terms or their factors")
 
+    @classmethod
+    def _reduced(cls, F: GF, terms=None, factors=None) -> "SymbolicMatrix":
+        """A matrix of stacks already reduced mod p and of matching shapes,
+        stored as given."""
+        out = cls.__new__(cls)
+        out.F, out._terms, out._factors = F, terms, factors
+        return out
+
     @property
     def terms(self) -> np.ndarray:
         if self._terms is None:
@@ -157,9 +165,9 @@ class SymbolicMatrix:
         the factors are stored, else dense."""
         p = self.F.p
         if self._factors is None:
-            return SymbolicMatrix(self.F, linalg.matmul(linalg.matmul(L, self._terms, p), Rt, p))
+            return SymbolicMatrix._reduced(self.F, linalg.matmul(linalg.matmul(L, self._terms, p), Rt, p))
         C, R = self._factors
-        return SymbolicMatrix(self.F, factors=(linalg.matmul(L, C, p), linalg.matmul(R, Rt, p)))
+        return SymbolicMatrix._reduced(self.F, factors=(linalg.matmul(L, C, p), linalg.matmul(R, Rt, p)))
 
     def is_zero(self) -> bool:
         """Whether every term vanishes; rank-one factors answer in O(mn),
@@ -189,7 +197,7 @@ class SymbolicMatrix:
         forms are stored; index lists that are permutations reorder."""
         T = None if self._terms is None else self._terms[:, rows][:, :, cols]
         CR = None if self._factors is None else (self._factors[0][:, rows], self._factors[1][:, :, cols])
-        return SymbolicMatrix(self.F, T, CR)
+        return SymbolicMatrix._reduced(self.F, T, CR)
 
     def pad_square(self):
         """Zero-pad to n x n, n = max(n_rows, n_cols)."""

@@ -317,9 +317,9 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     seen = []
     route = degdet.witness
 
-    def record(A, rng):
+    def record(A, rng, start=()):
         seen.append(A)
-        return route(A, rng)
+        return route(A, rng, start)
 
     monkeypatch.setattr(degdet, "witness", record)
     F = GF(5)
@@ -334,14 +334,14 @@ def test_hungarian_solver_variants_agree(monkeypatch):
         C, R = A.factors
         if C.shape[2] == 1:
             u, v = C[:, :, 0], R[:, 0, :]
-            witnesses.append(mvsp_matroid_intersection(u, v, F))
+            witnesses.append(mvsp_matroid_intersection(u, v, F)[0])
             if ((u != 0).sum(axis=1) <= 1).all() and ((v != 0).sum(axis=1) <= 1).all():
                 n_bipartite += 1
                 edges = [(a.argmax(), b.argmax()) for a, b in zip(u, v) if a.any() and b.any()]
                 witnesses.append(mvsp_bipartite(A.n_rows, A.n_cols, edges, F))
         assert all(w.verify(A) for w in witnesses)
         assert len({w.value() for w in witnesses}) == 1
-        assert route(A, random.Random(0)).value() == witnesses[0].value()
+        assert route(A, random.Random(0))[0].value() == witnesses[0].value()
     assert n_bipartite == 2
 
 

@@ -77,16 +77,35 @@ def test_rank_and_rref(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_nullspace(p):
+    # the null space comes as its canonical (RREF) basis, for 0-row,
+    # rank-deficient and full-rank inputs alike
     rng = random.Random(31 + p)
-    for _ in range(40):
-        m = rng.randrange(1, 6)
+    for t in range(60):
+        m = rng.randrange(0, 6)
         n = rng.randrange(1, 6)
-        A = la.rand_mat(rng, m, n, p)
+        r = rng.randrange(0, min(m, n) + 1) if t % 2 else min(m, n)
+        A = la.matmul(la.rand_mat(rng, m, r, p), la.rand_mat(rng, r, n, p), p)
         N = la.nullspace(A, p)
-        assert N.shape[0] == n - la.rank(A, p)
-        if N.shape[0]:
-            assert np.all(la.matmul(A, N.T, p) == 0)
-            assert la.rank(N, p) == N.shape[0]
+        assert N.shape == (n - la.rank(A, p), n)
+        assert np.array_equal(N, la.row_basis(N, p))
+        assert np.all(la.matmul(A, N.T, p) == 0)
+    assert np.array_equal(la.nullspace(np.zeros((0, 3), dtype=np.int64), p), la.identity(3))
+    assert la.nullspace(la.identity(3), p).shape == (0, 3)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_is_canonical(p):
+    # the RREF of a matrix is that of any matrix with the same row space
+    rng = random.Random(61 + p)
+    for _ in range(40):
+        m, n = rng.randrange(1, 6), rng.randrange(1, 7)
+        A = la.rand_mat(rng, m, n, p)
+        G = la.rand_mat(rng, m, m, p)
+        if la.rank(G, p) < m:
+            continue
+        R, piv = la.rref(A, p)
+        R2, piv2 = la.rref(la.matmul(G, A, p), p)
+        assert piv == piv2 and np.array_equal(R, R2)
 
 
 def test_row_basis_canonical():

@@ -408,7 +408,8 @@ def test_matroid_free_case():
 def test_matroid_witness_diagonal():
     F = GF(5)
     eye = linalg.identity(3)
-    w = mvsp_matroid_intersection(eye, eye, F)
+    w, J = mvsp_matroid_intersection(eye, eye, F)
+    assert J == (0, 1, 2)
     A = SymbolicMatrix(
         F, [np.outer(eye[k], eye[k]) for k in range(3)]
     )
@@ -419,7 +420,8 @@ def test_matroid_witness_diagonal():
 def test_matroid_all_zero_vectors():
     F = GF(3)
     va = np.zeros((2, 3), dtype=np.int64)
-    w = mvsp_matroid_intersection(va, va, F)
+    w, J = mvsp_matroid_intersection(va, va, F)
+    assert J == ()
     assert w.value() == 0
     A = SymbolicMatrix(F, [np.zeros((3, 3), dtype=np.int64)] * 2)
     assert w.verify(A)
@@ -430,10 +432,15 @@ def test_matroid_dependent_a_side():
     e = linalg.identity(2)
     va = np.stack([e[0], e[0]])
     vb = np.stack([e[0], e[1]])
-    w = mvsp_matroid_intersection(va, vb, F)
+    w, J = mvsp_matroid_intersection(va, vb, F)
     A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(2)])
     assert w.verify(A)
     assert w.value() == blowup_witness(A, random.Random(2)).value() == 1
+    # a start dependent on the a side is pruned to what both sides keep
+    # independent, and the witness does not move
+    warm, Jw = mvsp_matroid_intersection(va, vb, F, start=(0, 1))
+    assert len(J) == len(Jw) == 1
+    assert np.array_equal(warm.U, w.U) and np.array_equal(warm.V, w.V)
 
 
 def test_matroid_matches_nc_rank_random():
@@ -445,7 +452,7 @@ def test_matroid_matches_nc_rank_random():
         va = linalg.rand_mat(rng, m, n, 5)
         vb = linalg.rand_mat(rng, m, n, 5)
         A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(m)])
-        w = mvsp_matroid_intersection(va, vb, F)
+        w, _ = mvsp_matroid_intersection(va, vb, F)
         assert w.verify(A)
         assert w.value() == blowup_witness(A, rng).value()
 

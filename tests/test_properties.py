@@ -221,8 +221,11 @@ def witness_inputs(draw):
 
 
 @PROPERTY
-@given(witness_inputs())
-def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
+@given(witness_inputs(), st.randoms(use_true_random=False))
+def test_blowup_witness_is_the_enumerated_dominant_optimum(A, rnd):
+    # on rank-one stacks matroid intersection started from any subset of
+    # the terms, dependent ones included, finds the cold start's I and so
+    # the same witness
     w = blowup_witness(A, random.Random(0))
     enum = mvsp_exhaustive(A)
     assert np.array_equal(w.U, enum.U) and np.array_equal(w.V, enum.V)
@@ -230,8 +233,11 @@ def test_blowup_witness_is_the_enumerated_dominant_optimum(A):
     assert nc_rank(A, random.Random(1)) == w.value()
     C, R = A.factors
     if C.shape[2] == 1:
-        w = mvsp_matroid_intersection(C[:, :, 0], R[:, 0, :], A.F)
-        assert (w.r, w.s) == (enum.r, enum.s) and w.verify(A)
+        va, vb = C[:, :, 0], R[:, 0, :]
+        start = [k for k in range(A.n_terms) if rnd.random() < 0.5]
+        assert matroid_intersection(va, vb, A.F.p, start)[1] == matroid_intersection(va, vb, A.F.p)[1]
+        w, _ = mvsp_matroid_intersection(va, vb, A.F, start)
+        assert np.array_equal(w.U, enum.U) and np.array_equal(w.V, enum.V)
 
 
 @st.composite
@@ -274,7 +280,7 @@ def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
     A, alpha, beta, skew = case
     F, n = A.F, A.n_rows
     w_blowup = blowup_witness(A, random.Random(0))
-    witnesses = [witness(A, random.Random(1)), w_blowup]
+    witnesses = [witness(A, random.Random(1))[0], w_blowup]
     if count_subspaces(F.p, n) <= SUBSPACE_CAP:
         witnesses.append(mvsp_exhaustive(A))
     nested = [nested_witness(w_blowup)] if skew else []
@@ -301,13 +307,17 @@ def vector_pairs(draw):
 
 
 @PROPERTY
-@given(vector_pairs())
-def test_matroid_intersection_matches_brute_force(pair):
+@given(vector_pairs(), st.randoms(use_true_random=False))
+def test_matroid_intersection_matches_brute_force(pair, rnd):
     # J is common independent, |J| is the least r1(I) + r2([m] - I), and
-    # I is the intersection of all minimizers
+    # I is the intersection of all minimizers, from a cold start and from
+    # a random start, which is often dependent here
     va, vb, p = pair
     m = va.shape[0]
     J, I = matroid_intersection(va, vb, p)
+    Jw, Iw = matroid_intersection(va, vb, p, [k for k in range(m) if rnd.random() < 0.5])
+    assert Iw == I and len(Jw) == len(J)
+    assert linalg.rank(va[sorted(Jw)], p) == linalg.rank(vb[sorted(Jw)], p) == len(Jw)
     assert linalg.rank(va[sorted(J)], p) == linalg.rank(vb[sorted(J)], p) == len(J)
     cost = {}
     for mask in range(1 << m):
