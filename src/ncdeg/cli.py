@@ -195,7 +195,7 @@ def _report(args, inst, values, duals, iterations, guarantee, exit_code):
         "kind": inst.kind,
         "field": {"p": inst.F.p},
         "seed": args.seed,
-        "trials": args.trials,
+        "trials": getattr(args, "trials", None),
         "values": values,
         "duals": duals,
         "iterations": iterations,
@@ -533,8 +533,9 @@ _FLAGS = {
 
 
 def _build_parser():
-    """Each subcommand takes only the flags it reads: verify re-checks with
-    the report's own seed and trials, selftest runs fixed instances."""
+    """Each subcommand takes only the flags it reads: only ncrank and
+    oracle draw Monte-Carlo trials, verify re-checks with the report's
+    own seed and trials, selftest runs fixed instances."""
     parser = _Parser(prog="ncdeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -546,7 +547,8 @@ def _build_parser():
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
 
     for name in ("ncrank", "degdet", "subdet", "hungarian", "fmm", "bl-member", "oracle"):
-        command(name, ["instance"], _FLAGS)
+        trials = ["trials"] if name in ("ncrank", "oracle") else []
+        command(name, ["instance"], ["seed", "prime", *trials, "json"])
     command("verify", ["report", "instance"], ["prime"])
     command("selftest", [], ["seed"])
     return parser

@@ -11,8 +11,9 @@ K(t):
   restores sortedness and biproperness after each long step.
 * hungarian_deg_det: monomial engine for weighted matrices A[c].  P, Q
   stay over the base field, alpha and beta move by the longest feasible
-  integral step (kappa1) and are re-sorted by permutations, with
-  block-diagonal dominant witnesses keeping the bookkeeping tight.
+  integral step (kappa1) and are re-sorted by permutations; each
+  dominant witness is masked to the equal-value runs of alpha and beta
+  where it is folded, so P and Q stay feasible entry by entry.
 * symmetric_hungarian: one-sided half-integral variant for
   skew-symmetric inputs; alpha is scaled by two internally so the
   integer machinery applies unchanged.
@@ -20,12 +21,13 @@ K(t):
 The two monomial engines run one Hungarian loop and differ only in the
 weight scale, the witness route and the step direction.  The symmetric
 engine always takes the nested blow-up witness (U's basis led by V's),
-which block-diagonal shaping keeps nested because alpha = beta; every
-other leading matrix gets its witness from mvsp.witness, the cheapest
-route its factors allow.  All three engines fold a witness, the
-vanishing pair (U, V) in pivot form, alike: triangular(U) goes into P
-and triangular(V)^t into Q, the step raises alpha on U's pivots and
-beta on V's, and a stable sort restores the order.
+which the run mask keeps nested because alpha = beta; every other
+leading matrix gets its witness from mvsp.witness, the cheapest route
+its factors allow.  All three engines fold a witness, the vanishing
+pair (U, V) in pivot form, alike: triangular(U) goes into P and
+triangular(V)^t into Q, the step raises alpha on U's pivots and beta on
+V's, and a stable sort restores the order.  The monomial engines mask
+the pair to the dual's runs first, and their step bound re-checks it.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -51,7 +53,6 @@ from .errors import (
 from .mvsp import (
     _check_skew,
     _pivots,
-    block_diagonalize_witness,
     blowup_witness,
     nested_witness,
     triangular,
@@ -176,10 +177,11 @@ class DegreeProfile:
 # step sizes and renormalization
 
 
-def _two_sided_direction(X, Y, n):
-    """(1_X, -1_{not Y}): raise alpha on X, drop beta off Y."""
-    Xs, Ys = set(X), set(Y)
-    return [1 if i in Xs else 0 for i in range(n)], [0 if j in Ys else -1 for j in range(n)]
+def _run_masked(B, values):
+    """B with each row masked to the equal-value run, of the non-increasing
+    values, that holds its pivot; pivot form survives, as every pivot does."""
+    run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(len(values) - 1)])
+    return np.where(run[_pivots(B)][:, None] == run[None, :], B, 0)
 
 
 def _exact(values) -> np.ndarray:
@@ -373,12 +375,22 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     doubled, so every step is integral; values and duals shed the factor
     on the way out.  The loop holds B with terms P A_k Q, factored as
     (P C_k)(R_k Q), so a round costs O(n^2 r) per term.  B's tight entries
-    give the leading matrix, and its witness, shaped block-diagonal, is a
-    vanishing pair (U, V) in pivot form.  L = triangular(U) and
-    R = triangular(V)^t fold into P <- L P and Q <- Q R; then L B R bounds
-    the step and is the next round's B.  The symmetric engine folds
-    R = L^t instead, as its nested pair puts V's rows at V's pivots of L
-    too, so Q = P^t holds.
+    give the leading matrix, and its witness is a vanishing pair (U, V) in
+    pivot form, with pivots X and Y.  The loop masks each row of U to the
+    run of alpha that holds its pivot, and each row of V to its run of
+    beta (_run_masked), so L = triangular(U) and R = triangular(V)^t are
+    block-diagonal for the runs; they fold into P <- L P and Q <- Q R, and
+    L B R, still feasible, bounds the step and is the next round's B.  The
+    symmetric engine folds R = L^t, as its nested pair puts V's rows at
+    V's pivots of L too, so Q = P^t holds.
+
+    The step bound re-checks the masked pair.  The mask gives every
+    product in (L B_k R)[x, y] = u_x B_k v_y^t the one slack
+    alpha_x + beta_y + c_k, so a tight entry of L B R in X x Y is an entry
+    of U At V^t: the pair vanishes unless one is nonzero.  The step
+    direction is at least +1 on X x Y (on the symmetric engine Y lies in
+    X, with +1 on Y and 0 on X minus Y), so such an entry makes
+    kappa1 = 0 and the loop raises AlgorithmStall.
 
     With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
     of term k the product of u on the rows where alpha is largest over
@@ -396,13 +408,13 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     on the symmetric engine, so one serves both sides and Q = P^t holds).
     Feasibility, alpha_i + beta_j + c_k <= 0 on the support of P A_k Q,
     survives any simultaneous permutation, which only restores the
-    equal-value runs that block_diagonalize_witness shapes for.  The zero
+    equal-value runs that the mask shapes for.  The zero
     block's rows need not lead their runs: after the step the stable sort
     orders each run's rows by their new values, in index order among
-    equals, wherever they stood.  The leading rank cannot drop: with X
-    and Y the pivots of U and V, the leading part of L B R is zero on
-    X x Y, X x notY and notX x Y carry nc-rank (n-s) + (n-r) = ell, and
-    the step keeps alpha_i + beta_j on both, in any order.
+    equals, wherever they stood.  The leading rank cannot drop: the
+    leading part of L B R is zero on X x Y, X x notY and notX x Y carry
+    nc-rank (n-s) + (n-r) = ell, and the step keeps alpha_i + beta_j on
+    both, in any order.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -465,12 +477,14 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             emit_neg(ell + 1)
             break
 
-        bd = block_diagonalize_witness(w, alpha, beta, At)
-        inc_a, inc_b = _two_sided_direction(_pivots(bd.U).tolist(), _pivots(bd.V).tolist(), n)
+        L = triangular(_run_masked(w.U, alpha))
+        R = (L if symmetric else triangular(_run_masked(w.V, beta))).T
+        inc_a = np.zeros(n, dtype=np.int64)
+        inc_b = np.full(n, -1, dtype=np.int64)
+        inc_a[_pivots(w.U)] = 1  # raise alpha on X, drop beta off Y
+        inc_b[_pivots(w.V)] = 0
         if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
-            inc_a = inc_b = [a + b for a, b in zip(inc_a, inc_b)]
-        L = triangular(bd.U)
-        R = (L if symmetric else triangular(bd.V)).T
+            inc_a = inc_b = inc_a + inc_b
         P = linalg.matmul(L, P, p)
         Q = linalg.matmul(Q, R, p)
         B = B.sandwich(L, R)
@@ -480,9 +494,9 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             emit_neg(ell + 1)
             break
         if kappa < 1:
-            raise AlgorithmStall(f"step collapsed to {kappa}; positioning invariant broken")
-        alpha = [a + kappa * d for a, d in zip(alpha, inc_a)]
-        beta = [b + kappa * d for b, d in zip(beta, inc_b)]
+            raise AlgorithmStall(f"step collapsed to {kappa}: a tight entry sits in the witness's zero block")
+        alpha = [a + kappa * d for a, d in zip(alpha, inc_a.tolist())]
+        beta = [b + kappa * d for b, d in zip(beta, inc_b.tolist())]
         sa, sb = _sorting_sigma(alpha), _sorting_sigma(beta)
         alpha, beta = [alpha[i] for i in sa], [beta[j] for j in sb]
         P, Q, B = P[sa], Q[:, sb], B.submatrix(sa, sb)
@@ -502,9 +516,10 @@ def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
 
     The dual never leaves the monomial world: alpha and beta move by
     integer steps kappa1, the longest that keeps every entry feasible,
-    and are re-sorted after each; the witness for the tight leading
-    matrix is made block-diagonal for the equal-value runs of alpha and
-    beta so composing it into P, Q preserves feasibility entry by entry.
+    and are re-sorted after each.  Where the loop folds the witness for
+    the tight leading matrix into P, Q, it masks it to the equal-value
+    runs of alpha and beta, which keeps every entry feasible, and the
+    step bound re-checks the masked pair's zero block (see _hungarian).
     """
     sq = Ac.pad_square()
     n = sq.base.n_rows

@@ -45,10 +45,6 @@ class NotSkewSymmetric(NcdegError, ValueError):
     """A skew-symmetric (zero-diagonal) matrix was required."""
 
 
-class PartitionMismatch(NcdegError, ValueError):
-    """A value vector or zero block does not fit the witness it should shape."""
-
-
 class BadCardinality(NcdegError, ValueError):
     """A cardinality target is out of range for the instance."""
 

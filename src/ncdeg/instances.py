@@ -28,7 +28,7 @@ import numpy as np
 from .apps import BLDatum, BipartiteInstance, LineCollection, MatroidPairInstance
 from .errors import ParseError, SizeBudgetExceeded
 from .scalar import GF
-from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, check_budget, rank_factors
+from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, check_budget
 
 KINDS = ("symbolic", "weighted", "bipartite", "matroid-pair", "lines", "bl")
 
@@ -120,7 +120,7 @@ def _parse_symbolic(payload, F, weighted):
     T = np.stack(
         [_term_matrix(tr, rows, cols, F.p, f"payload.terms[{k}]") for k, tr in enumerate(terms_raw)]
     )
-    A = SymbolicMatrix(F, T, factors=rank_factors(T, F.p))
+    A = SymbolicMatrix(F, T)
     if not weighted:
         return A
     c = _int_list(_get(payload, "weights", "payload", list), "payload.weights", len(T))

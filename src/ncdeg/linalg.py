@@ -49,26 +49,7 @@ def rand_mat(rng, m: int, n: int, p: int) -> np.ndarray:
 
 
 def rank(A: np.ndarray, p: int) -> int:
-    R = np.array(A, dtype=np.int64, copy=True) % p
-    m, n = R.shape
-    inv = inv_table(p)
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(R[r:, j])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        below = R[r + 1 :, j]
-        bnz = np.nonzero(below)[0]
-        if bnz.size:
-            f = (below[bnz] * inv[R[r, j]]) % p
-            R[r + 1 + bnz] = (R[r + 1 + bnz] - f[:, None] * R[r][None, :]) % p
-        r += 1
-    return r
+    return len(rref(A, p)[1])
 
 
 def rref(A: np.ndarray, p: int):

@@ -21,7 +21,8 @@ matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
 Every route returns a witness in A's own shape, U in K^n_rows and V in
 K^n_cols, with no padding to a square, and its bases in pivot form:
-canonical (RREF) bases, or unit vectors for Koenig.
+canonical (RREF) bases, or unit vectors for Koenig.  The pairs come
+plain: degdet masks each to its dual runs where it folds it.
 """
 
 import itertools
@@ -34,8 +35,6 @@ from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     NotSkewSymmetric,
-    NotSorted,
-    PartitionMismatch,
     Singular,
     SizeBudgetExceeded,
 )
@@ -548,37 +547,3 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF, start=()):
     notI = sorted(set(range(m)) - I)
     w = FRWitness(F, linalg.nullspace(va[sorted(I)], F.p), linalg.nullspace(vb[notI], F.p))
     return w, tuple(sorted(J))
-
-
-# ---------------------------------------------------------------------------
-# witness block-diagonalization
-
-
-def _blockdiag_core(B: np.ndarray, values) -> np.ndarray:
-    """B with each row masked to the equal-value run, of the non-increasing
-    vector values, that holds its pivot.
-
-    The mask keeps every pivot, so pivot form, and keeps the zero block
-    because the certified pattern ties tight entries to single block
-    pairs.
-    """
-    n = B.shape[1]
-    if len(values) != n:
-        raise PartitionMismatch(f"{len(values)} values for {n} coordinates")
-    if any(values[i] < values[i + 1] for i in range(n - 1)):
-        raise NotSorted(f"expected non-increasing values, got {list(values)}")
-    run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(n - 1)])
-    return np.where(run[_pivots(B)][:, None] == run[None, :], B, 0)
-
-
-def block_diagonalize_witness(w: FRWitness, alpha, beta, terms: SymbolicMatrix) -> FRWitness:
-    """Shape a witness for the equal-value runs of the non-increasing alpha
-    (rows) and beta (columns), so triangular(U) and triangular(V) are
-    block-diagonal for them.
-
-    A nested witness shaped with alpha = beta stays nested.
-    """
-    out = FRWitness(w.F, _blockdiag_core(w.U, alpha), _blockdiag_core(w.V, beta))
-    if not out.verify(terms):
-        raise AlgorithmStall("block-diagonalization lost the zero block")
-    return out

@@ -796,6 +796,10 @@ def test_usage_errors(tmp_path, capsys):
     assert cli.main(["hungarian", path, "--solver", "auto"]) == 1  # no such flag
     assert cli.main(["ncrank", path, "--trials", "0"]) == 1
     assert cli.main(["hungarian", path, "--trials", "-1"]) == 1
+    capsys.readouterr()
+    for command in ("hungarian", "subdet", "fmm", "bl-member"):  # only ncrank and oracle draw trials
+        assert cli.main([command, path, "--trials", "3"]) == 1
+        assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
     assert cli.main(["fmm", path]) == 1  # wrong kind
     assert cli.main(["nonsense"]) == 1
     # each subcommand takes only the flags it reads

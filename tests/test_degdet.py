@@ -22,12 +22,14 @@ from ncdeg.degdet import (
     verify_dual,
 )
 from ncdeg.errors import (
+    AlgorithmStall,
     LPInfeasible,
     NotComplementarySlack,
     NotSkewSymmetric,
     NotSorted,
 )
 from ncdeg.mvsp import (
+    FRWitness,
     blowup_witness,
     mvsp_bipartite,
     mvsp_exhaustive,
@@ -420,8 +422,27 @@ def test_symmetric_rejects_asymmetric():
 def test_step_sizes_prefix_sets_unbounded_kappa2():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0)])
-    inc_a, inc_b = degdet._two_sided_direction([0], [0], 2)
-    assert degdet._step_bound(Ac.base.support(), [0, 0], [-5, -5], Ac.c, inc_a, inc_b) == 5
+    # X = Y = {0}: alpha rises on row 0, beta drops off column 0
+    assert degdet._step_bound(Ac.base.support(), [0, 0], [-5, -5], Ac.c, [1, 0], [0, -1]) == 5
+
+
+def whole_space_pair(A, *_):
+    """(I_n, I_n), a pivot-form pair that does not vanish on A != 0."""
+    I = linalg.identity(A.n_rows)
+    return FRWitness(A.F, I, I)
+
+
+def test_hungarian_stalls_at_the_step_on_a_pair_that_does_not_vanish(monkeypatch):
+    monkeypatch.setattr(degdet, "witness", lambda A, rng, start=(): (whole_space_pair(A), ()))
+    Ac = edmonds_w(GF(5), 2, 2, [(0, 0, 3), (0, 1, 1), (1, 1, 2)])
+    with pytest.raises(AlgorithmStall, match="zero block"):
+        hungarian_deg_det(Ac, rng=random.Random(0))
+
+
+def test_symmetric_stalls_at_the_step_on_a_pair_that_does_not_vanish(monkeypatch):
+    monkeypatch.setattr(degdet, "blowup_witness", whole_space_pair)
+    with pytest.raises(AlgorithmStall, match="zero block"):
+        symmetric_hungarian(tutte_k3(GF(5)), [2, 1, 1], rng=random.Random(0))
 
 
 def test_long_step_crosses_runs_and_resorts():

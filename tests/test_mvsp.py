@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from ncdeg import linalg, mvsp
+from ncdeg.degdet import _run_masked
 from ncdeg.errors import (
     AlgorithmStall,
     EnumerationCapExceeded,
     NotSkewSymmetric,
-    NotSorted,
-    PartitionMismatch,
     Singular,
     SizeBudgetExceeded,
 )
 from ncdeg.mvsp import (
     FRWitness,
-    block_diagonalize_witness,
     blowup_witness,
     count_subspaces,
     enumerate_subspaces,
@@ -524,7 +522,11 @@ def test_pivot_form_rejects():
 
 
 # ---------------------------------------------------------------------------
-# block-diagonalization
+# block-diagonalization: the Hungarian loop's run mask
+
+
+def masked(w, alpha, beta):
+    return FRWitness(w.F, _run_masked(w.U, alpha), _run_masked(w.V, beta))
 
 
 def test_blockdiag_single_block_always_safe():
@@ -536,7 +538,7 @@ def test_blockdiag_single_block_always_safe():
             F, [linalg.rand_mat(rng, n, n, 2) for _ in range(rng.randint(1, 2))]
         )
         w = mvsp_exhaustive(A)
-        out = block_diagonalize_witness(w, [0] * n, [0] * n, A)
+        out = masked(w, [0] * n, [0] * n)
         assert np.array_equal(out.U, w.U) and np.array_equal(out.V, w.V)
         assert out.verify(A)
 
@@ -546,31 +548,23 @@ def test_blockdiag_permutation_witness_any_partition():
     F = GF(5)
     A = edmonds(F, 2, 2, [(0, 0)])
     w = mvsp_bipartite(2, 2, [(0, 0)], F)
-    out = block_diagonalize_witness(w, [1, 0], [1, 0], A)
+    out = masked(w, [1, 0], [1, 0])
     assert out.verify(A)
     # block-diagonal with singleton blocks means monomial factors
     assert (np.count_nonzero(triangular(out.U), axis=1) <= 1).all()
 
 
-def test_blockdiag_rejects_bad_partition():
+def test_blockdiag_keeps_a_nested_witness_nested():
     F = GF(2)
     A = tutte_k3(F)
-    w = mvsp_exhaustive(A)
-    with pytest.raises(PartitionMismatch):
-        block_diagonalize_witness(w, [0, 0], [0, 0, 0], A)
-    with pytest.raises(PartitionMismatch):
-        block_diagonalize_witness(w, [0, 0, 0], [1, 0, 0, 0], A)
-    with pytest.raises(NotSorted):
-        block_diagonalize_witness(w, [1, 0, 1], [0, 0, 0], A)
-    with pytest.raises(NotSorted):
-        block_diagonalize_witness(w, [0, 0, 0], [0, 0, 1], A)
     ws = mvsp_symmetric_exhaustive(A)
-    with pytest.raises(PartitionMismatch):
-        block_diagonalize_witness(ws, [2, 1], [2, 1], A)
-    with pytest.raises(NotSorted):
-        block_diagonalize_witness(ws, [0, 1, 1], [0, 1, 1], A)
-    out = block_diagonalize_witness(ws, [0, 0, 0], [0, 0, 0], A)
-    assert np.array_equal(out.U[: out.s], out.V)
+    for alpha in ([0, 0, 0], [1, 1, 0], [2, 1, 0]):
+        out = masked(ws, alpha, alpha)
+        assert out.verify(A) and np.array_equal(out.U[: out.s], out.V)
+    # rows that straddle the runs are cut, and U still leads with V
+    w = FRWitness(F, [[1, 1, 0], [0, 0, 1]], [[1, 1, 0]])
+    out = masked(w, [1, 0, 0], [1, 0, 0])
+    assert out.U.tolist() == [[1, 0, 0], [0, 0, 1]] and out.V.tolist() == [[1, 0, 0]]
 
 
 def test_blockdiag_structure_is_block_diagonal():
@@ -580,7 +574,8 @@ def test_blockdiag_structure_is_block_diagonal():
     U, V = (linalg.row_basis(linalg.rand_mat(rng, rng.randint(1, n), n, 3), 3) for _ in range(2))
     w = FRWitness(F, U, V)
     zero = SymbolicMatrix(F, [np.zeros((n, n), dtype=np.int64)])
-    out = block_diagonalize_witness(w, [1, 1, 0, 0], [5, 5, -2, -2], zero)
+    out = masked(w, [1, 1, 0, 0], [5, 5, -2, -2])
+    assert out.verify(zero)
     for B in (out.U, out.V):
         L = triangular(B)
         assert L[np.ix_([0, 1], [2, 3])].sum() == 0

@@ -28,6 +28,7 @@ from ncdeg.apps import (
     build_tutte,
 )
 from ncdeg.degdet import (
+    _run_masked,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -38,7 +39,7 @@ from ncdeg.errors import DimensionMismatch
 from ncdeg.instances import parse_text
 from ncdeg.mvsp import (
     SUBSPACE_CAP,
-    block_diagonalize_witness,
+    FRWitness,
     blowup_witness,
     count_subspaces,
     matroid_intersection,
@@ -275,8 +276,9 @@ def leading_matrices(draw):
 @PROPERTY
 @given(leading_matrices())
 def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
-    # every route returns both bases in pivot form, and shaping each
-    # witness for the runs of alpha and beta keeps its zero block
+    # every route returns both bases in pivot form, and masking each
+    # witness to the runs of alpha and beta, as the Hungarian loop does,
+    # keeps pivot form and the zero block
     A, alpha, beta, skew = case
     F, n = A.F, A.n_rows
     w_blowup = blowup_witness(A, random.Random(0))
@@ -288,9 +290,9 @@ def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
         for B in (w.U, w.V):
             assert np.array_equal(triangular(B)[(B != 0).argmax(axis=1)], B)
         assert w.verify(A)
-        assert block_diagonalize_witness(w, alpha, beta, A).verify(A)
+        assert FRWitness(F, _run_masked(w.U, alpha), _run_masked(w.V, beta)).verify(A)
     for w in nested:
-        out = block_diagonalize_witness(w, alpha, alpha, A)
+        out = FRWitness(F, _run_masked(w.U, alpha), _run_masked(w.V, alpha))
         assert out.verify(A) and np.array_equal(out.U[: out.s], out.V)
 
 
