@@ -10,6 +10,7 @@ enumerated subspace constraints, so they can referee the engines.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -427,21 +428,18 @@ def bl_membership_rank2(datum: BLDatum):
     the certificate names the failed equation or a violated subspace."""
     total = 2 * sum(datum.p, Fraction(0))
     if total != datum.n:
-        return False, {
-            "kind": "dimension",
-            "lhs": total,
-            "rhs": datum.n,
-        }
-    H = datum.lines()
-    for row, dx, X in _fmp_constraints(H):
+        return False, {"kind": "dimension", "lhs": total, "rhs": datum.n}
+    cons = _fmp_constraints(datum.lines())
+    # all rows in one integer product: D * lhs > D * dx, D the lcm of p's denominators
+    D = math.lcm(*(pj.denominator for pj in datum.p))
+    pD, rhs = [int(pj * D) for pj in datum.p], [D * dx for _, dx, _ in cons]
+    dtype = np.int64 if max([2 * sum(pD), *rhs]) < 1 << 62 else object  # row entries are at most 2
+    rows = np.array([row for row, _, _ in cons], dtype=dtype).reshape(len(cons), datum.m)
+    over = np.flatnonzero(rows @ np.array(pD, dtype=dtype) > np.array(rhs, dtype=dtype))
+    if over.size:
+        row, dx, X = cons[over[0]]
         lhs = sum(pj * rk for pj, rk in zip(datum.p, row))
-        if lhs > dx:
-            return False, {
-                "kind": "subspace",
-                "basis": X.tolist(),
-                "lhs": lhs,
-                "rhs": dx,
-            }
+        return False, {"kind": "subspace", "basis": X.tolist(), "lhs": lhs, "rhs": dx}
     return True, None
 
 

@@ -11,23 +11,21 @@ K(t):
   restores sortedness and biproperness after each long step.
 * hungarian_deg_det: monomial engine for weighted matrices A[c].  P, Q
   stay over the base field, alpha and beta move by the longest feasible
-  integral step (kappa1) and are re-sorted by permutations; each
-  dominant witness is masked to the equal-value runs of alpha and beta
-  where it is folded, so P and Q stay feasible entry by entry.
+  integral step (kappa1) and are re-sorted by permutations; a witness
+  of unit vectors folds as the identity, so on bipartite input P and Q
+  stay permutations and the loop is Kuhn's Hungarian method.
 * symmetric_hungarian: one-sided half-integral variant for
   skew-symmetric inputs; alpha is scaled by two internally so the
   integer machinery applies unchanged.
 
 The two monomial engines run one Hungarian loop and differ only in the
 weight scale, the witness route and the step direction.  The symmetric
-engine always takes the nested blow-up witness (U's basis led by V's),
-which the run mask keeps nested because alpha = beta; every other
-leading matrix gets its witness from mvsp.witness, the cheapest route
-its factors allow.  All three engines fold a witness, the vanishing
-pair (U, V) in pivot form, alike: triangular(U) goes into P and
-triangular(V)^t into Q, the step raises alpha on U's pivots and beta on
-V's, and a stable sort restores the order.  The monomial engines mask
-the pair to the dual's runs first, and their step bound re-checks it.
+engine always takes the nested blow-up witness (U's basis led by V's);
+every other leading matrix gets its witness from mvsp.witness, the
+cheapest route its factors allow.  All three engines fold a witness,
+the vanishing pair (U, V) in pivot form, alike: triangular(U) goes into
+P and triangular(V)^t into Q, the step raises alpha on U's pivots and
+beta on V's, and a stable sort restores the order.
 
 All three emit a DegreeProfile carrying exact values, certifying dual
 solutions, and run metadata.  Dual solutions verify independently:
@@ -177,11 +175,9 @@ class DegreeProfile:
 # step sizes and renormalization
 
 
-def _run_masked(B, values):
-    """B with each row masked to the equal-value run, of the non-increasing
-    values, that holds its pivot; pivot form survives, as every pivot does."""
-    run = np.cumsum([0] + [values[i] != values[i + 1] for i in range(len(values) - 1)])
-    return np.where(run[_pivots(B)][:, None] == run[None, :], B, 0)
+def _unit_rows(B) -> bool:
+    """Whether B's rows, entries in [0, p), are distinct rows of the identity."""
+    return bool((B.sum(axis=1) == 1).all() and (B.sum(axis=0) <= 1).all())
 
 
 def _exact(values) -> np.ndarray:
@@ -375,22 +371,32 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     doubled, so every step is integral; values and duals shed the factor
     on the way out.  The loop holds B with terms P A_k Q, factored as
     (P C_k)(R_k Q), so a round costs O(n^2 r) per term.  B's tight entries
-    give the leading matrix, and its witness is a vanishing pair (U, V) in
-    pivot form, with pivots X and Y.  The loop masks each row of U to the
-    run of alpha that holds its pivot, and each row of V to its run of
-    beta (_run_masked), so L = triangular(U) and R = triangular(V)^t are
-    block-diagonal for the runs; they fold into P <- L P and Q <- Q R, and
-    L B R, still feasible, bounds the step and is the next round's B.  The
-    symmetric engine folds R = L^t, as its nested pair puts V's rows at
-    V's pivots of L too, so Q = P^t holds.
+    give the leading matrix At, whose witness is a vanishing pair (U, V)
+    in pivot form, with pivots X and Y.  L = triangular(U) and
+    R = triangular(V)^t fold into P <- L P and Q <- Q R, and L B R bounds
+    the step and is the next round's B (R = L^t on the symmetric engine,
+    whose nested pair puts V's rows at V's pivots of L too, so Q = P^t).
+    Distinct unit vectors, as every Koenig witness is, give L = R = I and
+    fold as nothing, so on bipartite input the loop is Kuhn's method.
 
-    The step bound re-checks the masked pair.  The mask gives every
-    product in (L B_k R)[x, y] = u_x B_k v_y^t the one slack
-    alpha_x + beta_y + c_k, so a tight entry of L B R in X x Y is an entry
-    of U At V^t: the pair vanishes unless one is nonzero.  The step
-    direction is at least +1 on X x Y (on the symmetric engine Y lies in
-    X, with +1 on Y and 0 on X minus Y), so such an entry makes
-    kappa1 = 0 and the loop raises AlgorithmStall.
+    Every row of U lies in the run of alpha that holds its pivot, and of
+    V in its run of beta, so L B R stays feasible.  For lambda != 0 in an
+    extension field, D = diag(lambda^alpha), E = diag(lambda^beta) give
+    D At_k E = lambda^(-c_k) At_k, as At lives on alpha_i + beta_j = -c_k,
+    so (U, V) -> (U D^-1, V E^-1) keeps vanishing pairs and dimensions and
+    fixes the dominant optimum, which is unique (over the algebraic
+    closure too, so Frobenius fixes that one: it is GF(p)'s).  For lambda
+    of order above the spread of alpha, D's eigenspaces are alpha's runs,
+    so U is the direct sum of its pieces in them, and each row of its
+    canonical basis, the union of theirs, lies in one run; so for V.
+    Every route returns rows of such bases (Koenig's unit vectors are).
+
+    The step bound re-checks the pair.  With rows inside runs, each
+    product in (L B_k R)[x, y] = u_x B_k v_y^t has the one slack
+    alpha_x + beta_y + c_k, so a tight entry of L B R in X x Y is a
+    nonzero entry of U At V^t; the step direction is at least +1 there
+    (on the symmetric engine Y lies in X, +1 on Y, 0 on X minus Y), so
+    kappa1 = 0 and the loop stalls, as it does on an infeasible L B R.
 
     With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
     of term k the product of u on the rows where alpha is largest over
@@ -407,14 +413,12 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
     of P and P C_k, and beta with the columns of Q and R_k Q (alpha = beta
     on the symmetric engine, so one serves both sides and Q = P^t holds).
     Feasibility, alpha_i + beta_j + c_k <= 0 on the support of P A_k Q,
-    survives any simultaneous permutation, which only restores the
-    equal-value runs that the mask shapes for.  The zero
-    block's rows need not lead their runs: after the step the stable sort
-    orders each run's rows by their new values, in index order among
-    equals, wherever they stood.  The leading rank cannot drop: the
-    leading part of L B R is zero on X x Y, X x notY and notX x Y carry
-    nc-rank (n-s) + (n-r) = ell, and the step keeps alpha_i + beta_j on
-    both, in any order.
+    survives any simultaneous permutation.  The zero block's rows need
+    not lead their runs: after the step the stable sort orders each run's
+    rows by their new values, in index order among equals, wherever they
+    stood.  The leading rank cannot drop: the leading part of L B R is
+    zero on X x Y, X x notY and notX x Y carry nc-rank (n-s) + (n-r) =
+    ell, and the step keeps alpha_i + beta_j on both, in any order.
     """
     n = A.n_rows
     profile = DegreeProfile(n)
@@ -477,18 +481,18 @@ def _hungarian(A, c, alpha, beta, symmetric, rng):
             emit_neg(ell + 1)
             break
 
-        L = triangular(_run_masked(w.U, alpha))
-        R = (L if symmetric else triangular(_run_masked(w.V, beta))).T
         inc_a = np.zeros(n, dtype=np.int64)
         inc_b = np.full(n, -1, dtype=np.int64)
         inc_a[_pivots(w.U)] = 1  # raise alpha on X, drop beta off Y
         inc_b[_pivots(w.V)] = 0
         if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
             inc_a = inc_b = inc_a + inc_b
-        P = linalg.matmul(L, P, p)
-        Q = linalg.matmul(Q, R, p)
-        B = B.sandwich(L, R)
-        support = B.support()
+        if not (_unit_rows(w.U) and _unit_rows(w.V)):  # else L = R = I
+            L = triangular(w.U)
+            R = (L if symmetric else triangular(w.V)).T
+            P, Q = linalg.matmul(L, P, p), linalg.matmul(Q, R, p)
+            B = B.sandwich(L, R)
+            support = B.support()
         kappa = _step_bound(support, alpha, beta, c, inc_a, inc_b)
         if kappa == POS_INF:
             emit_neg(ell + 1)
@@ -516,10 +520,7 @@ def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
 
     The dual never leaves the monomial world: alpha and beta move by
     integer steps kappa1, the longest that keeps every entry feasible,
-    and are re-sorted after each.  Where the loop folds the witness for
-    the tight leading matrix into P, Q, it masks it to the equal-value
-    runs of alpha and beta, which keeps every entry feasible, and the
-    step bound re-checks the masked pair's zero block (see _hungarian).
+    and are re-sorted after each (see _hungarian).
     """
     sq = Ac.pad_square()
     n = sq.base.n_rows

@@ -21,8 +21,8 @@ matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
 Every route returns a witness in A's own shape, U in K^n_rows and V in
 K^n_cols, with no padding to a square, and its bases in pivot form:
-canonical (RREF) bases, or unit vectors for Koenig.  The pairs come
-plain: degdet masks each to its dual runs where it folds it.
+canonical (RREF) bases, or unit vectors for Koenig, which degdet
+folds as the identity.
 """
 
 import itertools
@@ -394,7 +394,8 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
 
     Alternating reachability from the unmatched columns yields the minimum
     cover with the fewest covered rows, so the uncovered-row set (and with
-    it r) is maximum: the dominant optimum for this class.
+    it r) is maximum: the dominant optimum for this class, certified by
+    value() == the matching's size (no augmenting path left).
     """
     edges = [(int(i), int(j)) for i, j in edges]
     match_row, match_col = max_matching(n_rows, n_cols, edges)
@@ -416,9 +417,11 @@ def mvsp_bipartite(n_rows: int, n_cols: int, edges, F: GF) -> FRWitness:
                 if j2 != -1 and not col_seen[j2]:
                     col_seen[j2] = True
                     stack.append(j2)
-    zrows = ~np.array(row_seen, dtype=bool)  # uncovered rows
-    zcols = np.array(col_seen, dtype=bool)  # uncovered cols
-    return FRWitness(F, linalg.identity(n_rows)[zrows], linalg.identity(n_cols)[zcols])
+    zrows, zcols = ~np.array(row_seen, dtype=bool), np.array(col_seen, dtype=bool)  # uncovered
+    w = FRWitness(F, linalg.identity(n_rows)[zrows], linalg.identity(n_cols)[zcols])
+    if w.value() != n_rows - match_row.count(-1):
+        raise AlgorithmStall("Koenig cover exceeds the matching: it is not maximum")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +442,8 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int, start=()):
     is redone.  A cold start is start = ().
 
     Returns (J, I) where J is the common independent set and I is the
-    least minimizer of r1(I) + r2([m] - I), certified by |J| = r1(I) +
-    r2([m] - I).  I does not depend on start.
+    least minimizer of r1(I) + r2([m] - I), so |J| = r1(I) + r2([m] - I),
+    which mvsp_matroid_intersection checks.  I does not depend on start.
 
     Once no X1-X2 path is left, I is the set of elements from which X2 is
     reachable, a minimizer by Edmonds' min-max (Schrijver, Combinatorial
@@ -486,9 +489,7 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int, start=()):
         # BFS shortest path from X1 to X2
         prev = {v: None for v in X1}
         frontier = list(X1)
-        goal = None
-        if set(X1) & set(X2):
-            goal = next(iter(sorted(set(X1) & set(X2))))
+        goal = min(set(X1) & set(X2), default=None)
         while frontier and goal is None:
             nxt = []
             for v in frontier:
@@ -513,9 +514,6 @@ def matroid_intersection(va: np.ndarray, vb: np.ndarray, p: int, start=()):
                     if v not in I:
                         I.add(v)
                         stack.append(v)
-            notI = [y for y in range(m) if y not in I]
-            if linalg.rank(va[sorted(I)], p) + linalg.rank(vb[notI], p) != len(J):
-                raise AlgorithmStall("matroid intersection lost its min-max certificate")
             return J, I
         path = []
         v = goal
@@ -530,7 +528,8 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF, start=()):
     matroid-intersection minimizer I: U annihilates {a_k : k in I}, V
     annihilates the rest of the b_k.  Returns (w, J), with J the maximum
     common independent set, sorted, that matroid_intersection reached
-    from start; w does not depend on start.
+    from start; w does not depend on start, and w.value() == |J|
+    certifies it (the min-max, as dim U = n_rows - r1(I)).
 
     Any optimal pair (U', V') kills a_k for k in some I' and b_k for the
     rest, so U' lies in ann(a_k : k in I'), V' in ann(b_k : k not in I'),
@@ -546,4 +545,6 @@ def mvsp_matroid_intersection(vectors_a, vectors_b, F: GF, start=()):
     J, I = matroid_intersection(va, vb, F.p, start)
     notI = sorted(set(range(m)) - I)
     w = FRWitness(F, linalg.nullspace(va[sorted(I)], F.p), linalg.nullspace(vb[notI], F.p))
+    if w.value() != len(J):
+        raise AlgorithmStall("matroid intersection lost its min-max certificate")
     return w, tuple(sorted(J))

@@ -27,6 +27,7 @@ from ncdeg.errors import (
     NotComplementarySlack,
     NotSkewSymmetric,
     NotSorted,
+    Singular,
 )
 from ncdeg.mvsp import (
     FRWitness,
@@ -704,3 +705,35 @@ def test_profile_accessors():
     assert prof.finite_levels() == [0, 1, 2]
     assert prof.is_concave()
     assert "DegreeProfile" in repr(prof)
+
+
+@pytest.mark.parametrize("U", [[[1, 0], [1, 0]], [[1, 0], [0, 0]]], ids=["repeated-pivot", "zero-row"])
+def test_hungarian_refuses_a_malformed_unit_pair(monkeypatch, U):
+    # a repeated unit row or a zero row is no pair of distinct unit
+    # vectors, so the loop folds it and triangular refuses it
+    V = linalg.identity(2)[[1]]
+    monkeypatch.setattr(degdet, "witness", lambda A, rng, start=(): (FRWitness(A.F, U, V), ()))
+    Ac = edmonds_w(GF(5), 2, 2, [(0, 0, 3), (0, 1, 1), (1, 1, 2)])
+    with pytest.raises(Singular):
+        hungarian_deg_det(Ac, rng=random.Random(0))
+
+
+def test_hungarian_folds_a_scaled_unit_row(monkeypatch):
+    # rows 2 e_x are in pivot form but not unit vectors: the loop folds
+    # them, doubling rows of P, and the duals still verify
+    route = degdet.witness
+
+    def scaled(A, rng, start=()):
+        w, J = route(A, rng, start)
+        return FRWitness(A.F, 2 * w.U, w.V), J
+
+    monkeypatch.setattr(degdet, "witness", scaled)
+    inst = BipartiteInstance(3, [(0, 0), (0, 1), (1, 0), (1, 2)], [7, 0, -2, 0])
+    Ac = build_edmonds(inst, GF(5))
+    prof = hungarian_deg_det(Ac, rng=random.Random(0))
+    assert [prof.values[l] for l in range(4)] == [0, 7, 7, NEG_INF]
+    assert prof.duals[1].P.tolist() == prof.duals[1].Q.tolist() == linalg.identity(3).tolist()
+    assert prof.duals[2].P.tolist() == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert prof.duals[2].Q.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    for l, sol in prof.duals.items():
+        assert verify_dual(sol, Ac, l, prof.values[l])

@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncdeg import linalg, mvsp
-from ncdeg.degdet import _run_masked
+from ncdeg import degdet, linalg, mvsp
 from ncdeg.errors import (
     AlgorithmStall,
     EnumerationCapExceeded,
@@ -27,6 +26,7 @@ from ncdeg.mvsp import (
     mvsp_matroid_intersection,
     mvsp_symmetric_exhaustive,
     nc_rank,
+    nested_witness,
     triangular,
     _max_vanishing_V,
     _pivots,
@@ -401,6 +401,26 @@ def test_matroid_free_case():
     J, I = matroid_intersection(va, va, 5)
     assert J == {0, 1, 2}
     assert I == set()  # the least minimizer: r_a({}) + r_b({0, 1, 2}) = 3
+    # the witness carries the min-max certificate: value |J| = 3
+    w, J = mvsp_matroid_intersection(va, va, F)
+    assert J == (0, 1, 2) and w.value() == 3 and (w.r, w.s) == (3, 0)
+
+
+def test_matroid_witness_stalls_on_a_short_common_independent_set(monkeypatch):
+    # a J below the minimizer's bound breaks |J| = r_a(I) + r_b(E - I)
+    route = mvsp.matroid_intersection
+    monkeypatch.setattr(mvsp, "matroid_intersection", lambda *a: (set(list(route(*a)[0])[1:]), route(*a)[1]))
+    with pytest.raises(AlgorithmStall, match="min-max"):
+        mvsp_matroid_intersection(linalg.identity(3), linalg.identity(3), GF(5))
+
+
+def test_koenig_witness_stalls_on_a_matching_that_is_not_maximum(monkeypatch):
+    # an augmenting path is left, so the cover is larger than the matching
+    monkeypatch.setattr(mvsp, "max_matching", lambda nr, nc, edges: ([-1] * nr, [-1] * nc))
+    with pytest.raises(AlgorithmStall, match="not maximum"):
+        mvsp_bipartite(2, 2, [(0, 0), (1, 1)], GF(5))
+    with pytest.raises(AlgorithmStall, match="not maximum"):
+        mvsp.nc_rank(edmonds(GF(5), 2, 2, [(0, 1)]))
 
 
 def test_matroid_witness_diagonal():
@@ -522,14 +542,26 @@ def test_pivot_form_rejects():
 
 
 # ---------------------------------------------------------------------------
-# block-diagonalization: the Hungarian loop's run mask
+# block-diagonalization: a witness of a leading matrix splits along the
+# runs of alpha and beta, so the Hungarian loop folds it as it is
 
 
-def masked(w, alpha, beta):
-    return FRWitness(w.F, _run_masked(w.U, alpha), _run_masked(w.V, beta))
+def tight_part(A, alpha, beta, c):
+    """The leading matrix of A[c] at (alpha, beta): each term kept on its
+    cells with alpha_i + beta_j + c_k = 0."""
+    tight = np.add.outer(alpha, beta)[None] + np.array(c)[:, None, None] == 0
+    return SymbolicMatrix(A.F, A.terms * tight)
+
+
+def across_runs(L, values):
+    """L's entries whose row and column lie in different runs of values."""
+    v = np.asarray(values)
+    return L[v[:, None] != v[None, :]]
 
 
 def test_blockdiag_single_block_always_safe():
+    # with one run every entry is tight, and the fold leaves the zero
+    # block X x Y zero
     rng = random.Random(71)
     F = GF(2)
     for _ in range(6):
@@ -538,46 +570,53 @@ def test_blockdiag_single_block_always_safe():
             F, [linalg.rand_mat(rng, n, n, 2) for _ in range(rng.randint(1, 2))]
         )
         w = mvsp_exhaustive(A)
-        out = masked(w, [0] * n, [0] * n)
-        assert np.array_equal(out.U, w.U) and np.array_equal(out.V, w.V)
-        assert out.verify(A)
+        folded = A.sandwich(triangular(w.U), triangular(w.V).T).terms
+        assert w.verify(A)
+        assert not folded[:, _pivots(w.U)][:, :, _pivots(w.V)].any()
 
 
 def test_blockdiag_permutation_witness_any_partition():
-    # unit-vector bases survive arbitrary consistent partitions
+    # a Koenig witness is a pair of distinct unit vectors, inside the runs
+    # of any partition, and folds as the identity; a zero row, a repeated
+    # pivot, a scaled unit row or a row of two entries is no such pair
     F = GF(5)
-    A = edmonds(F, 2, 2, [(0, 0)])
-    w = mvsp_bipartite(2, 2, [(0, 0)], F)
-    out = masked(w, [1, 0], [1, 0])
-    assert out.verify(A)
-    # block-diagonal with singleton blocks means monomial factors
-    assert (np.count_nonzero(triangular(out.U), axis=1) <= 1).all()
+    w = mvsp_bipartite(3, 3, [(0, 0), (1, 0), (2, 2)], F)
+    assert (w.r, w.s) == (3, 1)
+    for B in (w.U, w.V):
+        assert degdet._unit_rows(B)
+        assert np.array_equal(triangular(B), linalg.identity(3))
+    for B in ([[0, 0, 0]], [[1, 0, 0], [1, 0, 0]], [[0, 2, 0]], [[1, 1, 0]]):
+        assert not degdet._unit_rows(np.array(B))
 
 
 def test_blockdiag_keeps_a_nested_witness_nested():
+    # the nested witness of a skew leading matrix leads U with V, and both
+    # bases split along the runs of alpha = beta
     F = GF(2)
     A = tutte_k3(F)
-    ws = mvsp_symmetric_exhaustive(A)
-    for alpha in ([0, 0, 0], [1, 1, 0], [2, 1, 0]):
-        out = masked(ws, alpha, alpha)
-        assert out.verify(A) and np.array_equal(out.U[: out.s], out.V)
-    # rows that straddle the runs are cut, and U still leads with V
-    w = FRWitness(F, [[1, 1, 0], [0, 0, 1]], [[1, 1, 0]])
-    out = masked(w, [1, 0, 0], [1, 0, 0])
-    assert out.U.tolist() == [[1, 0, 0], [0, 0, 1]] and out.V.tolist() == [[1, 0, 0]]
+    for alpha, c in (([0, 0, 0], [0, 0, -1]), ([1, 1, 0], [-2, -2, -1]), ([2, 1, 0], [-3, -2, -2])):
+        At = tight_part(A, alpha, alpha, c)
+        w = nested_witness(blowup_witness(At, random.Random(0)))
+        assert w.verify(At) and np.array_equal(w.U[: w.s], w.V)
+        assert w.value() == 2
+        assert not across_runs(triangular(w.U), alpha).any()
 
 
 def test_blockdiag_structure_is_block_diagonal():
+    # on leading matrices with two runs a side, both factors of every
+    # route's witness are block-diagonal for the runs, and invertible
     rng = random.Random(73)
     F = GF(3)
     n = 4
-    U, V = (linalg.row_basis(linalg.rand_mat(rng, rng.randint(1, n), n, 3), 3) for _ in range(2))
-    w = FRWitness(F, U, V)
-    zero = SymbolicMatrix(F, [np.zeros((n, n), dtype=np.int64)])
-    out = masked(w, [1, 1, 0, 0], [5, 5, -2, -2])
-    assert out.verify(zero)
-    for B in (out.U, out.V):
-        L = triangular(B)
-        assert L[np.ix_([0, 1], [2, 3])].sum() == 0
-        assert L[np.ix_([2, 3], [0, 1])].sum() == 0
-        assert linalg.rank(L, 3) == n
+    alpha, beta = [1, 1, 0, 0], [5, 5, -2, -2]
+    for _ in range(8):
+        m = rng.randint(1, 3)
+        terms = [np.outer(linalg.rand_mat(rng, 1, n, 3), linalg.rand_mat(rng, 1, n, 3)) for _ in range(m)]
+        c = [rng.choice([-6, -5, 1, 2]) for _ in range(m)]
+        At = tight_part(SymbolicMatrix(F, terms), alpha, beta, c)
+        for w in (mvsp.witness(At)[0], blowup_witness(At, random.Random(0)), mvsp_exhaustive(At)):
+            assert w.verify(At)
+            for B, values in ((w.U, alpha), (w.V, beta)):
+                L = triangular(B)
+                assert not across_runs(L, values).any()
+                assert linalg.rank(L, 3) == n

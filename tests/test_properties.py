@@ -27,8 +27,8 @@ from ncdeg.apps import (
     build_matroid_matching,
     build_tutte,
 )
+from ncdeg import degdet
 from ncdeg.degdet import (
-    _run_masked,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -106,6 +106,18 @@ def test_hungarian_matches_brute_force_on_bipartite(inst):
     Ac = build_edmonds(inst, GF(65521))
     prof = hungarian_deg_det(Ac, rng=random.Random(0))
     check_profile(prof, Ac, oracle_values(inst, inst.n))
+
+
+@PROPERTY
+@given(bipartite_instances(max_n=7, max_w=1000))
+def test_hungarian_duals_on_bipartite_input_keep_permutations(inst):
+    # every witness is a pair of unit vectors, which folds as the
+    # identity, so P and Q only ever move by the sorting permutations
+    prof = hungarian_deg_det(build_edmonds(inst, GF(5)), rng=random.Random(0))
+    for sol in prof.duals.values():
+        for M in (sol.P, sol.Q):
+            ones = M.argmax(axis=1)
+            assert np.array_equal(np.eye(len(M), dtype=np.int64)[ones], M) and len(set(ones)) == len(M)
 
 
 @PROPERTY
@@ -273,12 +285,20 @@ def leading_matrices(draw):
     return SymbolicMatrix(GF(p), terms), alpha.tolist(), beta.tolist(), kind == "skew"
 
 
+def in_runs(B, values):
+    """Whether every row of B lies in the run of the non-increasing values
+    that holds its pivot: B equals its mask to the runs."""
+    v = np.asarray(values)
+    return all((v[np.flatnonzero(row)] == v[np.flatnonzero(row)[0]]).all() for row in B)
+
+
 @PROPERTY
 @given(leading_matrices())
 def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
-    # every route returns both bases in pivot form, and masking each
-    # witness to the runs of alpha and beta, as the Hungarian loop does,
-    # keeps pivot form and the zero block
+    # every route returns both bases in pivot form, each row inside the
+    # run of alpha or beta that holds its pivot (the dominant optimum is
+    # invariant under diag(lambda^alpha) scaling), so the fold is
+    # block-diagonal for the runs
     A, alpha, beta, skew = case
     F, n = A.F, A.n_rows
     w_blowup = blowup_witness(A, random.Random(0))
@@ -290,10 +310,65 @@ def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
         for B in (w.U, w.V):
             assert np.array_equal(triangular(B)[(B != 0).argmax(axis=1)], B)
         assert w.verify(A)
-        assert FRWitness(F, _run_masked(w.U, alpha), _run_masked(w.V, beta)).verify(A)
+        assert in_runs(w.U, alpha) and in_runs(w.V, beta)
     for w in nested:
-        out = FRWitness(F, _run_masked(w.U, alpha), _run_masked(w.V, alpha))
-        assert out.verify(A) and np.array_equal(out.U[: out.s], out.V)
+        assert np.array_equal(w.U[: w.s], w.V)
+
+
+@st.composite
+def engine_inputs(draw):
+    """A bipartite, matroid-pair or skew-lines instance over GF(2), GF(3)
+    or GF(65521), with the engine that runs it.  Sparse vectors, up to
+    eight coordinates and weights close together give witnesses with
+    rows of several entries where alpha and beta have several runs."""
+    p = draw(st.sampled_from([2, 3, 65521]))
+    F = GF(p)
+    kind = draw(st.sampled_from(["bipartite", "matroid", "lines"]))
+    if kind == "bipartite":
+        return hungarian_deg_det, build_edmonds(draw(bipartite_instances()), F)
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(n, 2 * n))
+    vec = st.lists(st.just(0) | st.integers(1, p - 1), min_size=n, max_size=n)
+    a, b = (np.array(draw(st.lists(vec, min_size=m, max_size=m)), dtype=np.int64) for _ in "ab")
+    weights = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    if kind == "matroid":
+        return hungarian_deg_det, build_matroid_intersection(MatroidPairInstance(F, a, b, weights))
+    for k in range(m):
+        if linalg.rank(np.stack([a[k], b[k]]), p) < 2:  # not a line: take e_1, e_2
+            a[k], b[k] = np.eye(2, n, dtype=np.int64)
+    Ac = build_matroid_matching(LineCollection(F, list(zip(a, b)), weights, n))
+    return (lambda Ac, rng: symmetric_hungarian(Ac.base, Ac.c, rng)), Ac
+
+
+@PROPERTY
+@given(engine_inputs())
+def test_every_folded_witness_lies_in_the_runs(case):
+    # the loop folds each witness as the route returns it: recorded where
+    # the step bound reads alpha and beta, every row of U and V already
+    # lies in its pivot's run
+    engine, Ac = case
+    last, folded = [], []
+
+    def record(route):
+        def wrapped(*args):
+            out = route(*args)
+            last[:] = [out[0] if isinstance(out, tuple) else out]
+            return out
+
+        return wrapped
+
+    def check(support, alpha, beta, *rest):
+        w = last[0]
+        folded.append(in_runs(w.U, alpha) and in_runs(w.V, beta))
+        return step_bound(support, alpha, beta, *rest)
+
+    step_bound = degdet._step_bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degdet, "witness", record(degdet.witness))
+        mp.setattr(degdet, "nested_witness", record(degdet.nested_witness))
+        mp.setattr(degdet, "_step_bound", check)
+        engine(Ac, random.Random(0))
+    assert all(folded)
 
 
 @st.composite
