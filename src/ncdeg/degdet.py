@@ -1,35 +1,27 @@
 """Degree-of-determinant algorithms.
 
-Three engines compute the maximum degrees Delta_ell of ell x ell
-subdeterminants (Dieudonne sense) of a linear symbolic matrix over
-K(t):
+One Hungarian loop, _hungarian, computes the maximum degrees Delta_ell
+of ell x ell subdeterminants (Dieudonne sense) of a linear symbolic
+matrix over K(t).  It keeps every (t^alpha) P B_k Q (t^beta) proper,
+folds the witness of the leading matrix, a vanishing pair (U, V) in
+pivot form, into P and Q, raises alpha on U's pivots and beta on V's
+by the longest feasible step (kappa1), and re-sorts both by
+permutations.  It has three callers:
 
-* deg_subdet / deg_det: general engine over rational-function state,
-  maintaining biproper P, Q and a sorted exponent pair (alpha, beta) so
-  that every (t^alpha) P B_k Q (t^beta) stays proper.  Witnesses for
-  the leading coefficient matrix drive dual updates; renormalization
-  restores sortedness and biproperness after each long step.
-* hungarian_deg_det: monomial engine for weighted matrices A[c].  P, Q
-  stay over the base field, alpha and beta move by the longest feasible
-  integral step (kappa1) and are re-sorted by permutations; a witness
-  of unit vectors folds as the identity, so on bipartite input P and Q
-  stay permutations and the loop is Kuhn's Hungarian method.
-* symmetric_hungarian: one-sided half-integral variant for
-  skew-symmetric inputs; alpha is scaled by two internally so the
-  integer machinery applies unchanged.
+* hungarian_deg_det: weighted matrices A[c] on the field state, P, Q
+  over the base field and every entry of term k at degree c_k.  A
+  witness of unit vectors folds as the identity, so on bipartite input
+  P and Q stay permutations and the loop is Kuhn's Hungarian method.
+* symmetric_hungarian: skew-symmetric A[c] on the field state, with
+  half-integral alpha = beta, doubled internally so every step is
+  integral, and always the nested blow-up witness (U's basis led by V's).
+* deg_subdet / deg_det: matrices over K(t) on the rational state,
+  biproper P, Q over K(t) and each entry of P B_k Q at its own degree.
 
-The two monomial engines run one Hungarian loop and differ only in the
-weight scale, the witness route and the step direction.  The symmetric
-engine always takes the nested blow-up witness (U's basis led by V's);
-every other leading matrix gets its witness from mvsp.witness, the
-cheapest route its factors allow.  All three engines fold a witness,
-the vanishing pair (U, V) in pivot form, alike: triangular(U) goes into
-P and triangular(V)^t into Q, the step raises alpha on U's pivots and
-beta on V's, and a stable sort restores the order.
-
-All three emit a DegreeProfile carrying exact values, certifying dual
-solutions, and run metadata.  Dual solutions verify independently:
-feasibility plus objective equality is strong duality, and any
+Every other leading matrix gets its witness from mvsp.witness, the
+cheapest route its factors allow.  Each caller emits a DegreeProfile of
+exact values, certifying duals and run metadata.  Duals verify on their
+own: feasibility plus objective equality is strong duality, and any
 feasible dual upper-bounds every Delta_ell (weak duality).
 """
 
@@ -56,7 +48,7 @@ from .mvsp import (
     triangular,
     witness,
 )
-from .ratfunc import NEG_INF, POS_INF, Poly, RationalMatrix, classify_biproper, leading_coeff_matrix, poly_gcd
+from .ratfunc import NEG_INF, POS_INF, Poly, RationalMatrix, classify_biproper, poly_gcd
 from .symbolic import (
     RationalSymbolicMatrix,
     SymbolicMatrix,
@@ -118,22 +110,24 @@ class DualSolution:
         if self.mode == "monomial":
             Ac = target.pad_square()
             p = Ac.base.F.p
-            if linalg.rank(linalg.matmul(self.P, self.Q, p), p) < self.n:
-                return False  # the square P Q is invertible iff P and Q are
-            support = Ac.base.sandwich(self.P, self.Q).support()
+            P, Q = (np.asarray(X, dtype=np.int64) % p for X in (self.P, self.Q))
+            # a permutation P is invertible, else the square P Q is iff P and Q are
+            square = P.shape == Q.shape == (self.n, self.n)
+            if not (square and _unit_rows(P) and _unit_rows(Q)) and linalg.rank(linalg.matmul(P, Q, p), p) < self.n:
+                return False
+            support = Ac.base.sandwich(P, Q).support()
             # scaled by the lcm D of the denominators, half-integral duals
             # compare in int64 rather than as Fractions
             D = math.lcm(*(x.denominator for x in self.alpha + self.beta if isinstance(x, Fraction)))
             a, b = _scaled(self.alpha, D), _scaled(self.beta, D)
-            return not (_slacks(support, a, b, [D * ck for ck in Ac.c]) > 0).any()
+            return not (_slacks(support, a, b, _exact([D * ck for ck in Ac.c])[support[0]]) > 0).any()
         try:
             if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
                 return False
-            for G in target.transform(self.P, self.Q).terms:
-                leading_coeff_matrix(G, self.alpha, self.beta)
+            state = _RationalState(target.transform(self.P, self.Q))
         except NcdegError:
             return False
-        return True
+        return len(self.beta) == self.n == target.n and not (_slacks(state.support, self.alpha, self.beta, state.deg) > 0).any()
 
     def __repr__(self):
         return f"DualSolution(mode={self.mode}, alpha={self.alpha}, beta={self.beta})"
@@ -172,7 +166,7 @@ class DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# step sizes and renormalization
+# step sizes
 
 
 def _unit_rows(B) -> bool:
@@ -195,20 +189,21 @@ def _scaled(values, D):
     return [int(x * D) if isinstance(x, Fraction) else x * D for x in values]
 
 
-def _slacks(support, alpha, beta, c):
-    """alpha_i + beta_j + c_k over a support (k, i, j) of term entries."""
-    k, i, j = support
-    return _exact(alpha)[i] + _exact(beta)[j] + _exact(c)[k]
+def _slacks(support, alpha, beta, deg):
+    """alpha_i + beta_j + deg over a support (k, i, j) of term entries,
+    deg holding each entry's degree."""
+    _, i, j = support
+    return _exact(alpha)[i] + _exact(beta)[j] + deg
 
 
-def _step_bound(support, alpha, beta, c, inc_a, inc_b):
+def _step_bound(support, alpha, beta, deg, inc_a, inc_b):
     """kappa1, the largest kappa keeping every nonzero entry (k, i, j) of
-    the stack P A_k Q feasible under alpha + kappa*inc_a and
-    beta + kappa*inc_b; +inf when no entry's slack shrinks."""
+    the stack P B_k Q, of degree deg, feasible under alpha + kappa*inc_a
+    and beta + kappa*inc_b; +inf when no entry's slack shrinks."""
     _, i, j = support
     inc = np.asarray(inc_a, dtype=np.int64)[i] + np.asarray(inc_b, dtype=np.int64)[j]
     up = inc > 0
-    slack = _slacks([x[up] for x in support], alpha, beta, c)
+    slack = _slacks([x[up] for x in support], alpha, beta, deg[up])
     return int((-slack // inc[up]).min()) if up.any() else POS_INF
 
 
@@ -217,31 +212,290 @@ def _sorting_sigma(raw):
     return sorted(range(len(raw)), key=lambda i: (-raw[i], i))
 
 
-def renormalize(kappa, indices, exponents, tri, mat):
-    """Push a long step through the stored prefix:
+# ---------------------------------------------------------------------------
+# loop states: P, Q and the entries of the terms P B_k Q
 
-        (t^{kappa 1_X}) L (t^alpha) P  ==  sigma (t^{alpha'}) P'
 
-    with L = tri upper-triangular.  The conjugate (t^{-alpha}) L (t^alpha)
-    is proper because alpha is sorted, so it folds into P, and a sorting
-    permutation sigma restores alpha + kappa*1_X to non-increasing order.
-    Columns fold as the rows of the transpose.
+class _FieldState:
+    """P, Q over GF(p) and B with terms P A_k Q, factored as
+    (P C_k)(R_k Q); each entry of term k has degree c_k."""
 
-    Returns (exponents', mat').  Raises NotSorted for unsorted input.
-    """
-    exps = list(exponents)
-    if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-        raise NotSorted(f"exponents must be non-increasing: {exps}")
-    marked = set(indices)
-    raised = [e + (kappa if i in marked else 0) for i, e in enumerate(exps)]
-    conj = RationalMatrix.from_scalars(mat.F, tri).scale_rows([-e for e in exps]).scale_cols(exps)
-    folded = conj.matmul(mat)
-    sigma = _sorting_sigma(raised)
-    return [raised[i] for i in sigma], RationalMatrix(mat.F, [folded.rows[i] for i in sigma])
+    mode = "monomial"
+
+    def __init__(self, A: SymbolicMatrix, c):
+        self.F = A.F
+        self.P = self.Q = linalg.identity(A.n_rows)
+        self.B = SymbolicMatrix(A.F, factors=A.factors)
+        self.c = _exact(c)
+        self._read()
+
+    def _read(self):
+        self.support = self.B.support()
+        self.deg = self.c[self.support[0]]
+
+    def leading(self, tight):
+        """B on its tight entries; rank-one terms keep it factored."""
+        k, i, j = (x[tight] for x in self.support)
+        PC, RQ = self.B.factors
+        if PC.shape[2] == 1:
+            rows = np.zeros(PC.shape, dtype=bool)
+            cols = np.zeros(RQ.shape, dtype=bool)
+            rows[k, i, 0] = cols[k, 0, j] = True
+            return SymbolicMatrix(self.F, factors=(PC * rows, RQ * cols))
+        mask = np.zeros(self.B.terms.shape, dtype=bool)
+        mask[k, i, j] = True
+        return SymbolicMatrix(self.F, self.B.terms * mask)
+
+    def fold(self, L, R, alpha, beta):
+        """P <- L P, Q <- Q R, B <- L B R: L and R commute with t^alpha
+        and t^beta (see _hungarian)."""
+        p = self.F.p
+        self.P, self.Q = linalg.matmul(L, self.P, p), linalg.matmul(self.Q, R, p)
+        self.B = self.B.sandwich(L, R)
+        self._read()
+
+    def permute(self, sa, sb):
+        self.P, self.Q, self.B = self.P[sa], self.Q[:, sb], self.B.submatrix(sa, sb)
+        k, i, j = self.support
+        self.support = k, np.argsort(sa)[i], np.argsort(sb)[j]
+
+
+class _RationalState:
+    """Biproper P, Q over K(t) and the terms G_k = P B_k Q; each entry
+    has its own degree."""
+
+    mode = "general"
+
+    def __init__(self, B: RationalSymbolicMatrix):
+        self.F = B.F
+        self.P = self.Q = RationalMatrix.identity(B.F, B.n)
+        self.G = B.terms
+        self._read()
+
+    def _read(self):
+        """Support (k, i, j), degrees and leading coefficients of G's nonzero
+        entries; a RatFn's denominator is monic, so lc(num)/lc(den) is lc(num)."""
+        found = [
+            (k, i, j, e.deg, e.num.lc())
+            for k, Gk in enumerate(self.G) for i, row in enumerate(Gk.rows) for j, e in enumerate(row)
+            if not e.is_zero()
+        ]
+        k, i, j, deg, lc = (list(x) for x in zip(*found)) if found else ([],) * 5
+        self.support = tuple(np.array(x, dtype=np.intp) for x in (k, i, j))
+        self.deg, self.lc = _exact(deg), np.array(lc, dtype=np.int64)
+
+    def leading(self, tight):
+        """The leading coefficients of G's tight entries, as a dense stack."""
+        n = self.P.shape[0]
+        T = np.zeros((len(self.G), n, n), dtype=np.int64)
+        k, i, j = (x[tight] for x in self.support)
+        T[k, i, j] = self.lc[tight]
+        return SymbolicMatrix(self.F, T)
+
+    def fold(self, L, R, alpha, beta):
+        """P <- t^-alpha L t^alpha P and Q <- Q t^beta R t^-beta, and G
+        alike, so t^alpha G t^beta becomes L (t^alpha G t^beta) R."""
+        F = self.F
+        Lt = RationalMatrix.from_scalars(F, L).scale_rows([-a for a in alpha]).scale_cols(alpha)
+        Rt = RationalMatrix.from_scalars(F, R).scale_rows(beta).scale_cols([-b for b in beta])
+        self.P, self.Q = Lt.matmul(self.P), self.Q.matmul(Rt)
+        self.G = [Lt.matmul(Gk).matmul(Rt) for Gk in self.G]
+        self._read()
+
+    def permute(self, sa, sb):
+        F = self.F
+        self.P = RationalMatrix(F, [self.P.rows[i] for i in sa])
+        self.Q = RationalMatrix(F, [[row[j] for j in sb] for row in self.Q.rows])
+        self.G = [RationalMatrix(F, [[Gk.rows[i][j] for j in sb] for i in sa]) for Gk in self.G]
+        k, i, j = self.support
+        self.support = k, np.argsort(sa)[i], np.argsort(sb)[j]
 
 
 # ---------------------------------------------------------------------------
-# general engine (rational-function state)
+# the Hungarian loop and its three callers
+
+
+def _bound(alpha, beta, ell):
+    n = len(alpha)
+    return -sum(alpha[n - ell:]) - sum(beta[n - ell:])
+
+
+def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
+    """The Hungarian loop of all three engines, on a state holding P, Q
+    and the terms P B_k Q, from a feasible sorted (alpha, beta).  Level
+    ell is -inf once its bound drops below ell * cutoff, and more than
+    cap rounds stall.  The symmetric engine doubles c, alpha and beta, so
+    every step is integral; values and duals shed the factor on the way.
+
+    The tight entries, alpha_i + beta_j + deg e = 0, give the leading
+    matrix At, whose witness is a vanishing pair (U, V) in pivot form,
+    with pivots X and Y.  L = triangular(U) and R = triangular(V)^t fold
+    into the state, whose terms become L B R in the frame t^alpha, t^beta
+    (R = L^t on the symmetric engine, whose nested pair puts V's rows at
+    V's pivots of L too, so Q = P^t).  Distinct unit vectors, as every
+    Koenig witness is, give L = R = I and fold as nothing, so on
+    bipartite input P and Q stay permutations and the loop is Kuhn's.
+
+    The field state holds P A_k Q as (P C_k)(R_k Q), so a round costs
+    O(n^2 r) per term, and each entry of term k has degree c_k.  It folds
+    P <- L P and Q <- Q R: every row of U lies in the run of alpha that
+    holds its pivot, and of V in its run of beta, so L and R commute with
+    t^alpha and t^beta.  For lambda != 0 in an extension field,
+    D = diag(lambda^alpha), E = diag(lambda^beta) give D At_k E =
+    lambda^(-c_k) At_k, as At lives on alpha_i + beta_j = -c_k, so
+    (U, V) -> (U D^-1, V E^-1) keeps vanishing pairs and dimensions and
+    fixes the dominant optimum, which is unique (over the algebraic
+    closure too, so Frobenius fixes that one: it is GF(p)'s).  For lambda
+    of order above the spread of alpha, D's eigenspaces are alpha's runs,
+    so U is the direct sum of its pieces in them, and each row of its
+    canonical basis, the union of theirs, lies in one run; so for V.
+    Every route returns rows of such bases (Koenig's unit vectors are).
+
+    The rational state (deg_subdet) holds G_k = P B_k Q over K(t); an
+    entry e has degree deg e and, where tight, puts lc(num)/lc(den) into
+    At.  The tight entries of a term need not share alpha_i + beta_j, so
+    the runs argument fails, and the fold puts t^-alpha L t^alpha into P
+    and t^beta R t^-beta into Q, biproper as L is upper and R lower
+    triangular and alpha and beta are sorted.  On the field state these
+    equal L and R.
+
+    The step bound re-checks the pair.  An entry of L B R in X x Y is
+    u_x B v_y^t, proper in the frame with constant term u_x At v_y^t, so
+    a tight one there is a nonzero entry of U At V^t; the step direction
+    is at least +1 there (on the symmetric engine Y lies in X, +1 on Y,
+    0 on X minus Y), so kappa1 = 0 and the loop stalls, as it does on an
+    infeasible L B R.
+
+    With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
+    of term k the product of u on the rows where alpha is largest over
+    supp u and v on the columns where beta is largest over supp v (or
+    zero), so the leading matrix comes out factored.  Higher ranks mask
+    the dense terms.  On the matroid route the loop hands each round's
+    common independent set J back to witness as the next start, as
+    Frank's weight-splitting algorithm keeps its J across dual steps:
+    the sorting permutations move rows and columns only, so J's term
+    indices stay valid.
+
+    A step runs until the next entry becomes tight (kappa1), as in Kuhn's
+    Hungarian method; sorting permutations then reorder alpha with the
+    rows of P and B, and beta with the columns of Q and B (one serves
+    both sides on the symmetric engine, where alpha = beta).
+    Feasibility, alpha_i + beta_j + deg e <= 0 on every entry, survives
+    any simultaneous permutation.  The zero block's rows need not lead
+    their runs: after the step the stable sort orders each run's rows by
+    their new values, in index order among equals, wherever they stood.
+    The leading rank cannot drop: the leading part of L B R is zero on
+    X x Y, X x notY and notX x Y carry nc-rank (n-s) + (n-r) = ell, and
+    the step keeps alpha_i + beta_j on both, in any order.
+    """
+    n = len(alpha)
+    profile = DegreeProfile(n)
+    scale = 2 if symmetric else 1
+    ell = 0
+    J = ()
+
+    def emit(lo, hi):
+        a, b = alpha, beta
+        if scale > 1:
+            a = [Fraction(x, scale) for x in alpha]
+            b = [Fraction(x, scale) for x in beta]
+        for l in range(lo, hi + 1):
+            profile.values[l] = _bound(alpha, beta, l) // scale
+            profile.duals[l] = DualSolution(a, state.P.copy(), b, state.Q.copy(), state.mode, state.F)
+
+    def emit_neg(lo):
+        for l in range(lo, n + 1):
+            profile.values[l] = NEG_INF
+
+    while True:
+        slack = _slacks(state.support, alpha, beta, state.deg)
+        if (slack > 0).any():
+            k, i, j = (int(x[np.argmax(slack > 0)]) for x in state.support)
+            raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
+        At = state.leading(slack == 0)
+        if symmetric:
+            w = nested_witness(blowup_witness(At, rng))
+        else:
+            w, J = witness(At, rng, J)
+        lbar = w.value()
+        if lbar < ell:
+            raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
+        if lbar > ell:
+            emit(ell + 1, lbar)
+            ell = lbar
+        if ell == n:
+            break
+        if _bound(alpha, beta, ell + 1) < (ell + 1) * cutoff:
+            emit_neg(ell + 1)
+            break
+
+        inc_a = np.zeros(n, dtype=np.int64)
+        inc_b = np.full(n, -1, dtype=np.int64)
+        inc_a[_pivots(w.U)] = 1  # raise alpha on X, drop beta off Y
+        inc_b[_pivots(w.V)] = 0
+        if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
+            inc_a = inc_b = inc_a + inc_b
+        if not (_unit_rows(w.U) and _unit_rows(w.V)):  # else L = R = I
+            L = triangular(w.U)
+            state.fold(L, (L if symmetric else triangular(w.V)).T, alpha, beta)
+        kappa = _step_bound(state.support, alpha, beta, state.deg, inc_a, inc_b)
+        if kappa == POS_INF:
+            emit_neg(ell + 1)
+            break
+        if kappa < 1:
+            raise AlgorithmStall(f"step collapsed to {kappa}: a tight entry sits in the witness's zero block")
+        alpha = [a + kappa * d for a, d in zip(alpha, inc_a.tolist())]
+        beta = [b + kappa * d for b, d in zip(beta, inc_b.tolist())]
+        sa, sb = _sorting_sigma(alpha), _sorting_sigma(beta)
+        alpha, beta = [alpha[i] for i in sa], [beta[j] for j in sb]
+        state.permute(sa, sb)
+        profile.meta["iterations"] += 1
+        if profile.meta["iterations"] > cap:
+            raise AlgorithmStall(f"{profile.meta['iterations']} iterations exceed the bound {cap}")
+    profile.meta["r_star"] = ell
+    return profile
+
+
+def _field_hungarian(A, c, alpha, beta, symmetric, rng):
+    """_hungarian on the field state of a square A[c], capped at
+    16 n^3 + 64 rounds; meta records whether the run kept within 4 ell n^2."""
+    n = A.n_rows
+    if n == 0:
+        return DegreeProfile(0)
+    profile = _hungarian(_FieldState(A, c), alpha, beta, min(c, default=0), 16 * n**3 + 64, symmetric, rng)
+    profile.meta["iteration_bound_ok"] = profile.meta["iterations"] <= 4 * max(profile.meta["r_star"], 1) * n * n
+    return profile
+
+
+def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
+    """All Delta_ell of A[c] with field-valued P, Q.
+
+    The dual never leaves the monomial world: alpha and beta move by
+    integer steps kappa1, the longest that keeps every entry feasible,
+    and are re-sorted after each (see _hungarian).
+    """
+    sq = Ac.pad_square()
+    n = sq.base.n_rows
+    return _field_hungarian(sq.base, sq.c, [0] * n, [-max(sq.c, default=0)] * n, False, as_rng(rng))
+
+
+def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
+    """One-sided profile for skew-symmetric A[c] with half-integral
+    alpha = beta: the shared loop runs on doubled weights so every step
+    is integer, and emitted values and duals shed the factor again.
+
+    The dominant optimum of a skew leading matrix, found by the blow-up
+    witness, nests V inside U, so a single transform serves both sides
+    (triangular(U) with U's basis led by V's, and one sorting permutation
+    after each step, keeping Q = P^t) and the step direction is +1 on the
+    V part, 0 on the rest of the U part, -1 outside.
+    """
+    _check_skew(A)
+    if len(c) != A.n_terms:
+        raise DimensionMismatch("one weight per term")
+    c2 = [2 * int(ck) for ck in c]
+    a2 = [-max(c2, default=0) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
+    return _field_hungarian(A, c2, a2, a2, True, as_rng(rng))
 
 
 def _general_degree_data(B: RationalSymbolicMatrix):
@@ -261,289 +515,29 @@ def _general_degree_data(B: RationalSymbolicMatrix):
     return d, low + D.ord - D.deg
 
 
-def _bound(alpha, beta, ell):
-    n = len(alpha)
-    return -sum(alpha[n - ell:]) - sum(beta[n - ell:])
-
-
 def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
-    """All Delta_ell of a square matrix over K(t), with certifying duals.
+    """All Delta_ell of a square matrix over K(t), with certifying duals:
+    the Hungarian loop on the rational state, from alpha = 0, beta = -d.
 
-    kappa is the largest feasibility-preserving step and a sorting
-    renormalization absorbs any order violation.  -inf levels are
-    detected either by an unbounded step or by the cutoff ell*d0 that
-    every finite Delta_ell must respect (see _general_degree_data).  The
-    run stops within n(d - d0) + 1 steps: a finite bound stays between
-    ell*d0 and ell*d, and proving -inf takes one unit step more, to put
-    the bound strictly below the cutoff.
+    -inf levels are detected either by an unbounded step or by the
+    cutoff ell*d0 that every finite Delta_ell must respect (see
+    _general_degree_data).  The run stops within n(d - d0) + 1 steps: a
+    finite bound stays between ell*d0 and ell*d, and proving -inf takes
+    one unit step more, to put the bound strictly below the cutoff.
     """
-    rng = as_rng(rng)
     n = B.n
-    profile = DegreeProfile(n)
-    if n == 0:
-        return profile
-    F = B.F
     d, d0 = _general_degree_data(B)
-    if d == NEG_INF:  # zero matrix
+    if d == NEG_INF:  # zero matrix, or n = 0
+        profile = DegreeProfile(n)
         for l in range(1, n + 1):
             profile.values[l] = NEG_INF
         return profile
-
-    alpha = [0] * n
-    beta = [-d] * n
-    P = RationalMatrix.identity(F, n)
-    Q = RationalMatrix.identity(F, n)
-    ell = 0
-    budget = n * (d - d0) + 1
-
-    def emit(lo, hi):
-        for l in range(lo, hi + 1):
-            profile.values[l] = _bound(alpha, beta, l)
-            profile.duals[l] = DualSolution(
-                alpha, P.copy(), beta, Q.copy(), "general", F
-            )
-
-    def emit_neg(lo):
-        for l in range(lo, n + 1):
-            profile.values[l] = NEG_INF
-
-    while True:
-        G = B.transform(P, Q).terms
-        At = SymbolicMatrix(F, [leading_coeff_matrix(Gk, alpha, beta) for Gk in G])
-        w = witness(At, rng)[0]
-        lbar = w.value()
-        if lbar < ell:
-            raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
-        if lbar > ell:
-            emit(ell + 1, lbar)
-            ell = lbar
-        if ell == n:
-            break
-        if _bound(alpha, beta, ell + 1) < (ell + 1) * d0:
-            emit_neg(ell + 1)
-            break
-
-        # kappa1 bounds U G V^t, the block the pair certifies zero in the
-        # leading matrix; G meets V^t first, as the dominant witness
-        # maximizes dim U
-        S_rat = RationalMatrix.from_scalars(F, w.U)
-        T_rat = RationalMatrix.from_scalars(F, w.V.T)
-        kappa1 = POS_INF
-        for Gk in G:
-            H = S_rat.matmul(Gk.scale_rows(alpha).scale_cols(beta).matmul(T_rat))
-            for row in H.rows:
-                for e in row:
-                    if not e.is_zero():
-                        kappa1 = min(kappa1, -e.deg)
-        if kappa1 == POS_INF:
-            emit_neg(ell + 1)
-            break
-        if kappa1 < 1:
-            raise AlgorithmStall("witness zero block must clear the tight entries")
-
-        # beta - kappa*1_{notY} is beta + kappa*1_Y shifted down by kappa
-        alpha, P = renormalize(kappa1, _pivots(w.U).tolist(), alpha, triangular(w.U), P)
-        beta, Qt = renormalize(kappa1, _pivots(w.V).tolist(), beta, triangular(w.V), Q.transpose())
-        beta, Q = [b - kappa1 for b in beta], Qt.transpose()
-        profile.meta["iterations"] += 1
-        if profile.meta["iterations"] > budget:
-            raise AlgorithmStall(
-                f"{profile.meta['iterations']} iterations exceed the "
-                f"n(d - d0) + 1 = {budget} guarantee"
-            )
-    profile.meta["r_star"] = ell
-    return profile
+    return _hungarian(_RationalState(B), [0] * n, [-d] * n, d0, n * (d - d0) + 1, False, as_rng(rng))
 
 
 def deg_det(B: RationalSymbolicMatrix, rng=None):
     """Degree of the Dieudonne determinant: the top profile entry."""
     return deg_subdet(B, rng).values[B.n]
-
-
-# ---------------------------------------------------------------------------
-# monomial engines (Hungarian)
-
-
-def _hungarian(A, c, alpha, beta, symmetric, rng):
-    """The Hungarian loop shared by both monomial engines.
-
-    A is square and, for the symmetric engine, c, alpha, beta are already
-    doubled, so every step is integral; values and duals shed the factor
-    on the way out.  The loop holds B with terms P A_k Q, factored as
-    (P C_k)(R_k Q), so a round costs O(n^2 r) per term.  B's tight entries
-    give the leading matrix At, whose witness is a vanishing pair (U, V)
-    in pivot form, with pivots X and Y.  L = triangular(U) and
-    R = triangular(V)^t fold into P <- L P and Q <- Q R, and L B R bounds
-    the step and is the next round's B (R = L^t on the symmetric engine,
-    whose nested pair puts V's rows at V's pivots of L too, so Q = P^t).
-    Distinct unit vectors, as every Koenig witness is, give L = R = I and
-    fold as nothing, so on bipartite input the loop is Kuhn's method.
-
-    Every row of U lies in the run of alpha that holds its pivot, and of
-    V in its run of beta, so L B R stays feasible.  For lambda != 0 in an
-    extension field, D = diag(lambda^alpha), E = diag(lambda^beta) give
-    D At_k E = lambda^(-c_k) At_k, as At lives on alpha_i + beta_j = -c_k,
-    so (U, V) -> (U D^-1, V E^-1) keeps vanishing pairs and dimensions and
-    fixes the dominant optimum, which is unique (over the algebraic
-    closure too, so Frobenius fixes that one: it is GF(p)'s).  For lambda
-    of order above the spread of alpha, D's eigenspaces are alpha's runs,
-    so U is the direct sum of its pieces in them, and each row of its
-    canonical basis, the union of theirs, lies in one run; so for V.
-    Every route returns rows of such bases (Koenig's unit vectors are).
-
-    The step bound re-checks the pair.  With rows inside runs, each
-    product in (L B_k R)[x, y] = u_x B_k v_y^t has the one slack
-    alpha_x + beta_y + c_k, so a tight entry of L B R in X x Y is a
-    nonzero entry of U At V^t; the step direction is at least +1 there
-    (on the symmetric engine Y lies in X, +1 on Y, 0 on X minus Y), so
-    kappa1 = 0 and the loop stalls, as it does on an infeasible L B R.
-
-    With rank-one terms P A_k Q = u v^t, feasibility makes the tight part
-    of term k the product of u on the rows where alpha is largest over
-    supp u and v on the columns where beta is largest over supp v (or
-    zero), so the leading matrix comes out factored.  Higher ranks mask
-    the dense terms.  On the matroid route the loop hands each round's
-    common independent set J back to witness as the next start, as
-    Frank's weight-splitting algorithm keeps its J across dual steps:
-    the sorting permutations move rows and columns only, so J's term
-    indices stay valid.
-
-    A step runs until the next entry becomes tight (kappa1), as in Kuhn's
-    Hungarian method; sorting permutations then reorder alpha with the rows
-    of P and P C_k, and beta with the columns of Q and R_k Q (alpha = beta
-    on the symmetric engine, so one serves both sides and Q = P^t holds).
-    Feasibility, alpha_i + beta_j + c_k <= 0 on the support of P A_k Q,
-    survives any simultaneous permutation.  The zero block's rows need
-    not lead their runs: after the step the stable sort orders each run's
-    rows by their new values, in index order among equals, wherever they
-    stood.  The leading rank cannot drop: the leading part of L B R is
-    zero on X x Y, X x notY and notX x Y carry nc-rank (n-s) + (n-r) =
-    ell, and the step keeps alpha_i + beta_j on both, in any order.
-    """
-    n = A.n_rows
-    profile = DegreeProfile(n)
-    if n == 0:
-        return profile
-    F = A.F
-    p = F.p
-    scale = 2 if symmetric else 1
-    P = Q = linalg.identity(n)
-    B = SymbolicMatrix(F, factors=A.factors)
-    support = B.support()
-    cmin = min(c, default=0)
-    ell = 0
-    J = ()
-    hard_cap = 16 * n * n * n + 64
-
-    def emit(lo, hi):
-        a, b = alpha, beta
-        if scale > 1:
-            a = [Fraction(x, scale) for x in alpha]
-            b = [Fraction(x, scale) for x in beta]
-        for l in range(lo, hi + 1):
-            profile.values[l] = _bound(alpha, beta, l) // scale
-            profile.duals[l] = DualSolution(a, P.copy(), b, Q.copy(), "monomial", F)
-
-    def emit_neg(lo):
-        for l in range(lo, n + 1):
-            profile.values[l] = NEG_INF
-
-    while True:
-        slack = _slacks(support, alpha, beta, c)
-        if (slack > 0).any():
-            k, i, j = (int(x[np.argmax(slack > 0)]) for x in support)
-            raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
-        tight = slack == 0
-        k, i, j = (x[tight] for x in support)
-        PC, RQ = B.factors
-        if PC.shape[2] == 1:
-            rows = np.zeros(PC.shape, dtype=bool)
-            cols = np.zeros(RQ.shape, dtype=bool)
-            rows[k, i, 0] = cols[k, 0, j] = True
-            At = SymbolicMatrix(F, factors=(PC * rows, RQ * cols))
-        else:
-            mask = np.zeros(B.terms.shape, dtype=bool)
-            mask[k, i, j] = True
-            At = SymbolicMatrix(F, B.terms * mask)
-        if symmetric:
-            w = nested_witness(blowup_witness(At, rng))
-        else:
-            w, J = witness(At, rng, J)
-        lbar = w.value()
-        if lbar < ell:
-            raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")
-        if lbar > ell:
-            emit(ell + 1, lbar)
-            ell = lbar
-        if ell == n:
-            break
-        if _bound(alpha, beta, ell + 1) < (ell + 1) * cmin:
-            emit_neg(ell + 1)
-            break
-
-        inc_a = np.zeros(n, dtype=np.int64)
-        inc_b = np.full(n, -1, dtype=np.int64)
-        inc_a[_pivots(w.U)] = 1  # raise alpha on X, drop beta off Y
-        inc_b[_pivots(w.V)] = 0
-        if symmetric:  # 1_X - 1_{notY}: +1 on Y, 0 on X minus Y, -1 off X
-            inc_a = inc_b = inc_a + inc_b
-        if not (_unit_rows(w.U) and _unit_rows(w.V)):  # else L = R = I
-            L = triangular(w.U)
-            R = (L if symmetric else triangular(w.V)).T
-            P, Q = linalg.matmul(L, P, p), linalg.matmul(Q, R, p)
-            B = B.sandwich(L, R)
-            support = B.support()
-        kappa = _step_bound(support, alpha, beta, c, inc_a, inc_b)
-        if kappa == POS_INF:
-            emit_neg(ell + 1)
-            break
-        if kappa < 1:
-            raise AlgorithmStall(f"step collapsed to {kappa}: a tight entry sits in the witness's zero block")
-        alpha = [a + kappa * d for a, d in zip(alpha, inc_a.tolist())]
-        beta = [b + kappa * d for b, d in zip(beta, inc_b.tolist())]
-        sa, sb = _sorting_sigma(alpha), _sorting_sigma(beta)
-        alpha, beta = [alpha[i] for i in sa], [beta[j] for j in sb]
-        P, Q, B = P[sa], Q[:, sb], B.submatrix(sa, sb)
-        support = support[0], np.argsort(sa)[support[1]], np.argsort(sb)[support[2]]
-        profile.meta["iterations"] += 1
-        if profile.meta["iterations"] > hard_cap:
-            raise AlgorithmStall(f"no convergence within {hard_cap} iterations")
-    profile.meta["r_star"] = ell
-    profile.meta["iteration_bound_ok"] = (
-        profile.meta["iterations"] <= 4 * max(ell, 1) * n * n
-    )
-    return profile
-
-
-def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
-    """All Delta_ell of A[c] with field-valued P, Q.
-
-    The dual never leaves the monomial world: alpha and beta move by
-    integer steps kappa1, the longest that keeps every entry feasible,
-    and are re-sorted after each (see _hungarian).
-    """
-    sq = Ac.pad_square()
-    n = sq.base.n_rows
-    return _hungarian(sq.base, sq.c, [0] * n, [-max(sq.c, default=0)] * n, False, as_rng(rng))
-
-
-def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
-    """One-sided profile for skew-symmetric A[c] with half-integral
-    alpha = beta: the shared loop runs on doubled weights so every step
-    is integer, and emitted values and duals shed the factor again.
-
-    The dominant optimum of a skew leading matrix, found by the blow-up
-    witness, nests V inside U, so a single transform serves both sides
-    (triangular(U) with U's basis led by V's, and one sorting permutation
-    after each step, keeping Q = P^t) and the step direction is +1 on the
-    V part, 0 on the rest of the U part, -1 outside.
-    """
-    _check_skew(A)
-    if len(c) != A.n_terms:
-        raise DimensionMismatch("one weight per term")
-    c2 = [2 * int(ck) for ck in c]
-    a2 = [-max(c2, default=0) // 2] * A.n_rows  # alpha = -max(c)/2, tight on the top terms
-    return _hungarian(A, c2, a2, a2, True, as_rng(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ class MissingSymbol(NcdegError, KeyError):
     """A substitution does not cover every symbol of the matrix."""
 
 
-class InfeasibleShift(NcdegError, ValueError):
-    """Shift vectors do not keep every entry at degree <= 0."""
-
-
 class NotBiproper(NcdegError, ValueError):
     """A biproper matrix was required (degree <= 0, invertible leading term)."""
 

@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
-    InfeasibleShift,
     NotBiproper,
     NotSquare,
     ZeroInversion,
@@ -323,12 +322,6 @@ class RationalMatrix:
     def copy(self):
         return RationalMatrix(self.F, [list(r) for r in self.rows])
 
-    def transpose(self):
-        m, n = self.shape
-        return RationalMatrix(
-            self.F, [[self.rows[i][j] for i in range(m)] for j in range(n)]
-        )
-
     def matmul(self, other: "RationalMatrix"):
         m, k = self.shape
         k2, n = other.shape
@@ -448,30 +441,3 @@ def classify_biproper(M: RationalMatrix) -> BiproperFlag:
     L = M.leading_matrix()
     return BiproperFlag(True, linalg.rank(L, M.F.p) == n)
 
-
-def leading_coeff_matrix(M: RationalMatrix, alpha, beta):
-    """t^0 coefficient matrix of diag(t^alpha) M diag(t^beta).
-
-    Every shifted entry must have degree <= 0 (the shifted matrix proper);
-    otherwise the shift pair is an infeasible dual point and InfeasibleShift
-    is raised.
-    """
-    import numpy as np
-
-    m, n = M.shape
-    if len(alpha) != m or len(beta) != n:
-        raise DimensionMismatch("shift lengths must match matrix shape")
-    out = np.zeros((m, n), dtype="int64")
-    for i in range(m):
-        for j in range(n):
-            e = M.rows[i][j]
-            if e.is_zero():
-                continue
-            d = e.deg + alpha[i] + beta[j]
-            if d > 0:
-                raise InfeasibleShift(
-                    f"entry ({i},{j}) has shifted degree {d} > 0"
-                )
-            if d == 0:
-                out[i, j] = M.F.div(e.num.lc(), e.den.lc())
-    return out

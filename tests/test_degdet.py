@@ -17,7 +17,6 @@ from ncdeg.degdet import (
     hungarian_deg_det,
     optimize_Q,
     random_feasible_dual,
-    renormalize,
     symmetric_hungarian,
     verify_dual,
 )
@@ -36,7 +35,7 @@ from ncdeg.mvsp import (
     mvsp_exhaustive,
     mvsp_matroid_intersection,
 )
-from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
+from ncdeg.ratfunc import Poly, RatFn, RationalMatrix
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     RationalSymbolicMatrix,
@@ -99,14 +98,6 @@ def rational_diag(F, *entries):
         for i in range(n)
     ]
     return RationalMatrix(F, rows)
-
-
-def rmat_eq(A, B):
-    ra, ca = A.shape
-    rb, cb = B.shape
-    if (ra, ca) != (rb, cb):
-        return False
-    return all(A.rows[i][j] == B.rows[i][j] for i in range(ra) for j in range(ca))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +415,9 @@ def test_step_sizes_prefix_sets_unbounded_kappa2():
     F = GF(5)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0)])
     # X = Y = {0}: alpha rises on row 0, beta drops off column 0
-    assert degdet._step_bound(Ac.base.support(), [0, 0], [-5, -5], Ac.c, [1, 0], [0, -1]) == 5
+    support = Ac.base.support()
+    deg = np.asarray(Ac.c)[support[0]]
+    assert degdet._step_bound(support, [0, 0], [-5, -5], deg, [1, 0], [0, -1]) == 5
 
 
 def whole_space_pair(A, *_):
@@ -460,103 +453,57 @@ def test_long_step_crosses_runs_and_resorts():
         assert verify_dual(sol, Ac, l, prof.values[l])
 
 
-def test_renormalize_spec_example():
+def test_deg_subdet_on_an_edmonds_matrix_folds_nothing(monkeypatch):
+    # every witness is Koenig's, of unit vectors, so the loop forms no
+    # RationalMatrix product and P, Q stay permutations
+    wr = random.Random(41)
     F = GF(5)
-    U = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    P = RationalMatrix.identity(F, 2)
-    exps, P2 = renormalize(1, [1], [1, 0], U, P)
-    assert exps == [1, 1]
-    assert classify_biproper(P2).is_biproper
+    edges = sorted(wr.sample([(i, j) for i in range(5) for j in range(5)], 12))
+    inst = BipartiteInstance(5, edges, [wr.randint(-9, 9) for _ in edges])
+    B = RationalSymbolicMatrix.from_weighted(build_edmonds(inst, F))
+    calls = []
+    product = RationalMatrix.matmul
+    monkeypatch.setattr(RationalMatrix, "matmul", lambda X, Y: calls.append(1) or product(X, Y))
+    prof = deg_subdet(B, rng=random.Random(0))
+    assert calls == [] and prof.meta["iterations"] > 2
+    monkeypatch.undo()
+    assert prof.values == hungarian_deg_det(build_edmonds(inst, F), rng=random.Random(0)).values
+    one, zero = RatFn.one(F), RatFn.zero(F)
+    for l, sol in prof.duals.items():
+        for X in (sol.P, sol.Q):
+            assert all(e in (one, zero) for row in X.rows for e in row)
+            ones = np.array([[e == one for e in row] for row in X.rows])
+            assert (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()
+        assert verify_dual(sol, B, l, prof.values[l])
 
 
-def test_renormalize_rejects_unsorted():
-    F = GF(5)
-    with pytest.raises(NotSorted):
-        renormalize(1, [0], [0, 1], np.eye(2, dtype=np.int64), RationalMatrix.identity(F, 2))
+def test_general_feasibility_reads_shifted_degrees():
+    F = GF(7)
+    t = RatFn.monomial(F, 1, 1)
+    one, zero = RatFn.one(F), RatFn.zero(F)
+    I = RationalMatrix.identity(F, 2)
+    B = RationalSymbolicMatrix(F, [RationalMatrix(F, [[t, one], [t * t, t]])])
+    # alpha=(-1,-2), beta=(0,0): shifted degrees [[0,-1],[0,-1]]
+    assert DualSolution([-1, -2], I, [0, 0], I, "general", F).feasible(B)
+    state = degdet._RationalState(B)
+    tight = degdet._slacks(state.support, [-1, -2], [0, 0], state.deg) == 0
+    assert state.leading(tight).terms[0].tolist() == [[1, 0], [1, 0]]
+    assert not DualSolution([0, 0], I, [0, 0], I, "general", F).feasible(B)
+    P = RationalMatrix(F, [[one, RatFn.monomial(F, 3, -1)], [zero, one]])
+    ident = RationalSymbolicMatrix(F, [I])
+    assert DualSolution([0, 0], P, [0, 0], I, "general", F).feasible(ident)
+    assert not DualSolution([0, 0, 0], P, [0, 0, 0], I, "general", F).feasible(ident)
 
 
-def test_renormalize_left_identity():
-    # (t^{kappa 1_r}) pi U (t^alpha) P  must equal  pi sigma' (t^{alpha'}) P'
-    F = GF(5)
-    rng = random.Random(31)
-    for _ in range(6):
-        n = 3
-        alpha = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
-        U = np.triu(linalg.rand_mat(rng, n, n, 5), 1) + np.eye(n, dtype=np.int64)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        r = rng.randint(1, n)
-        kappa = rng.randint(1, 3)
-        P = RationalMatrix.from_scalars(F, linalg.rand_mat(rng, n, n, 5))
-        X = {perm[i] for i in range(r)}
-
-        exps, P2 = renormalize(kappa, X, alpha, U, P)
-
-        Pi = RationalMatrix.from_scalars(
-            F, np.eye(n, dtype=np.int64)[perm]
-        )
-        lhs = (
-            RationalMatrix.identity(F, n)
-            .scale_rows([kappa if i < r else 0 for i in range(n)])
-            .matmul(Pi)
-            .matmul(RationalMatrix.from_scalars(F, U).scale_cols(alpha))
-            .matmul(P)
-        )
-        raised = [alpha[i] + (kappa if i in X else 0) for i in range(n)]
-        sigma = sorted(range(n), key=lambda i: (-raised[i], i))
-        Sg = np.zeros((n, n), dtype=np.int64)
-        for a, i in enumerate(sigma):
-            Sg[a, i] = 1
-        rhs = (
-            Pi
-            .matmul(RationalMatrix.from_scalars(F, Sg.T))
-            .matmul(RationalMatrix.identity(F, n).scale_rows(exps))
-            .matmul(P2)
-        )
-        assert rmat_eq(lhs, rhs)
-
-
-def test_renormalize_right_identity():
-    # Q (t^beta) M pi (t^{kappa(1_s - 1)})  must equal  Q' (t^{beta'}) sigma pi,
-    # with M = U^t folded as the rows of Q^t and beta' shifted down by kappa
-    F = GF(5)
-    rng = random.Random(32)
-    for _ in range(6):
-        n = 3
-        beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
-        U = np.triu(linalg.rand_mat(rng, n, n, 5), 1) + np.eye(n, dtype=np.int64)
-        M = U.T
-        perm = list(range(n))
-        rng.shuffle(perm)
-        s = rng.randint(1, n)
-        kappa = rng.randint(1, 3)
-        Q = RationalMatrix.from_scalars(F, linalg.rand_mat(rng, n, n, 5))
-        Pi = RationalMatrix.from_scalars(F, np.eye(n, dtype=np.int64)[perm])
-        Y = {j for j in range(n) if perm[j] < s}
-
-        up, Qt2 = renormalize(kappa, Y, beta, U, Q.transpose())
-        exps, Q2 = [b - kappa for b in up], Qt2.transpose()
-
-        lhs = (
-            Q.matmul(RationalMatrix.from_scalars(F, M).scale_rows(beta))
-            .matmul(Pi)
-            .matmul(
-                RationalMatrix.identity(F, n).scale_cols(
-                    [0 if j < s else -kappa for j in range(n)]
-                )
-            )
-        )
-        raised = [beta[j] + (0 if j in Y else -kappa) for j in range(n)]
-        sigma = sorted(range(n), key=lambda j: (-raised[j], j))
-        Sg = np.zeros((n, n), dtype=np.int64)
-        for a, j in enumerate(sigma):
-            Sg[a, j] = 1
-        rhs = (
-            Q2.matmul(RationalMatrix.identity(F, n).scale_cols(exps))
-            .matmul(RationalMatrix.from_scalars(F, Sg))
-            .matmul(Pi)
-        )
-        assert rmat_eq(lhs, rhs)
+def test_monomial_feasibility_reduces_p_and_q_first():
+    # [[2, -1], [-1, 2]] has rows and columns summing to 1, but over
+    # GF(3) it is [[2, 2], [2, 2]], singular; I + 3 is I there
+    F = GF(3)
+    Ac = edmonds_w(F, 2, 2, [(0, 0, 0), (1, 1, 0)])
+    I = linalg.identity(2)
+    assert DualSolution([0, 0], I + 3, [0, 0], I, "monomial", F).feasible(Ac)
+    singular = np.array([[2, -1], [-1, 2]])
+    assert not DualSolution([0, 0], singular, [0, 0], I, "monomial", F).feasible(Ac)
 
 
 # ---------------------------------------------------------------------------

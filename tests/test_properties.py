@@ -5,7 +5,8 @@ witnesses against subspace enumeration, every route's witness in pivot
 form and through block-diagonal shaping, matroid intersection against
 brute force, the builders' rank factors against their dense terms, and
 the stacked matmul and the factored products against the per-term
-loop, and the general engine against brute force on rational entries."""
+loop, and the general engine against brute force on rational entries
+and its fold against the identity it must keep."""
 
 import json
 import random
@@ -50,7 +51,7 @@ from ncdeg.mvsp import (
     triangular,
     witness,
 )
-from ncdeg.ratfunc import Poly, RatFn, RationalMatrix
+from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
@@ -458,6 +459,37 @@ def test_general_engine_matches_brute_force_on_rational_entries():
         assert prof.values == want
         for l, sol in prof.duals.items():
             assert verify_dual(sol, B, l, prof.values[l])
+
+
+def test_rational_fold_conjugates_the_witness_into_p_and_q():
+    # t^alpha P' B Q' t^beta == L (t^alpha P B Q t^beta) R for L, R of
+    # witness shape and sorted alpha, beta; a second fold starts from
+    # P, Q != I, and both stay biproper
+    rng = random.Random(31)
+    for p in (2, 5):
+        F = GF(p)
+        for _ in range(4):
+            n = 3
+            B = RationalSymbolicMatrix(
+                F, [RationalMatrix(F, [[_rational_entry(rng, F) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
+            )
+            state = degdet._RationalState(B)
+            for _ in range(2):
+                alpha = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+                beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+                U, V = (linalg.row_basis(linalg.rand_mat(rng, rng.randint(1, n), n, p), p) for _ in range(2))
+                L, R = triangular(U), triangular(V).T
+
+                def frame(M):
+                    return M.scale_rows(alpha).scale_cols(beta)
+
+                before = [frame(state.P.matmul(Bk).matmul(state.Q)) for Bk in B.terms]
+                state.fold(L, R, alpha, beta)
+                Ls, Rs = RationalMatrix.from_scalars(F, L), RationalMatrix.from_scalars(F, R)
+                for Bk, Gk, Hk in zip(B.terms, state.G, before):
+                    assert Gk.rows == state.P.matmul(Bk).matmul(state.Q).rows
+                    assert frame(Gk).rows == Ls.matmul(Hk).matmul(Rs).rows
+                assert classify_biproper(state.P).is_biproper and classify_biproper(state.Q).is_biproper
 
 
 @PROPERTY

@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ncdeg.errors import InfeasibleShift, NotBiproper, ZeroInversion
+from ncdeg.errors import NotBiproper, ZeroInversion
 from ncdeg.ratfunc import (
     NEG_INF,
     POS_INF,
@@ -12,7 +12,6 @@ from ncdeg.ratfunc import (
     RatFn,
     RationalMatrix,
     classify_biproper,
-    leading_coeff_matrix,
     poly_gcd,
 )
 from ncdeg.scalar import GF
@@ -274,21 +273,6 @@ def test_degdet_brute_force_4x4():
             [[RatFn.from_poly(rand_poly(rng, F, 3)) for _ in range(4)] for _ in range(4)],
         )
         assert M.degdet() == naive_rational_det(M).deg
-
-
-def test_leading_coeff_matrix():
-    F = GF(7)
-    t = RatFn.monomial(F, 1, 1)
-    one = RatFn.one(F)
-    M = RationalMatrix(F, [[t, one], [t * t, t]])
-    # alpha=(-1,-2), beta=(0,0): shifted degrees [[0,-1],[0,-1]]
-    L = leading_coeff_matrix(M, [-1, -2], [0, 0])
-    assert np.array_equal(L, np.array([[1, 0], [1, 0]]))
-    with pytest.raises(InfeasibleShift):
-        leading_coeff_matrix(M, [0, 0], [0, 0])
-    zero = RatFn.zero(F)
-    P = RationalMatrix(F, [[one, RatFn.monomial(F, 3, -1)], [zero, one]])
-    assert np.array_equal(leading_coeff_matrix(P, [0, 0], [0, 0]), np.array([[1, 0], [0, 1]]))
 
 
 def test_classify_biproper():
