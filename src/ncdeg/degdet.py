@@ -99,10 +99,7 @@ class DualSolution:
         return val
 
     def is_sorted(self):
-        a, b = self.alpha, self.beta
-        return all(a[i] >= a[i + 1] for i in range(len(a) - 1)) and all(
-            b[j] >= b[j + 1] for j in range(len(b) - 1)
-        )
+        return all(x[i] >= x[i + 1] for x in (self.alpha, self.beta) for i in range(len(x) - 1))
 
     def feasible(self, target) -> bool:
         if not self.is_sorted():
@@ -294,7 +291,10 @@ class _RationalState:
 
     def fold(self, L, R, alpha, beta):
         """P <- t^-alpha L t^alpha P and Q <- Q t^beta R t^-beta, and G
-        alike, so t^alpha G t^beta becomes L (t^alpha G t^beta) R."""
+        alike, so t^alpha G t^beta becomes L (t^alpha G t^beta) R.  The
+        conjugates are biproper only for non-increasing alpha and beta."""
+        if any(x[i] < x[i + 1] for x in (alpha, beta) for i in range(len(x) - 1)):
+            raise NotSorted(f"alpha {alpha} and beta {beta} must be non-increasing")
         F = self.F
         Lt = RationalMatrix.from_scalars(F, L).scale_rows([-a for a in alpha]).scale_cols(alpha)
         Rt = RationalMatrix.from_scalars(F, R).scale_rows(beta).scale_cols([-b for b in beta])

@@ -34,8 +34,9 @@ from ncdeg.mvsp import (
     mvsp_bipartite,
     mvsp_exhaustive,
     mvsp_matroid_intersection,
+    triangular,
 )
-from ncdeg.ratfunc import Poly, RatFn, RationalMatrix
+from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     RationalSymbolicMatrix,
@@ -475,6 +476,100 @@ def test_deg_subdet_on_an_edmonds_matrix_folds_nothing(monkeypatch):
             ones = np.array([[e == one for e in row] for row in X.rows])
             assert (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()
         assert verify_dual(sol, B, l, prof.values[l])
+
+
+def rational_step(state, L, R, alpha, beta, kappa, X, Y):
+    """The tail of one round on the rational state: fold L and R, raise
+    alpha by kappa on X, drop beta by kappa off Y, and re-sort."""
+    state.fold(L, R, alpha, beta)
+    alpha = [a + (kappa if i in X else 0) for i, a in enumerate(alpha)]
+    beta = [b - (0 if j in Y else kappa) for j, b in enumerate(beta)]
+    sa, sb = degdet._sorting_sigma(alpha), degdet._sorting_sigma(beta)
+    state.permute(sa, sb)
+    return [alpha[i] for i in sa], sa, [beta[j] for j in sb], sb
+
+
+def random_rational_state(rng, F, n):
+    terms = [
+        RationalMatrix.from_scalars(F, linalg.rand_mat(rng, n, n, F.p)).scale_cols([rng.randint(-2, 2) for _ in range(n)])
+        for _ in range(2)
+    ]
+    return degdet._RationalState(RationalSymbolicMatrix(F, terms))
+
+
+def random_fold_round(rng, F, n):
+    """(L, R, kappa, X, Y) of witness shape: L = triangular(U), R =
+    triangular(V)^t, X and Y the pivots of U and V."""
+    U, V = (linalg.row_basis(linalg.rand_mat(rng, rng.randint(1, n), n, F.p), F.p) for _ in range(2))
+    return triangular(U), triangular(V).T, rng.randint(1, 3), set(degdet._pivots(U)), set(degdet._pivots(V))
+
+
+def test_renormalize_spec_example():
+    # alpha = (1, 0) and U = [[1, 1], [0, 1]]: P folds to [[1, t^-1], [0, 1]],
+    # biproper, and raising row 1 by one makes alpha = (1, 1)
+    F = GF(5)
+    state = degdet._RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
+    U = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    alpha, _, beta, _ = rational_step(state, U, linalg.identity(2), [1, 0], [0, 0], 1, {1}, {0, 1})
+    assert alpha == [1, 1] and beta == [0, 0]
+    one, zero = RatFn.one(F), RatFn.zero(F)
+    assert state.P.rows == [[one, RatFn.monomial(F, 1, -1)], [zero, one]]
+    assert state.Q.rows == RationalMatrix.identity(F, 2).rows
+    assert classify_biproper(state.P).is_biproper
+
+
+def test_renormalize_rejects_unsorted():
+    F = GF(5)
+    state = degdet._RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
+    I = linalg.identity(2)
+    with pytest.raises(NotSorted):
+        state.fold(I, I, [0, 1], [0, 0])
+    with pytest.raises(NotSorted):
+        state.fold(I, I, [0, 0], [-1, 0])
+
+
+def test_renormalize_left_identity():
+    # t^alpha' P' == sigma t^(kappa 1_X) L t^alpha P, with sigma the
+    # permutation that sorts alpha + kappa 1_X, over two rounds
+    rng = random.Random(31)
+    for p in (2, 5):
+        F = GF(p)
+        for _ in range(3):
+            n = 3
+            state = random_rational_state(rng, F, n)
+            alpha = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            for _ in range(2):
+                L, R, kappa, X, Y = random_fold_round(rng, F, n)
+                lhs = (
+                    RationalMatrix.from_scalars(F, L)
+                    .scale_rows([kappa if i in X else 0 for i in range(n)])
+                    .matmul(state.P.scale_rows(alpha))
+                )
+                alpha, sa, beta, _ = rational_step(state, L, R, alpha, beta, kappa, X, Y)
+                assert state.P.scale_rows(alpha).rows == [lhs.rows[i] for i in sa]
+                assert classify_biproper(state.P).is_biproper
+
+
+def test_renormalize_right_identity():
+    # Q' t^beta' == Q t^beta R t^(-kappa 1_notY) sigma^t, with sigma the
+    # permutation that sorts beta - kappa 1_notY, over two rounds
+    rng = random.Random(37)
+    for p in (2, 5):
+        F = GF(p)
+        for _ in range(3):
+            n = 3
+            state = random_rational_state(rng, F, n)
+            alpha = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
+            for _ in range(2):
+                L, R, kappa, X, Y = random_fold_round(rng, F, n)
+                rhs = state.Q.scale_cols(beta).matmul(
+                    RationalMatrix.from_scalars(F, R).scale_cols([0 if j in Y else -kappa for j in range(n)])
+                )
+                alpha, _, beta, sb = rational_step(state, L, R, alpha, beta, kappa, X, Y)
+                assert state.Q.scale_cols(beta).rows == [[row[j] for j in sb] for row in rhs.rows]
+                assert classify_biproper(state.Q).is_biproper
 
 
 def test_general_feasibility_reads_shifted_degrees():
