@@ -578,31 +578,31 @@ def dual_forms_convert(sol: DualSolution, ell):
 
 
 def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None):
-    """Integral maximizer of c'u over the ell-th subdeterminant
-    polytope, read off one run at a lexicographically perturbed weight.
+    """Integral maximizer of c'u over the ell-th subdeterminant polytope.
 
-    With N = n + 1 and 0 <= u_k <= n, w_k = c_k N^m + N^(m-1-k) scores u
-    as c'u N^m plus u in base N, so divmod decodes every coordinate; a
-    digit above n would carry and break the digit sum.  A run at c finds
-    -inf levels and checks c'u.
+    One run at the perturbed weight w_k = c_k N^m + N^(m-1-k), N = n + 1,
+    scores u (0 <= u_k <= n) as c'u N^m plus u in base N.  Level ell is
+    -inf iff the nc-rank, which no weight enters, is below ell.  If
+    sum(u) = ell and c'u = cu, top = w'u, and the level dual proves
+    Delta_ell(w) <= top: a low answer (a tie broken wrongly) is refused.
+    A high one passes: nothing proves a value from below (ROADMAP item 1).
     """
-    rng = as_rng(rng)
     m = Ac.base.n_terms
     n = max(Ac.base.n_rows, Ac.base.n_cols)
     if not 0 <= ell <= n:
         raise BadCardinality(f"ell={ell} outside [0, {n}]")
     if ell == 0:
         return [0] * m
-    best = hungarian_deg_det(Ac, rng).values[ell]
-    if best == NEG_INF:
-        raise LPInfeasible(f"level {ell} has value -inf")
     N = n + 1
-    w = [ck * N**m + N ** (m - 1 - k) for k, ck in enumerate(Ac.c)]
-    top = hungarian_deg_det(WeightedSymbolicMatrix(Ac.base, w), rng).values[ell]
+    Aw = WeightedSymbolicMatrix(Ac.base, [ck * N**m + N ** (m - 1 - k) for k, ck in enumerate(Ac.c)])
+    prof = hungarian_deg_det(Aw, rng)
+    if (top := prof.values[ell]) == NEG_INF:
+        raise LPInfeasible(f"level {ell} has value -inf")
     cu, tail = divmod(top, N**m)
     u = [tail // N ** (m - 1 - k) % N for k in range(m)]
-    if sum(u) != ell or cu != best:
-        raise AlgorithmStall(f"decoded c'u = {cu}, sum(u) = {sum(u)}; expected {best}, {ell}")
+    decoded = sum(u) == ell and sum(ck * uk for ck, uk in zip(Ac.c, u)) == cu
+    if not (decoded and verify_dual(prof.duals[ell], Aw, ell, top)):
+        raise AlgorithmStall(f"decoded u = {u} at level {ell} fails its sum, its c'u = {cu} or the level dual")
     return u
 
 

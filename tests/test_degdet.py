@@ -685,7 +685,7 @@ def test_optimize_q_weights_beyond_int64():
         assert sum(c * uk for c, uk in zip(Ac.c, u)) == brute_force_matching_oracles(inst, ell)
 
 
-def test_optimize_q_makes_two_engine_runs(monkeypatch):
+def test_optimize_q_makes_one_engine_run(monkeypatch):
     F = GF(65521)
     Ac = edmonds_w(F, 3, 3, [(0, 0, 3), (0, 1, 1), (1, 0, 2), (1, 1, 4), (2, 2, -1), (2, 0, 5)])
     runs = []
@@ -699,7 +699,28 @@ def test_optimize_q_makes_two_engine_runs(monkeypatch):
     for ell in range(1, 4):
         runs.clear()
         optimize_Q(Ac, ell, rng=random.Random(ell))
-        assert len(runs) == 2
+        assert len(runs) == 1
+
+
+def test_optimize_q_refuses_a_tie_broken_low(monkeypatch):
+    # all four edges at weight 0: w = (27, 9, 3, 1) scores the matching
+    # (0,0), (1,1) at 28 and (0,1), (1,0) at 12; a run claiming 12 at
+    # level 2 decodes to the second, with c'u = 0 as at the optimum, but
+    # the run's level dual still reads 28
+    F = GF(65521)
+    Ac = edmonds_w(F, 2, 2, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
+    engine = degdet.hungarian_deg_det
+
+    def forged(Aw, rng):
+        prof = engine(Aw, rng)
+        if any(Aw.c):
+            prof.values[2] = sum(w * u for w, u in zip(Aw.c, [0, 1, 1, 0]))
+        return prof
+
+    assert optimize_Q(Ac, 2, rng=random.Random(32)) == [1, 0, 0, 1]
+    monkeypatch.setattr(degdet, "hungarian_deg_det", forged)
+    with pytest.raises(AlgorithmStall):
+        optimize_Q(Ac, 2, rng=random.Random(32))
 
 
 def test_optimize_q_infeasible_level():

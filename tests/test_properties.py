@@ -1,6 +1,7 @@
 """Property tests on small random instances: the monomial engines and
-optimize_Q against brute force, the engines against each other and
-against the Monte-Carlo blow-up oracle, the blow-up and matroid
+optimize_Q against brute force, optimize_Q across seeds on rank-two
+terms, the engines against each other and against the Monte-Carlo
+blow-up oracle, the blow-up and matroid
 witnesses against subspace enumeration, every route's witness in pivot
 form and through block-diagonal shaping, matroid intersection against
 brute force, the builders' rank factors against their dense terms, and
@@ -30,13 +31,14 @@ from ncdeg.apps import (
 )
 from ncdeg import degdet
 from ncdeg.degdet import (
+    NEG_INF,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
     symmetric_hungarian,
     verify_dual,
 )
-from ncdeg.errors import DimensionMismatch
+from ncdeg.errors import DimensionMismatch, LPInfeasible
 from ncdeg.instances import parse_text
 from ncdeg.mvsp import (
     SUBSPACE_CAP,
@@ -162,6 +164,40 @@ def test_optimize_Q_picks_a_max_weight_common_independent_set(inst):
         )
 
     check_optimize_Q(inst, build_matroid_intersection(inst), is_common_independent)
+
+
+@st.composite
+def line_collections(draw):
+    """Up to n + 1 lines of GF(2)^n or GF(3)^n, n <= 5; a pair that
+    spans no line becomes (e_1, e_2)."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n + 1))
+    vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    a, b = (np.array(draw(st.lists(vec, min_size=m, max_size=m)), dtype=np.int64) for _ in "ab")
+    for k in range(m):
+        if linalg.rank(np.stack([a[k], b[k]]), p) < 2:
+            a[k], b[k] = np.eye(2, n, dtype=np.int64)
+    weights = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return build_matroid_matching(LineCollection(GF(p), list(zip(a, b)), weights, n))
+
+
+@PROPERTY
+@given(line_collections())
+def test_optimize_Q_on_rank_two_terms(Ac):
+    # the witness of rank-two terms draws from rng, yet u is the unique
+    # maximizer at the perturbed weights, so no seed moves it
+    prof = hungarian_deg_det(Ac, rng=random.Random(0))
+    for ell in range(1, prof.n + 1):
+        if prof.values[ell] == NEG_INF:
+            for seed in (1, 2):
+                with pytest.raises(LPInfeasible):
+                    optimize_Q(Ac, ell, rng=random.Random(seed))
+            continue
+        u = optimize_Q(Ac, ell, rng=random.Random(1))
+        assert optimize_Q(Ac, ell, rng=random.Random(2)) == u
+        assert sum(u) == ell
+        assert sum(c * uk for c, uk in zip(Ac.c, u)) == prof.values[ell]
 
 
 @st.composite
