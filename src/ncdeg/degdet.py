@@ -102,22 +102,31 @@ class DualSolution:
         return all(x[i] >= x[i + 1] for x in (self.alpha, self.beta) for i in range(len(x) - 1))
 
     def feasible(self, target) -> bool:
+        """Sorted, with P and Q invertible and every entry feasible.  In
+        monomial mode, P and Q reduced mod p to permutations make P A_k Q
+        A_k relabelled: entry (k, i, j) moves to (x, y) with P[x, i] =
+        Q[j, y] = 1, one entry to a cell, so A's own support, relabelled, is
+        exactly P A_k Q's.  Other P, Q need P Q invertible, and P A_k Q formed."""
         if not self.is_sorted():
             return False
         if self.mode == "monomial":
-            Ac = target.pad_square()
-            p = Ac.base.F.p
+            Ac = target if target.n_rows == target.n_cols else target.pad_square()
+            A, p = Ac.base, Ac.F.p
             P, Q = (np.asarray(X, dtype=np.int64) % p for X in (self.P, self.Q))
-            # a permutation P is invertible, else the square P Q is iff P and Q are
-            square = P.shape == Q.shape == (self.n, self.n)
-            if not (square and _unit_rows(P) and _unit_rows(Q)) and linalg.rank(linalg.matmul(P, Q, p), p) < self.n:
+            if P.shape == Q.shape == A.shape == (self.n, self.n) and _unit_rows(P) and _unit_rows(Q):
+                k, i, j = A.support()
+                support = k, P.T.nonzero()[1][i], Q.nonzero()[1][j]
+            elif linalg.rank(linalg.matmul(P, Q, p), p) < self.n:
                 return False
-            support = Ac.base.sandwich(P, Q).support()
+            else:
+                support = A.sandwich(P, Q).support()
             # scaled by the lcm D of the denominators, half-integral duals
             # compare in int64 rather than as Fractions
-            D = math.lcm(*(x.denominator for x in self.alpha + self.beta if isinstance(x, Fraction)))
-            a, b = _scaled(self.alpha, D), _scaled(self.beta, D)
-            return not (_slacks(support, a, b, _exact([D * ck for ck in Ac.c])[support[0]]) > 0).any()
+            dens = [x.denominator for x in self.alpha + self.beta if type(x) is Fraction]
+            D = math.lcm(*dens)
+            a, b = (_scaled(x, D) for x in (self.alpha, self.beta)) if dens else (self.alpha, self.beta)
+            c = _exact(Ac.c if D == 1 else [D * ck for ck in Ac.c])
+            return not (_slacks(support, a, b, c[support[0]]) > 0).any()
         try:
             if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
                 return False
@@ -173,7 +182,10 @@ def _unit_rows(B) -> bool:
 
 def _exact(values) -> np.ndarray:
     """values as an int64 array when any sum of three stays exact, else as
-    an object array of the Python numbers themselves."""
+    an object array of the Python numbers themselves.  A list of Python
+    ints is range-checked entry by entry, cheaper than two reductions."""
+    if all(type(x) is int and -_EXACT < x < _EXACT for x in values):
+        return np.array(values, dtype=np.int64)
     a = np.asarray(values)
     if a.dtype == np.int64 and (not a.size or -_EXACT < a.min() and a.max() < _EXACT):
         return a
@@ -183,14 +195,16 @@ def _exact(values) -> np.ndarray:
 def _scaled(values, D):
     """D * values, with Fractions made Python ints (D clears their
     denominators) and any other entry multiplied as it is."""
-    return [int(x * D) if isinstance(x, Fraction) else x * D for x in values]
+    return [int(x * D) if type(x) is Fraction else x * D for x in values]
 
 
 def _slacks(support, alpha, beta, deg):
     """alpha_i + beta_j + deg over a support (k, i, j) of term entries,
-    deg holding each entry's degree."""
+    deg holding each entry's degree; alpha and beta are lists, or arrays
+    that _exact made."""
     _, i, j = support
-    return _exact(alpha)[i] + _exact(beta)[j] + deg
+    a, b = (x if isinstance(x, np.ndarray) else _exact(x) for x in (alpha, beta))
+    return a[i] + b[j] + deg
 
 
 def _step_bound(support, alpha, beta, deg, inc_a, inc_b):
@@ -408,7 +422,8 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
             profile.values[l] = NEG_INF
 
     while True:
-        slack = _slacks(state.support, alpha, beta, state.deg)
+        a, b = _exact(alpha), _exact(beta)
+        slack = _slacks(state.support, a, b, state.deg)
         if (slack > 0).any():
             k, i, j = (int(x[np.argmax(slack > 0)]) for x in state.support)
             raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
@@ -438,7 +453,7 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
         if not (_unit_rows(w.U) and _unit_rows(w.V)):  # else L = R = I
             L = triangular(w.U)
             state.fold(L, (L if symmetric else triangular(w.V)).T, alpha, beta)
-        kappa = _step_bound(state.support, alpha, beta, state.deg, inc_a, inc_b)
+        kappa = _step_bound(state.support, a, b, state.deg, inc_a, inc_b)
         if kappa == POS_INF:
             emit_neg(ell + 1)
             break

@@ -97,13 +97,16 @@ class SymbolicMatrix:
     it is first read, so a matrix built from a bare dense stack is factored
     at most once.  The monomial engines read the factors, and P A_k Q =
     (P C_k)(R_k Q) then costs O(n^2 r) per term instead of O(n^3).
+
+    A matrix is a value: nothing writes its stacks after construction, so
+    what is read off them (the other form, the support) is computed once.
     """
 
-    __slots__ = ("F", "_terms", "_factors")
+    __slots__ = ("F", "_terms", "_factors", "_support")
 
     def __init__(self, F: GF, terms=None, factors=None):
         self.F = F
-        self._terms = self._factors = None
+        self._terms = self._factors = self._support = None
         if terms is not None:
             T = np.asarray(terms, dtype=np.int64)
             if T.ndim != 3:
@@ -122,7 +125,7 @@ class SymbolicMatrix:
         """A matrix of stacks already reduced mod p and of matching shapes,
         stored as given."""
         out = cls.__new__(cls)
-        out.F, out._terms, out._factors = F, terms, factors
+        out.F, out._terms, out._factors, out._support = F, terms, factors, None
         return out
 
     @property
@@ -178,9 +181,16 @@ class SymbolicMatrix:
         return not (C.any(axis=(1, 2)) & R.any(axis=(1, 2))).any()
 
     def support(self):
-        """(k, i, j) of the nonzero term entries, in C order.  Rank-one
-        factors give them in O(nnz) with no dense stack: u_i v_j != 0
-        exactly when u_i != 0 and v_j != 0."""
+        """(k, i, j) of the nonzero term entries, in C order, computed on
+        the first call and kept, as the matrix is a value; callers share
+        the arrays and must not write them.  Rank-one factors give them in
+        O(nnz) with no dense stack: u_i v_j != 0 exactly when u_i != 0 and
+        v_j != 0."""
+        if self._support is None:
+            self._support = self._find_support()
+        return self._support
+
+    def _find_support(self):
         if self._factors is None or self._factors[0].shape[2] > 1:
             return np.nonzero(self.terms)
         C, R = self._factors

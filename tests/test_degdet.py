@@ -601,6 +601,16 @@ def test_monomial_feasibility_reduces_p_and_q_first():
     assert not DualSolution([0, 0], singular, [0, 0], I, "monomial", F).feasible(Ac)
 
 
+def test_monomial_feasibility_of_side_zero():
+    # the 0 x 0 permutations relabel an empty support: no constraint,
+    # feasible, against no term or one, stored dense or factored
+    F = GF(5)
+    I = linalg.identity(0)
+    for m in (0, 1):
+        for base in (SymbolicMatrix(F, np.zeros((m, 0, 0))), SymbolicMatrix(F, factors=(np.zeros((m, 0, 1)), np.zeros((m, 1, 0))))):
+            assert DualSolution([], I, [], I, "monomial", F).feasible(WeightedSymbolicMatrix(base, [3] * m))
+
+
 # ---------------------------------------------------------------------------
 # dual conversions
 

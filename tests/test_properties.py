@@ -6,11 +6,13 @@ witnesses against subspace enumeration, every route's witness in pivot
 form and through block-diagonal shaping, matroid intersection against
 brute force, the builders' rank factors against their dense terms, and
 the stacked matmul and the factored products against the per-term
-loop, and the general engine against brute force on rational entries
-and its fold against the identity it must keep."""
+loop, the general engine against brute force on rational entries
+and its fold against the identity it must keep, and monomial dual
+feasibility against the densely formed products P A_k Q."""
 
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +34,7 @@ from ncdeg.apps import (
 from ncdeg import degdet
 from ncdeg.degdet import (
     NEG_INF,
+    DualSolution,
     deg_subdet,
     hungarian_deg_det,
     optimize_Q,
@@ -659,3 +662,102 @@ def test_factored_products_equal_the_per_term_loop(case):
         B = stored.sandwich(L, Rt)
         assert np.array_equal(B.terms, ref)
         assert all(np.array_equal(x, y) for x, y in zip(B.support(), np.nonzero(ref)))
+
+
+def dense_sums(Ac, alpha, P, beta, Q):
+    """alpha_i + beta_j + c_k, in exact Python numbers, wherever the
+    densely formed (P A_k Q)_ij is nonzero, P and Q reduced mod p."""
+    p, sq = Ac.F.p, Ac.pad_square()
+    P, Q = (np.asarray(X, dtype=np.int64) % p for X in (P, Q))
+    return [
+        alpha[i] + beta[j] + ck
+        for Ak, ck in zip(sq.base.terms, sq.c)
+        for i, j in zip(*np.nonzero(P @ Ak % p @ Q % p))
+    ]
+
+
+def dense_feasible(sol, Ac):
+    """DualSolution.feasible by its definition: sorted, P and Q
+    invertible mod p, and every dense_sums entry at most 0."""
+    p = Ac.F.p
+    if not sol.is_sorted() or min(linalg.rank(np.asarray(X, dtype=np.int64) % p, p) for X in (sol.P, sol.Q)) < sol.n:
+        return False
+    return all(s <= 0 for s in dense_sums(Ac, sol.alpha, sol.P, sol.beta, sol.Q))
+
+
+class FractionSubclass(Fraction):
+    """Not a Fraction by type, so feasible compares it as an object."""
+
+
+@st.composite
+def monomial_duals(draw):
+    """(sol, A[c]): A over GF(2), GF(3) or GF(65521), up to 4 x 4 and
+    padded when rectangular, with single-entry, rank-one or rank-two
+    terms stored factored or dense; P and Q permutations, either of them
+    unreduced (X + p Y) or replaced by an arbitrary matrix; sorted alpha
+    and beta, integral or half-integral, as ints, Fractions or a Fraction
+    subclass, some beyond 2^61, some shifted to make the tightest entry
+    tight or just infeasible."""
+    p = draw(st.sampled_from([2, 3, 65521]))
+    nr, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    nc = draw(st.sampled_from([nr, 1, 2, 3, 4]))
+    n = max(nr, nc)
+    r = draw(st.sampled_from([0, 1, 2]))  # 0: single entries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if r == 0:
+        C, R = np.zeros((m, nr, 1), dtype=np.int64), np.zeros((m, 1, nc), dtype=np.int64)
+        for k in range(m):
+            C[k, rng.integers(nr), 0], R[k, 0, rng.integers(nc)] = rng.integers(1, p), 1
+    else:
+        C, R = (rng.integers(0, p, size=s) * (rng.random(s) < 0.8) for s in ((m, nr, r), (m, r, nc)))
+    A = SymbolicMatrix(GF(p), factors=(C, R))
+    if draw(st.booleans()):
+        A = SymbolicMatrix(A.F, A.terms)
+    Ac = WeightedSymbolicMatrix(A, draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+    P, Q = (np.eye(n, dtype=np.int64)[draw(st.permutations(range(n)))] for _ in range(2))
+    side = draw(st.sampled_from(["both", "both", "P", "Q"]))  # the side that stays a permutation
+    if side != "both":
+        other = rng.integers(0, p, size=(n, n))
+        P, Q = (P, other) if side == "P" else (other, Q)
+    P, Q = (X + p * rng.integers(-2, 3, size=(n, n)) * draw(st.booleans()) for X in (P, Q))
+    den = draw(st.sampled_from([1, 1, 2]))
+    big = draw(st.sampled_from([0, 0, 2**62, 2**70]))
+    whole = draw(st.booleans())  # integral entries as ints
+    form = draw(st.sampled_from([Fraction, Fraction, FractionSubclass]))
+
+    def number(x):
+        q = Fraction(x, den)
+        return int(q) if whole and q.denominator == 1 else form(q)
+
+    vals = st.lists(st.integers(-4, 6), min_size=n, max_size=n)
+    alpha, beta = ([number(x + sign * big * den) for x in sorted(draw(vals), reverse=True)] for sign in (1, -1))
+    shift = draw(st.sampled_from([None, None, 0, Fraction(1, den)]))
+    if shift is not None:
+        worst = max(dense_sums(Ac, alpha, P, beta, Q), default=0)
+        beta = [b - worst + shift for b in beta]
+    return DualSolution(alpha, P, beta, Q, "monomial", A.F), Ac
+
+
+# P != P^t: entry (1, 0) lands in row 2, where P[2, 1] = 1 and alpha is
+# 0, feasible; read through P^t it would land in row 0, where alpha is 1
+THREE_CYCLE = (
+    DualSolution([1, 0, 0], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), [0, 0, 0], linalg.identity(3), "monomial", GF(5)),
+    WeightedSymbolicMatrix(SymbolicMatrix(GF(5), [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]]), [0]),
+)
+
+
+# a Fraction subclass after an int must not be cast to int64: entry
+# (1, 1) reads 1/2 + 0 + 0 > 0, infeasible, and cast it would read 0
+SUBCLASS_AFTER_INT = (
+    DualSolution([1, FractionSubclass(1, 2)], linalg.identity(2), [0, 0], linalg.identity(2), "monomial", GF(5)),
+    WeightedSymbolicMatrix(SymbolicMatrix(GF(5), [[[0, 0], [0, 1]]]), [0]),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(monomial_duals())
+@example(THREE_CYCLE)
+@example(SUBCLASS_AFTER_INT)
+def test_monomial_feasibility_matches_the_dense_products(case):
+    sol, Ac = case
+    assert sol.feasible(Ac) == dense_feasible(sol, Ac)
