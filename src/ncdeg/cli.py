@@ -3,9 +3,10 @@
 Every run prints a report (a table, or canonical JSON with --json) that
 is a pure function of (instance, seed, version).  Duals are always part
 of the JSON report so that `ncdeg verify report.json instance.json` can
-re-check feasibility and strong duality without trusting the original
-run.  Exit codes: 0 computed, 2 computed but the headline value is -inf
-or the membership verdict is negative, 1 any error.
+re-check each dual's feasibility and objective without trusting the
+original run, which proves each value an upper bound (see verify_dual).
+Exit codes: 0 computed, 2 computed but the headline value is -inf or the
+membership verdict is negative, 1 any error.
 """
 
 import argparse
@@ -32,7 +33,7 @@ from .degdet import (
     verify_dual,
 )
 from .errors import NcdegError, ParseError
-from .instances import ParsedInstance, parse_instance
+from .instances import ParsedInstance, _get, _is_int_list, _number, parse_instance
 from .mvsp import nc_rank
 from .ratfunc import Poly, RatFn, RationalMatrix
 from .symbolic import (
@@ -43,6 +44,7 @@ from .symbolic import (
 )
 
 ENGINE_KINDS = ("symbolic", "weighted", "bipartite", "matroid-pair")
+ENGINES = ("hungarian", "subdet", "degdet", "fmm")
 
 
 class _UsageError(NcdegError, ValueError):
@@ -66,17 +68,8 @@ def enc_num(v):
     return int(v)
 
 
-def dec_num(v, ctx="value"):
-    if v is None:
-        return NEG_INF
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{ctx}: {v!r} is not a fraction") from None
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ParseError(f"{ctx}: expected null, int, or 'num/den'")
+def dec_num(v, ctx):
+    return NEG_INF if v is None else _number(v, ctx)
 
 
 def _enc_ratfn(f: RatFn):
@@ -87,19 +80,6 @@ def _enc_matrix(M):
     if isinstance(M, RationalMatrix):
         return [[_enc_ratfn(x) for x in row] for row in M.rows]
     return M.tolist()
-
-
-def _get(doc, key, ctx, kind=None):
-    """doc[key] of a JSON object, or a ParseError naming the field."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ParseError(f"{ctx}: missing field {key!r}")
-    if kind is not None and not isinstance(doc[key], kind):
-        raise ParseError(f"{ctx}.{key}: expected a {kind.__name__}")
-    return doc[key]
-
-
-def _is_int_list(v):
-    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
 
 
 def _dec_matrix(data, F, mode, n, ctx):
@@ -204,21 +184,6 @@ def _report(args, inst, values, duals, iterations, guarantee, exit_code):
     }
 
 
-def _profile_report(args, inst, prof, target_level):
-    values = {str(l): enc_num(prof.values[l]) for l in range(prof.n + 1)}
-    duals = {str(l): enc_dual(sol) for l, sol in sorted(prof.duals.items())}
-    code = 2 if prof.values.get(target_level, 0) == NEG_INF else 0
-    return _report(
-        args,
-        inst,
-        values,
-        duals,
-        prof.meta["iterations"],
-        "strong",
-        code,
-    )
-
-
 def _print_report(report, as_json, out=None):
     out = out if out is not None else sys.stdout
     if as_json:
@@ -265,69 +230,44 @@ def _cmd_ncrank(args):
     return _report(args, inst, values, {}, None, "monte-carlo", 0)
 
 
-def _cmd_degdet(args):
+def _target(cmd, Ac):
+    """The matrix cmd's engine runs on, which its duals are checked against."""
+    return RationalSymbolicMatrix.from_weighted(Ac) if cmd in ("subdet", "degdet") else Ac
+
+
+def _engine(cmd, target, rng):
+    if cmd == "hungarian":
+        return hungarian_deg_det(target, rng)
+    if cmd == "fmm":
+        return symmetric_hungarian(target.base, target.c, rng)
+    return deg_subdet(target, rng)
+
+
+def _levels(cmd, values, n):
+    """The report's values from the levels l -> Delta_l in values: degdet
+    keeps level n; fmm halves every level, as the symmetric engine
+    doubles the weights, and its best is the largest half, at least 0 for
+    the empty matching; the other commands keep every level."""
+    if cmd == "degdet":
+        return {"deg_det": enc_num(values[n])}
+    if cmd != "fmm":
+        return {str(l): enc_num(values[l]) for l in sorted(values, key=int)}
+    half = {str(l): values[l] if values[l] == NEG_INF else Fraction(values[l], 2) for l in sorted(values, key=int)}
+    return {"best": enc_num(max([0, *half.values()])), "curve": {l: enc_num(v) for l, v in half.items()}}
+
+
+def _cmd_engine(args):
+    """One engine run laid out by _levels.  degdet carries only the top
+    dual.  fmm's headline, best, is never -inf, so it exits 0; the others
+    exit 2 when the top level is -inf."""
+    cmd = args.command
     inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ENGINE_KINDS, "degdet")
-    B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
-    prof = deg_subdet(B, random.Random(args.seed))
-    v = prof.values[B.n]
-    duals = {}
-    if B.n in prof.duals:
-        duals[str(B.n)] = enc_dual(prof.duals[B.n])
-    return _report(
-        args,
-        inst,
-        {"deg_det": enc_num(v)},
-        duals,
-        prof.meta["iterations"],
-        "strong",
-        2 if v == NEG_INF else 0,
-    )
-
-
-def _cmd_subdet(args):
-    inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ENGINE_KINDS, "subdet")
-    B = RationalSymbolicMatrix.from_weighted(_weighted(inst))
-    prof = deg_subdet(B, random.Random(args.seed))
-    return _profile_report(args, inst, prof, B.n)
-
-
-def _cmd_hungarian(args):
-    inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ENGINE_KINDS, "hungarian")
-    Ac = _weighted(inst)
-    prof = hungarian_deg_det(Ac, random.Random(args.seed))
-    return _profile_report(args, inst, prof, prof.n)
-
-
-def _cmd_fmm(args):
-    inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ("lines",), "fmm")
-    H = inst.obj
-    A = build_matroid_matching(H)
-    prof = symmetric_hungarian(A.base, H.weights, random.Random(args.seed))
-    curve = {}
-    best = Fraction(0)
-    for l in range(prof.n + 1):
-        v = prof.values[l]
-        if v == NEG_INF:
-            curve[str(l)] = None
-        else:
-            half = Fraction(int(v), 2)
-            curve[str(l)] = enc_num(half)
-            best = max(best, half)
-    values = {"best": enc_num(best), "curve": curve}
-    duals = {str(l): enc_dual(sol) for l, sol in sorted(prof.duals.items())}
-    return _report(
-        args,
-        inst,
-        values,
-        duals,
-        prof.meta["iterations"],
-        "strong",
-        0,
-    )
+    _require_kind(inst, ("lines",) if cmd == "fmm" else ENGINE_KINDS, cmd)
+    prof = _engine(cmd, _target(cmd, _weighted(inst)), random.Random(args.seed))
+    n = prof.n
+    duals = {str(l): enc_dual(sol) for l, sol in sorted(prof.duals.items()) if cmd != "degdet" or l == n}
+    code = 2 if cmd != "fmm" and prof.values[n] == NEG_INF else 0
+    return _report(args, inst, _levels(cmd, prof.values, n), duals, prof.meta["iterations"], "strong", code)
 
 
 def _cmd_bl_member(args):
@@ -417,12 +357,10 @@ def _cmd_verify(args):
     inst = parse_instance(args.instance, prime)
     cmd = report.get("command")
     values = _get(report, "values", "report", dict)
-    if cmd in ("hungarian", "degdet", "subdet", "fmm"):
-        target = _weighted(inst)
-        base = target.base
-        if cmd in ("degdet", "subdet"):
-            target = RationalSymbolicMatrix.from_weighted(target)
-        n = max(base.n_rows, base.n_cols)
+    if cmd in ENGINES:
+        Ac = _weighted(inst)
+        target = _target(cmd, Ac)
+        n = max(Ac.n_rows, Ac.n_cols)
         if cmd == "degdet":
             raw = {str(n): _get(values, "deg_det", "values")}
         elif cmd == "fmm":
@@ -435,12 +373,11 @@ def _cmd_verify(args):
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
         rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
-            rank = nc_rank(base, random.Random(seed))
+            rank = nc_rank(Ac.base, random.Random(seed))
         checks = _verify_levels(report, n, target, expected, rank)
         if cmd == "fmm":
             best = dec_num(_get(values, "best", "values"), "values.best")
-            top = max((v for v in expected.values() if v != NEG_INF), default=NEG_INF)
-            checks.append(("best", scale * best == top))
+            checks.append(("best", enc_num(best) == _levels(cmd, expected, n)["best"]))
     elif cmd in ("ncrank", "bl-member", "oracle"):
         sub = argparse.Namespace(command=cmd, instance=args.instance, prime=prime, seed=seed, trials=trials)
         redo = _DISPATCH[cmd](sub)
@@ -556,10 +493,7 @@ def _build_parser():
 
 _DISPATCH = {
     "ncrank": _cmd_ncrank,
-    "degdet": _cmd_degdet,
-    "subdet": _cmd_subdet,
-    "hungarian": _cmd_hungarian,
-    "fmm": _cmd_fmm,
+    **dict.fromkeys(ENGINES, _cmd_engine),
     "bl-member": _cmd_bl_member,
     "oracle": _cmd_oracle,
 }

@@ -21,8 +21,9 @@ permutations.  It has three callers:
 Every other leading matrix gets its witness from mvsp.witness, the
 cheapest route its factors allow.  Each caller emits a DegreeProfile of
 exact values, certifying duals and run metadata.  Duals verify on their
-own: feasibility plus objective equality is strong duality, and any
-feasible dual upper-bounds every Delta_ell (weak duality).
+own, from one side: any feasible dual upper-bounds every Delta_ell (weak
+duality), so feasibility plus objective equality proves Delta_ell <= the
+value.  That the value is reached rests on the run that emitted it.
 """
 
 import math
@@ -409,13 +410,16 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
     J = ()
 
     def emit(lo, hi):
+        """One dual certifies levels lo..hi.  It holds state.P and state.Q
+        themselves: both states replace them on fold and permute, never writing in place."""
         a, b = alpha, beta
         if scale > 1:
             a = [Fraction(x, scale) for x in alpha]
             b = [Fraction(x, scale) for x in beta]
+        sol = DualSolution(a, state.P, b, state.Q, state.mode, state.F)
         for l in range(lo, hi + 1):
             profile.values[l] = _bound(alpha, beta, l) // scale
-            profile.duals[l] = DualSolution(a, state.P.copy(), b, state.Q.copy(), state.mode, state.F)
+            profile.duals[l] = sol
 
     def emit_neg(lo):
         for l in range(lo, n + 1):
@@ -626,7 +630,9 @@ def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None):
 
 
 def verify_dual(sol: DualSolution, target, ell, expected) -> bool:
-    """Strong duality check: feasibility plus objective equality."""
+    """sol is feasible for target with objective expected at ell.  By weak duality that
+    proves Delta_ell <= expected, and nothing more: lowering every beta by 1 keeps a
+    dual feasible and raises its objective by ell, so a loosened dual passes a raised value."""
     return sol.feasible(target) and sol.objective(ell) == expected
 
 

@@ -54,10 +54,12 @@ def _get(d, key, ctx, typ=None):
     return v
 
 
+def _is_int_list(v):
+    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+
+
 def _int_list(v, ctx, length=None):
-    if not isinstance(v, list) or any(
-        not isinstance(x, int) or isinstance(x, bool) for x in v
-    ):
+    if not _is_int_list(v):
         _fail(ctx, "expected a list of integers")
     if length is not None and len(v) != length:
         _fail(ctx, f"expected {length} entries, got {len(v)}")
@@ -97,9 +99,11 @@ def _budget(n, m, ctx):
         _fail(ctx, str(e))
 
 
-def _fraction(x, ctx):
+def _number(x, ctx):
+    """An int as it is, so int64 paths stay open to it, or a 'num/den'
+    string as a Fraction."""
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -203,7 +207,7 @@ def _parse_bl(payload, F):
                 dtype=np.int64,
             )
         )
-    pv = [_fraction(x, f"payload.p[{t}]") for t, x in enumerate(p_raw)]
+    pv = [Fraction(_number(x, f"payload.p[{t}]")) for t, x in enumerate(p_raw)]
     return BLDatum(F, maps, pv, n)
 
 

@@ -319,9 +319,6 @@ class RationalMatrix:
         one, zero = RatFn.one(F), RatFn.zero(F)
         return cls(F, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def copy(self):
-        return RationalMatrix(self.F, [list(r) for r in self.rows])
-
     def matmul(self, other: "RationalMatrix"):
         m, k = self.shape
         k2, n = other.shape

@@ -231,33 +231,58 @@ def test_ncrank_of_empty_collection(tmp_path, capsys, doc):
     assert values == {"nc_rank": 0, "rank": 0, "rows": 3, "cols": 3}
 
 
-def test_degdet_singular_exit_two(tmp_path, capsys):
-    path = write(
-        tmp_path,
-        "ones.json",
-        {
-            "field": {"p": 5},
-            "kind": "weighted",
-            "payload": {
-                "rows": 2,
-                "cols": 2,
-                "terms": [[[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]]],
-                "weights": [0],
-            },
+def ones_weighted_doc():
+    """The all-ones 2 x 2 matrix as one term: singular, so deg Det = -inf."""
+    return {
+        "field": {"p": 5},
+        "kind": "weighted",
+        "payload": {
+            "rows": 2,
+            "cols": 2,
+            "terms": [[[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]]],
+            "weights": [0],
         },
-    )
+    }
+
+
+def test_degdet_singular_exit_two(tmp_path, capsys):
+    path = write(tmp_path, "ones.json", ones_weighted_doc())
     code, out = run(capsys, "degdet", path, "--json")
     assert code == 2
     assert json.loads(out)["values"]["deg_det"] is None
 
 
-def test_degdet_report_carries_the_top_dual(tmp_path, capsys):
-    path = write(tmp_path, "diag.json", diag_weighted_doc())
+@pytest.mark.parametrize(
+    "doc",
+    [
+        k3_bipartite_doc(),
+        {
+            "field": {"p": 5},
+            "kind": "matroid-pair",
+            "payload": {"a": [[1, 0], [0, 1], [1, 1]], "b": [[1, 0], [1, 1], [0, 1]], "weights": [2, 1, 3]},
+        },
+        {
+            "field": {"p": 3},
+            "kind": "symbolic",
+            "payload": {"rows": 2, "cols": 3, "terms": [[[1, 1, 1], [2, 3, 2]], [[1, 2, 1]]]},
+        },
+        diag_weighted_doc(),
+        ones_weighted_doc(),
+    ],
+    ids=["k3-bipartite", "matroid-pair", "rectangular-symbolic", "diag-weighted", "singular-weighted"],
+)
+def test_degdet_report_carries_the_top_dual(tmp_path, capsys, doc):
+    # degdet is subdet's top level: its value, its dual and its exit code
+    path = write(tmp_path, "inst.json", doc)
     code, out = run(capsys, "degdet", path, "--json")
-    assert code == 0
     report = json.loads(out)
-    assert report["values"] == {"deg_det": 5}
-    assert set(report["duals"]) == {"2"} and report["duals"]["2"]["mode"] == "general"
+    sub_code, sub_out = run(capsys, "subdet", path, "--json")
+    sub = json.loads(sub_out)
+    top = str(len(sub["values"]) - 1)
+    assert report["values"] == {"deg_det": sub["values"][top]}
+    assert report["duals"] == {k: v for k, v in sub["duals"].items() if k == top}
+    assert all(dual["mode"] == "general" for dual in report["duals"].values())
+    assert code == sub_code == report["exit"]
     assert verified(capsys, report, path, tmp_path)
 
 
@@ -391,6 +416,10 @@ def _no_alpha(report):
     del report["duals"]["1"]["alpha"]
 
 
+def _dual_not_object(report):
+    report["duals"]["1"] = 1
+
+
 def _small_P(report):
     report["duals"]["1"]["P"] = [[1]]
 
@@ -416,6 +445,7 @@ def _bool_seed(report):
     [
         ("hungarian", _bogus_mode),
         ("hungarian", _no_alpha),
+        ("subdet", _dual_not_object),
         ("subdet", _small_P),
         ("hungarian", _extra_level),
         ("ncrank", _list_seed),
