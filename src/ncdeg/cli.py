@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Every run prints a report (a table, or canonical JSON with --json) that
-is a pure function of (instance, seed, version).  Duals are always part
-of the JSON report so that `ncdeg verify report.json instance.json` can
-re-check each dual's feasibility and objective without trusting the
-original run, which proves each value an upper bound (see verify_dual).
+is a pure function of (instance, seed, version).  The engine commands
+hungarian, subdet and degdet run the field engine on the instance's
+weighted matrix, and fmm the symmetric engine.  Their duals are always
+part of the JSON report, every one monomial (field matrices P and Q),
+so that `ncdeg verify report.json instance.json` can re-check each
+dual's feasibility and objective without trusting the original run,
+which proves each value an upper bound (see verify_dual).
 Exit codes: 0 computed, 2 computed but the headline value is -inf or the
 membership verdict is negative, 1 any error.
 """
@@ -27,7 +30,6 @@ from .apps import (
 from .degdet import (
     DualSolution,
     NEG_INF,
-    deg_subdet,
     hungarian_deg_det,
     symmetric_hungarian,
     verify_dual,
@@ -35,13 +37,7 @@ from .degdet import (
 from .errors import NcdegError, ParseError
 from .instances import ParsedInstance, _get, _is_int_list, _number, parse_instance
 from .mvsp import nc_rank
-from .ratfunc import Poly, RatFn, RationalMatrix
-from .symbolic import (
-    Delta_blowup_oracle,
-    RationalSymbolicMatrix,
-    WeightedSymbolicMatrix,
-    random_rank,
-)
+from .symbolic import Delta_blowup_oracle, WeightedSymbolicMatrix, random_rank
 
 ENGINE_KINDS = ("symbolic", "weighted", "bipartite", "matroid-pair")
 ENGINES = ("hungarian", "subdet", "degdet", "fmm")
@@ -72,63 +68,40 @@ def dec_num(v, ctx):
     return NEG_INF if v is None else _number(v, ctx)
 
 
-def _enc_ratfn(f: RatFn):
-    return [list(f.num.c), list(f.den.c)]
+def _dec_matrix(data, F, n, ctx):
+    import numpy as np
 
-
-def _enc_matrix(M):
-    if isinstance(M, RationalMatrix):
-        return [[_enc_ratfn(x) for x in row] for row in M.rows]
-    return M.tolist()
-
-
-def _dec_matrix(data, F, mode, n, ctx):
     if not (isinstance(data, list) and len(data) == n and all(
         isinstance(row, list) and len(row) == n for row in data
     )):
         raise ParseError(f"{ctx}: expected a {n} x {n} matrix")
-    if mode == "monomial":
-        import numpy as np
-
-        if not all(_is_int_list(row) for row in data):
-            raise ParseError(f"{ctx}: expected integer entries")
-        return np.array([[e % F.p for e in row] for row in data], dtype=np.int64)
-    if not all(
-        isinstance(e, list) and len(e) == 2 and all(map(_is_int_list, e)) for row in data for e in row
-    ):
-        raise ParseError(f"{ctx}: expected [numerator, denominator] coefficient lists")
-
-    def entry(i, j, e):
-        den = Poly(F, e[1])
-        if den.is_zero():
-            raise ParseError(f"{ctx}[{i}][{j}]: zero denominator")
-        return RatFn(Poly(F, e[0]), den)
-
-    return RationalMatrix(F, [[entry(i, j, e) for j, e in enumerate(row)] for i, row in enumerate(data)])
+    if not all(_is_int_list(row) for row in data):
+        raise ParseError(f"{ctx}: expected integer entries")
+    return np.array([[e % F.p for e in row] for row in data], dtype=np.int64)
 
 
 def enc_dual(sol: DualSolution):
     return {
-        "mode": sol.mode,
+        "mode": "monomial",
         "alpha": [enc_num(a) for a in sol.alpha],
         "beta": [enc_num(b) for b in sol.beta],
-        "P": _enc_matrix(sol.P),
-        "Q": _enc_matrix(sol.Q),
+        "P": sol.P.tolist(),
+        "Q": sol.Q.tolist(),
     }
 
 
 def dec_dual(data, F) -> DualSolution:
     mode = _get(data, "mode", "dual")
-    if mode not in ("monomial", "general"):
-        raise ParseError(f"dual.mode: expected 'monomial' or 'general', got {mode!r}")
-    alpha = [dec_num(a, "dual.alpha") for a in _get(data, "alpha", "dual", list)]
-    beta = [dec_num(b, "dual.beta") for b in _get(data, "beta", "dual", list)]
+    if mode != "monomial":
+        raise ParseError(f"dual.mode: expected 'monomial', got {mode!r}")
+    alpha = [dec_num(a, f"dual.alpha[{i}]") for i, a in enumerate(_get(data, "alpha", "dual", list))]
+    beta = [dec_num(b, f"dual.beta[{i}]") for i, b in enumerate(_get(data, "beta", "dual", list))]
     n = len(alpha)
     if len(beta) != n:
         raise ParseError(f"dual.beta: expected {n} entries like alpha, got {len(beta)}")
-    P = _dec_matrix(_get(data, "P", "dual"), F, mode, n, "dual.P")
-    Q = _dec_matrix(_get(data, "Q", "dual"), F, mode, n, "dual.Q")
-    return DualSolution(alpha, P, beta, Q, mode, F)
+    P = _dec_matrix(_get(data, "P", "dual"), F, n, "dual.P")
+    Q = _dec_matrix(_get(data, "Q", "dual"), F, n, "dual.Q")
+    return DualSolution(alpha, P, beta, Q, F)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +203,10 @@ def _cmd_ncrank(args):
     return _report(args, inst, values, {}, None, "monte-carlo", 0)
 
 
-def _target(cmd, Ac):
-    """The matrix cmd's engine runs on, which its duals are checked against."""
-    return RationalSymbolicMatrix.from_weighted(Ac) if cmd in ("subdet", "degdet") else Ac
-
-
-def _engine(cmd, target, rng):
-    if cmd == "hungarian":
-        return hungarian_deg_det(target, rng)
+def _engine(cmd, Ac, rng):
     if cmd == "fmm":
-        return symmetric_hungarian(target.base, target.c, rng)
-    return deg_subdet(target, rng)
+        return symmetric_hungarian(Ac.base, Ac.c, rng)
+    return hungarian_deg_det(Ac, rng)
 
 
 def _levels(cmd, values, n):
@@ -263,7 +229,7 @@ def _cmd_engine(args):
     cmd = args.command
     inst = parse_instance(args.instance, args.prime)
     _require_kind(inst, ("lines",) if cmd == "fmm" else ENGINE_KINDS, cmd)
-    prof = _engine(cmd, _target(cmd, _weighted(inst)), random.Random(args.seed))
+    prof = _engine(cmd, _weighted(inst), random.Random(args.seed))
     n = prof.n
     duals = {str(l): enc_dual(sol) for l, sol in sorted(prof.duals.items()) if cmd != "degdet" or l == n}
     code = 2 if cmd != "fmm" and prof.values[n] == NEG_INF else 0
@@ -310,10 +276,15 @@ def _cmd_oracle(args):
     raise _UsageError(f"oracle does not handle kind {kind!r}")
 
 
-def _verify_levels(report, n, target, expected, rank):
+def _expect_keys(obj, keys, ctx):
+    if sorted(obj) != sorted(keys):
+        raise ParseError(f"{ctx}: expected the keys {', '.join(keys)}, got {', '.join(sorted(obj)) or 'none'}")
+
+
+def _verify_levels(report, n, Ac, expected, rank):
     """A check per reported level, where expected maps each level key to
     its value: level 0 is 0, a finite level carries a dual of side n that
-    meets strong duality against target, and a -inf level lies above
+    meets strong duality against Ac, and a -inf level lies above
     rank, the certified nc-rank, so a -inf claim is accepted exactly when
     true."""
     duals = _get(report, "duals", "report", dict)
@@ -328,10 +299,10 @@ def _verify_levels(report, n, target, expected, rank):
         elif v == NEG_INF:
             ok = rank < l
         else:
-            sol = dec_dual(duals[key], target.F) if key in duals else None
+            sol = dec_dual(duals[key], Ac.F) if key in duals else None
             if sol is not None and sol.n != n:
                 raise ParseError(f"duals[{key}]: expected {n} entries in alpha, got {sol.n}")
-            ok = sol is not None and verify_dual(sol, target, l, v)
+            ok = sol is not None and verify_dual(sol, Ac, l, v)
         checks.append((f"level {l}", ok))
     return checks
 
@@ -359,24 +330,24 @@ def _cmd_verify(args):
     values = _get(report, "values", "report", dict)
     if cmd in ENGINES:
         Ac = _weighted(inst)
-        target = _target(cmd, Ac)
         n = max(Ac.n_rows, Ac.n_cols)
+        levels = [str(l) for l in range(n + 1)]
+        _expect_keys(values, {"degdet": ["deg_det"], "fmm": ["best", "curve"]}.get(cmd, levels), "values")
         if cmd == "degdet":
-            raw = {str(n): _get(values, "deg_det", "values")}
+            raw = {str(n): values["deg_det"]}
         elif cmd == "fmm":
             raw = _get(values, "curve", "values", dict)
+            _expect_keys(raw, levels, "values.curve")
         else:
             raw = values
-        if not all(k.isdecimal() for k in raw):
-            raise ParseError("values: level keys must be decimal")
         scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
         expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
         rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
             rank = nc_rank(Ac.base, random.Random(seed))
-        checks = _verify_levels(report, n, target, expected, rank)
+        checks = _verify_levels(report, n, Ac, expected, rank)
         if cmd == "fmm":
-            best = dec_num(_get(values, "best", "values"), "values.best")
+            best = dec_num(values["best"], "values.best")
             checks.append(("best", enc_num(best) == _levels(cmd, expected, n)["best"]))
     elif cmd in ("ncrank", "bl-member", "oracle"):
         sub = argparse.Namespace(command=cmd, instance=args.instance, prime=prime, seed=seed, trials=trials)

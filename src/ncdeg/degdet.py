@@ -6,24 +6,24 @@ matrix over K(t).  It keeps every (t^alpha) P B_k Q (t^beta) proper,
 folds the witness of the leading matrix, a vanishing pair (U, V) in
 pivot form, into P and Q, raises alpha on U's pivots and beta on V's
 by the longest feasible step (kappa1), and re-sorts both by
-permutations.  It has three callers:
+permutations.  Both callers run it on the field state, P, Q over the
+base field and every entry of term k at degree c_k:
 
-* hungarian_deg_det: weighted matrices A[c] on the field state, P, Q
-  over the base field and every entry of term k at degree c_k.  A
-  witness of unit vectors folds as the identity, so on bipartite input
-  P and Q stay permutations and the loop is Kuhn's Hungarian method.
-* symmetric_hungarian: skew-symmetric A[c] on the field state, with
-  half-integral alpha = beta, doubled internally so every step is
-  integral, and always the nested blow-up witness (U's basis led by V's).
-* deg_subdet / deg_det: matrices over K(t) on the rational state,
-  biproper P, Q over K(t) and each entry of P B_k Q at its own degree.
+* hungarian_deg_det: weighted matrices A[c].  A witness of unit vectors
+  folds as the identity, so on bipartite input P and Q stay
+  permutations and the loop is Kuhn's Hungarian method.
+* symmetric_hungarian: skew-symmetric A[c], with half-integral
+  alpha = beta, doubled internally so every step is integral, and
+  always the nested blow-up witness (U's basis led by V's).
 
-Every other leading matrix gets its witness from mvsp.witness, the
-cheapest route its factors allow.  Each caller emits a DegreeProfile of
-exact values, certifying duals and run metadata.  Duals verify on their
-own, from one side: any feasible dual upper-bounds every Delta_ell (weak
-duality), so feasibility plus objective equality proves Delta_ell <= the
-value.  That the value is reached rests on the run that emitted it.
+tests/referee.py runs the same loop on a rational state over K(t), the
+reference the field engine is checked against.  Every other leading matrix gets its witness from mvsp.witness,
+the cheapest route its factors allow.  Each caller emits a DegreeProfile
+of exact values, certifying duals and run metadata.  Every dual is
+monomial and verifies on its own, from one side: any feasible dual
+upper-bounds every Delta_ell (weak duality), so feasibility plus
+objective equality proves Delta_ell <= the value.  That the value is
+reached rests on the run that emitted it.
 """
 
 import math
@@ -37,7 +37,6 @@ from .errors import (
     BadCardinality,
     DimensionMismatch,
     LPInfeasible,
-    NcdegError,
     NotComplementarySlack,
     NotSorted,
 )
@@ -49,13 +48,8 @@ from .mvsp import (
     triangular,
     witness,
 )
-from .ratfunc import NEG_INF, POS_INF, Poly, RationalMatrix, classify_biproper, poly_gcd
-from .symbolic import (
-    RationalSymbolicMatrix,
-    SymbolicMatrix,
-    WeightedSymbolicMatrix,
-    as_rng,
-)
+from .ratfunc import NEG_INF, POS_INF
+from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng
 
 _EXACT = 1 << 61  # below this, sums of three weights stay exact in int64
 
@@ -65,24 +59,18 @@ _EXACT = 1 << 61  # below this, sums of three weights stay exact in int64
 
 
 class DualSolution:
-    """Feasible dual state (alpha, P, beta, Q).
-
-    monomial mode: P, Q are invertible field matrices and feasibility reads
-    alpha_i + beta_j + c_k <= 0 on the support of P A_k Q.  general
-    mode: P, Q are biproper rational matrices and every entry of
-    (t^alpha) P B_k Q (t^beta) must be proper.
+    """Feasible dual state (alpha, P, beta, Q), monomial: P, Q are
+    invertible matrices over the field F, and feasibility reads
+    alpha_i + beta_j + c_k <= 0 on the support of P A_k Q.
     """
 
-    __slots__ = ("alpha", "P", "beta", "Q", "mode", "F")
+    __slots__ = ("alpha", "P", "beta", "Q", "F")
 
-    def __init__(self, alpha, P, beta, Q, mode, F):
+    def __init__(self, alpha, P, beta, Q, F):
         self.alpha = list(alpha)
         self.P = P
         self.beta = list(beta)
         self.Q = Q
-        if mode not in ("monomial", "general"):
-            raise NcdegError(f"dual mode must be monomial or general, got {mode!r}")
-        self.mode = mode
         self.F = F
 
     @property
@@ -103,41 +91,33 @@ class DualSolution:
         return all(x[i] >= x[i + 1] for x in (self.alpha, self.beta) for i in range(len(x) - 1))
 
     def feasible(self, target) -> bool:
-        """Sorted, with P and Q invertible and every entry feasible.  In
-        monomial mode, P and Q reduced mod p to permutations make P A_k Q
-        A_k relabelled: entry (k, i, j) moves to (x, y) with P[x, i] =
-        Q[j, y] = 1, one entry to a cell, so A's own support, relabelled, is
-        exactly P A_k Q's.  Other P, Q need P Q invertible, and P A_k Q formed."""
+        """Sorted, with P and Q invertible and every entry feasible.  P and
+        Q reduced mod p to permutations make P A_k Q A_k relabelled: entry
+        (k, i, j) moves to (x, y) with P[x, i] = Q[j, y] = 1, one entry to
+        a cell, so A's own support, relabelled, is exactly P A_k Q's.
+        Other P, Q need P Q invertible, and P A_k Q formed."""
         if not self.is_sorted():
             return False
-        if self.mode == "monomial":
-            Ac = target if target.n_rows == target.n_cols else target.pad_square()
-            A, p = Ac.base, Ac.F.p
-            P, Q = (np.asarray(X, dtype=np.int64) % p for X in (self.P, self.Q))
-            if P.shape == Q.shape == A.shape == (self.n, self.n) and _unit_rows(P) and _unit_rows(Q):
-                k, i, j = A.support()
-                support = k, P.T.nonzero()[1][i], Q.nonzero()[1][j]
-            elif linalg.rank(linalg.matmul(P, Q, p), p) < self.n:
-                return False
-            else:
-                support = A.sandwich(P, Q).support()
-            # scaled by the lcm D of the denominators, half-integral duals
-            # compare in int64 rather than as Fractions
-            dens = [x.denominator for x in self.alpha + self.beta if type(x) is Fraction]
-            D = math.lcm(*dens)
-            a, b = (_scaled(x, D) for x in (self.alpha, self.beta)) if dens else (self.alpha, self.beta)
-            c = _exact(Ac.c if D == 1 else [D * ck for ck in Ac.c])
-            return not (_slacks(support, a, b, c[support[0]]) > 0).any()
-        try:
-            if not all(classify_biproper(X).is_biproper for X in (self.P, self.Q)):
-                return False
-            state = _RationalState(target.transform(self.P, self.Q))
-        except NcdegError:
+        Ac = target if target.n_rows == target.n_cols else target.pad_square()
+        A, p = Ac.base, Ac.F.p
+        P, Q = (np.asarray(X, dtype=np.int64) % p for X in (self.P, self.Q))
+        if P.shape == Q.shape == A.shape == (self.n, self.n) and _unit_rows(P) and _unit_rows(Q):
+            k, i, j = A.support()
+            support = k, P.T.nonzero()[1][i], Q.nonzero()[1][j]
+        elif linalg.rank(linalg.matmul(P, Q, p), p) < self.n:
             return False
-        return len(self.beta) == self.n == target.n and not (_slacks(state.support, self.alpha, self.beta, state.deg) > 0).any()
+        else:
+            support = A.sandwich(P, Q).support()
+        # scaled by the lcm D of the denominators, half-integral duals
+        # compare in int64 rather than as Fractions
+        dens = [x.denominator for x in self.alpha + self.beta if type(x) is Fraction]
+        D = math.lcm(*dens)
+        a, b = (_scaled(x, D) for x in (self.alpha, self.beta)) if dens else (self.alpha, self.beta)
+        c = _exact(Ac.c if D == 1 else [D * ck for ck in Ac.c])
+        return not (_slacks(support, a, b, c[support[0]]) > 0).any()
 
     def __repr__(self):
-        return f"DualSolution(mode={self.mode}, alpha={self.alpha}, beta={self.beta})"
+        return f"DualSolution(alpha={self.alpha}, beta={self.beta})"
 
 
 class DegreeProfile:
@@ -232,8 +212,6 @@ class _FieldState:
     """P, Q over GF(p) and B with terms P A_k Q, factored as
     (P C_k)(R_k Q); each entry of term k has degree c_k."""
 
-    mode = "monomial"
-
     def __init__(self, A: SymbolicMatrix, c):
         self.F = A.F
         self.P = self.Q = linalg.identity(A.n_rows)
@@ -272,62 +250,8 @@ class _FieldState:
         self.support = k, np.argsort(sa)[i], np.argsort(sb)[j]
 
 
-class _RationalState:
-    """Biproper P, Q over K(t) and the terms G_k = P B_k Q; each entry
-    has its own degree."""
-
-    mode = "general"
-
-    def __init__(self, B: RationalSymbolicMatrix):
-        self.F = B.F
-        self.P = self.Q = RationalMatrix.identity(B.F, B.n)
-        self.G = B.terms
-        self._read()
-
-    def _read(self):
-        """Support (k, i, j), degrees and leading coefficients of G's nonzero
-        entries; a RatFn's denominator is monic, so lc(num)/lc(den) is lc(num)."""
-        found = [
-            (k, i, j, e.deg, e.num.lc())
-            for k, Gk in enumerate(self.G) for i, row in enumerate(Gk.rows) for j, e in enumerate(row)
-            if not e.is_zero()
-        ]
-        k, i, j, deg, lc = (list(x) for x in zip(*found)) if found else ([],) * 5
-        self.support = tuple(np.array(x, dtype=np.intp) for x in (k, i, j))
-        self.deg, self.lc = _exact(deg), np.array(lc, dtype=np.int64)
-
-    def leading(self, tight):
-        """The leading coefficients of G's tight entries, as a dense stack."""
-        n = self.P.shape[0]
-        T = np.zeros((len(self.G), n, n), dtype=np.int64)
-        k, i, j = (x[tight] for x in self.support)
-        T[k, i, j] = self.lc[tight]
-        return SymbolicMatrix(self.F, T)
-
-    def fold(self, L, R, alpha, beta):
-        """P <- t^-alpha L t^alpha P and Q <- Q t^beta R t^-beta, and G
-        alike, so t^alpha G t^beta becomes L (t^alpha G t^beta) R.  The
-        conjugates are biproper only for non-increasing alpha and beta."""
-        if any(x[i] < x[i + 1] for x in (alpha, beta) for i in range(len(x) - 1)):
-            raise NotSorted(f"alpha {alpha} and beta {beta} must be non-increasing")
-        F = self.F
-        Lt = RationalMatrix.from_scalars(F, L).scale_rows([-a for a in alpha]).scale_cols(alpha)
-        Rt = RationalMatrix.from_scalars(F, R).scale_rows(beta).scale_cols([-b for b in beta])
-        self.P, self.Q = Lt.matmul(self.P), self.Q.matmul(Rt)
-        self.G = [Lt.matmul(Gk).matmul(Rt) for Gk in self.G]
-        self._read()
-
-    def permute(self, sa, sb):
-        F = self.F
-        self.P = RationalMatrix(F, [self.P.rows[i] for i in sa])
-        self.Q = RationalMatrix(F, [[row[j] for j in sb] for row in self.Q.rows])
-        self.G = [RationalMatrix(F, [[Gk.rows[i][j] for j in sb] for i in sa]) for Gk in self.G]
-        k, i, j = self.support
-        self.support = k, np.argsort(sa)[i], np.argsort(sb)[j]
-
-
 # ---------------------------------------------------------------------------
-# the Hungarian loop and its three callers
+# the Hungarian loop and its two callers
 
 
 def _bound(alpha, beta, ell):
@@ -336,8 +260,8 @@ def _bound(alpha, beta, ell):
 
 
 def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
-    """The Hungarian loop of all three engines, on a state holding P, Q
-    and the terms P B_k Q, from a feasible sorted (alpha, beta).  Level
+    """The Hungarian loop of both engines, on a state holding P, Q and
+    the terms P B_k Q, from a feasible sorted (alpha, beta).  Level
     ell is -inf once its bound drops below ell * cutoff, and more than
     cap rounds stall.  The symmetric engine doubles c, alpha and beta, so
     every step is integral; values and duals shed the factor on the way.
@@ -365,14 +289,6 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
     so U is the direct sum of its pieces in them, and each row of its
     canonical basis, the union of theirs, lies in one run; so for V.
     Every route returns rows of such bases (Koenig's unit vectors are).
-
-    The rational state (deg_subdet) holds G_k = P B_k Q over K(t); an
-    entry e has degree deg e and, where tight, puts lc(num)/lc(den) into
-    At.  The tight entries of a term need not share alpha_i + beta_j, so
-    the runs argument fails, and the fold puts t^-alpha L t^alpha into P
-    and t^beta R t^-beta into Q, biproper as L is upper and R lower
-    triangular and alpha and beta are sorted.  On the field state these
-    equal L and R.
 
     The step bound re-checks the pair.  An entry of L B R in X x Y is
     u_x B v_y^t, proper in the frame with constant term u_x At v_y^t, so
@@ -411,12 +327,12 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
 
     def emit(lo, hi):
         """One dual certifies levels lo..hi.  It holds state.P and state.Q
-        themselves: both states replace them on fold and permute, never writing in place."""
+        themselves: a state replaces them on fold and permute, never writing in place."""
         a, b = alpha, beta
         if scale > 1:
             a = [Fraction(x, scale) for x in alpha]
             b = [Fraction(x, scale) for x in beta]
-        sol = DualSolution(a, state.P, b, state.Q, state.mode, state.F)
+        sol = DualSolution(a, state.P, b, state.Q, state.F)
         for l in range(lo, hi + 1):
             profile.values[l] = _bound(alpha, beta, l) // scale
             profile.duals[l] = sol
@@ -517,48 +433,6 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
     return _field_hungarian(A, c2, a2, a2, True, as_rng(rng))
 
 
-def _general_degree_data(B: RationalSymbolicMatrix):
-    """(d, d0): the largest entry degree, and a floor with every nonzero
-    ell-minor of degree at least ell*d0.  Over the common denominator D,
-    the lcm of all denominators, an ell-minor is det(N')/D^ell with N'
-    polynomial of order at least min mindeg + ord D, and a nonzero
-    polynomial's degree is at least its order."""
-    d, low, D = NEG_INF, POS_INF, Poly.one(B.F)
-    for Bk in B.terms:
-        for row in Bk.rows:
-            for e in row:
-                if not e.is_zero():
-                    d = max(d, e.deg)
-                    low = min(low, e.mindeg)
-                    D = D * e.den.divmod(poly_gcd(D, e.den))[0]
-    return d, low + D.ord - D.deg
-
-
-def deg_subdet(B: RationalSymbolicMatrix, rng=None) -> DegreeProfile:
-    """All Delta_ell of a square matrix over K(t), with certifying duals:
-    the Hungarian loop on the rational state, from alpha = 0, beta = -d.
-
-    -inf levels are detected either by an unbounded step or by the
-    cutoff ell*d0 that every finite Delta_ell must respect (see
-    _general_degree_data).  The run stops within n(d - d0) + 1 steps: a
-    finite bound stays between ell*d0 and ell*d, and proving -inf takes
-    one unit step more, to put the bound strictly below the cutoff.
-    """
-    n = B.n
-    d, d0 = _general_degree_data(B)
-    if d == NEG_INF:  # zero matrix, or n = 0
-        profile = DegreeProfile(n)
-        for l in range(1, n + 1):
-            profile.values[l] = NEG_INF
-        return profile
-    return _hungarian(_RationalState(B), [0] * n, [-d] * n, d0, n * (d - d0) + 1, False, as_rng(rng))
-
-
-def deg_det(B: RationalSymbolicMatrix, rng=None):
-    """Degree of the Dieudonne determinant: the top profile entry."""
-    return deg_subdet(B, rng).values[B.n]
-
-
 # ---------------------------------------------------------------------------
 # dual conversions and the Q_ell polytope
 
@@ -571,8 +445,6 @@ def dual_forms_convert(sol: DualSolution, ell):
     the canonical (RREF) bases of the spans of P's row prefixes and of
     Q's column prefixes.
     """
-    if sol.mode != "monomial":
-        raise NotComplementarySlack("flag conversion needs a monomial dual")
     n = sol.n
     if not 0 <= ell <= n:
         raise BadCardinality(f"ell={ell} outside [0, {n}]")
@@ -637,7 +509,7 @@ def verify_dual(sol: DualSolution, target, ell, expected) -> bool:
 
 
 def random_feasible_dual(Ac: WeightedSymbolicMatrix, rng) -> DualSolution:
-    """Random monomial-mode feasible dual with P = Q = I: sorted random
+    """Random feasible dual with P = Q = I: sorted random
     alpha, beta with beta shifted until every support constraint clears."""
     rng = as_rng(rng)
     sq = Ac.pad_square()
@@ -652,6 +524,4 @@ def random_feasible_dual(Ac: WeightedSymbolicMatrix, rng) -> DualSolution:
             worst = v if worst is None else max(worst, v)
     if worst is not None and worst > 0:
         beta = [b - worst for b in beta]
-    return DualSolution(
-        alpha, linalg.identity(n), beta, linalg.identity(n), "monomial", sq.base.F
-    )
+    return DualSolution(alpha, linalg.identity(n), beta, linalg.identity(n), sq.base.F)

@@ -25,10 +25,6 @@ class MissingSymbol(NcdegError, KeyError):
     """A substitution does not cover every symbol of the matrix."""
 
 
-class NotBiproper(NcdegError, ValueError):
-    """A biproper matrix was required (degree <= 0, invertible leading term)."""
-
-
 class NotSorted(NcdegError, ValueError):
     """A vector was required to be sorted (non-increasing)."""
 

@@ -107,8 +107,10 @@ def _number(x, ctx):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             _fail(ctx, f"bad fraction {x!r}")
+        except ZeroDivisionError:
+            _fail(ctx, f"zero denominator in {x!r}")
     _fail(ctx, "expected an integer or a 'num/den' string")
 
 

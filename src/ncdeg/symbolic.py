@@ -2,12 +2,12 @@
 monomial coefficients t^{c_k}, blow-ups, random substitution, and the
 Monte-Carlo degree oracles delta_ell / Delta via one compressed blow-up.
 
-The degree oracles never touch rational-function arithmetic on the hot
-path: a substituted weighted matrix is a matrix of polynomials in t,
-held as an (n_rows, n_cols, L) int64 coefficient array, and its deg det
-is computed exactly either by evaluation-interpolation (enough points
-available, p > degree bound, the evaluation stack within the budget) or
-by fraction-free elimination on the coefficient arrays.
+The degree oracles need no rational-function arithmetic: a substituted
+weighted matrix is a matrix of polynomials in t, held as an
+(n_rows, n_cols, L) int64 coefficient array, and its deg det is computed
+exactly either by evaluation-interpolation (enough points available,
+p > degree bound, the evaluation stack within the budget) or by
+fraction-free elimination on the coefficient arrays.
 """
 
 from random import Random
@@ -24,7 +24,7 @@ from .errors import (
     NotSquare,
     SizeBudgetExceeded,
 )
-from .ratfunc import NEG_INF, RatFn, RationalMatrix
+from .ratfunc import NEG_INF
 from .scalar import GF
 
 ENUM_CAP = 8  # largest side for the degree oracles: the blow-up stack grows as m (n d)^2
@@ -314,82 +314,6 @@ class WeightedSymbolicMatrix:
         for k in range(self.n_terms):
             C[:, :, self.c[k] - shift] += (vals[k] % p) * self.base.terms[k]
         return C % p, shift
-
-
-class RationalSymbolicMatrix:
-    """B = sum_k B_k x_k with the B_k n x n matrices over K(t); n is read
-    off the first term unless given, which it must be for no terms."""
-
-    __slots__ = ("F", "terms", "n")
-
-    def __init__(self, F: GF, terms, n=None):
-        terms = list(terms)
-        if n is None:
-            if not terms:
-                raise DimensionMismatch("a matrix without terms needs its size")
-            n = terms[0].shape[0]
-        for B in terms:
-            if B.shape != (n, n):
-                raise NotSquare(f"term shape {B.shape}, expected ({n}, {n})")
-        self.F = F
-        self.terms = terms
-        self.n = n
-
-    @property
-    def n_terms(self):
-        return len(self.terms)
-
-    @classmethod
-    def from_weighted(cls, Ac: WeightedSymbolicMatrix):
-        """The terms as RatFn matrices.  A RatFn entry takes some 220 bytes
-        where check_budget charges 8, so m n^2 is held to MAX_STACK >> 5;
-        t^{c_k} stores |c_k| + 1 dense coefficients per entry, so
-        n^2 sum_k (|c_k| + 1) is held to MAX_STACK, as in coeff_array.
-        Both are checked before the dense terms are read."""
-        sq = Ac.pad_square()
-        m, n = sq.n_terms, sq.n_rows
-        if m * n * n > MAX_STACK >> 5:
-            raise SizeBudgetExceeded(
-                f"{m} terms of side {n} make {m * n * n} rational entries, beyond the budget {MAX_STACK >> 5}"
-            )
-        coeffs = n * n * sum(abs(ck) + 1 for ck in sq.c)
-        if coeffs > MAX_STACK:
-            raise SizeBudgetExceeded(
-                f"weights {min(sq.c)}..{max(sq.c)} make {coeffs} dense coefficients, beyond the budget {MAX_STACK}"
-            )
-        mats = []
-        for k in range(sq.n_terms):
-            M = RationalMatrix.from_scalars(sq.F, sq.base.terms[k])
-            mats.append(M.scale_rows([sq.c[k]] * sq.n_rows))
-        return cls(sq.F, mats, sq.n_rows)
-
-    def shrink(self, s) -> RationalMatrix:
-        vals = list(s)
-        if len(vals) < self.n_terms:
-            raise MissingSymbol(
-                f"{self.n_terms} symbols, substitution covers {len(vals)}"
-            )
-        F = self.F
-        n = self.n
-        out = RationalMatrix(
-            F, [[RatFn.zero(F)] * n for _ in range(n)]
-        )
-        for k, B in enumerate(self.terms):
-            a = RatFn.const(F, vals[k])
-            if a.is_zero():
-                continue
-            for i in range(n):
-                for j in range(n):
-                    e = B.rows[i][j]
-                    if not e.is_zero():
-                        out.rows[i][j] = out.rows[i][j] + a * e
-        return out
-
-    def transform(self, P: RationalMatrix, Q: RationalMatrix):
-        """Termwise P B_k Q."""
-        return RationalSymbolicMatrix(
-            self.F, [P.matmul(B).matmul(Q) for B in self.terms], self.n
-        )
 
 
 def random_rank(A: SymbolicMatrix, rng=None, trials: int = None) -> int:

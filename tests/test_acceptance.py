@@ -27,8 +27,6 @@ from ncdeg.apps import (
 )
 from ncdeg.degdet import (
     NEG_INF,
-    _general_degree_data,
-    deg_subdet,
     hungarian_deg_det,
     optimize_Q,
     random_feasible_dual,
@@ -39,12 +37,12 @@ from ncdeg.mvsp import nc_rank
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
-    RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
     delta_ell_oracle,
     random_rank,
 )
+from referee import RationalSymbolicMatrix, deg_subdet, general_degree_data
 
 _SUITES = {}
 
@@ -256,7 +254,7 @@ def test_criterion_07_iteration_bounds():
     for _, Ac, hung in (bipartite_suite()[:30] + matroid_suite()[:20]):
         B = RationalSymbolicMatrix.from_weighted(Ac)
         prof = deg_subdet(B, rng=random.Random(rng.randrange(2**30)))
-        d, d0 = _general_degree_data(B)
+        d, d0 = general_degree_data(B)
         assert prof.meta["iterations"] <= B.n * (d - d0)
         for ell in range(prof.n + 1):
             assert prof.values[ell] == hung.values[ell]

@@ -11,8 +11,6 @@ from ncdeg.degdet import (
     DegreeProfile,
     DualSolution,
     NEG_INF,
-    deg_det,
-    deg_subdet,
     dual_forms_convert,
     hungarian_deg_det,
     optimize_Q,
@@ -36,12 +34,22 @@ from ncdeg.mvsp import (
     mvsp_matroid_intersection,
     triangular,
 )
-from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
-    RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
+)
+from referee import (
+    Poly,
+    RatFn,
+    RationalMatrix,
+    RationalState,
+    RationalSymbolicMatrix,
+    classify_biproper,
+    deg_det,
+    deg_subdet,
+    feasible,
+    verify_general_dual,
 )
 
 
@@ -121,7 +129,7 @@ def test_deg_det_diagonal_powers():
     assert prof.values == {0: 0, 1: 3, 2: 5}
     assert deg_det(B, rng=random.Random(1)) == 5
     for ell in (1, 2):
-        assert verify_dual(prof.duals[ell], B, ell, prof.values[ell])
+        assert verify_general_dual(prof.duals[ell], B, ell, prof.values[ell])
 
 
 def test_deg_det_weighted_bipartite():
@@ -193,7 +201,7 @@ def test_deg_subdet_denominator_not_a_power_of_t():
     prof = deg_subdet(B, rng=random.Random(0))
     assert prof.values == {0: 0, 1: 0, 2: -1}
     for l, sol in prof.duals.items():
-        assert verify_dual(sol, B, l, prof.values[l])
+        assert verify_general_dual(sol, B, l, prof.values[l])
 
 
 def test_deg_subdet_agrees_with_hungarian_on_monomials():
@@ -475,7 +483,7 @@ def test_deg_subdet_on_an_edmonds_matrix_folds_nothing(monkeypatch):
             assert all(e in (one, zero) for row in X.rows for e in row)
             ones = np.array([[e == one for e in row] for row in X.rows])
             assert (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()
-        assert verify_dual(sol, B, l, prof.values[l])
+        assert verify_general_dual(sol, B, l, prof.values[l])
 
 
 def rational_step(state, L, R, alpha, beta, kappa, X, Y):
@@ -494,7 +502,7 @@ def random_rational_state(rng, F, n):
         RationalMatrix.from_scalars(F, linalg.rand_mat(rng, n, n, F.p)).scale_cols([rng.randint(-2, 2) for _ in range(n)])
         for _ in range(2)
     ]
-    return degdet._RationalState(RationalSymbolicMatrix(F, terms))
+    return RationalState(RationalSymbolicMatrix(F, terms))
 
 
 def random_fold_round(rng, F, n):
@@ -508,7 +516,7 @@ def test_renormalize_spec_example():
     # alpha = (1, 0) and U = [[1, 1], [0, 1]]: P folds to [[1, t^-1], [0, 1]],
     # biproper, and raising row 1 by one makes alpha = (1, 1)
     F = GF(5)
-    state = degdet._RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
+    state = RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
     U = np.array([[1, 1], [0, 1]], dtype=np.int64)
     alpha, _, beta, _ = rational_step(state, U, linalg.identity(2), [1, 0], [0, 0], 1, {1}, {0, 1})
     assert alpha == [1, 1] and beta == [0, 0]
@@ -520,7 +528,7 @@ def test_renormalize_spec_example():
 
 def test_renormalize_rejects_unsorted():
     F = GF(5)
-    state = degdet._RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
+    state = RationalState(RationalSymbolicMatrix(F, [RationalMatrix.identity(F, 2)]))
     I = linalg.identity(2)
     with pytest.raises(NotSorted):
         state.fold(I, I, [0, 1], [0, 0])
@@ -579,15 +587,15 @@ def test_general_feasibility_reads_shifted_degrees():
     I = RationalMatrix.identity(F, 2)
     B = RationalSymbolicMatrix(F, [RationalMatrix(F, [[t, one], [t * t, t]])])
     # alpha=(-1,-2), beta=(0,0): shifted degrees [[0,-1],[0,-1]]
-    assert DualSolution([-1, -2], I, [0, 0], I, "general", F).feasible(B)
-    state = degdet._RationalState(B)
+    assert feasible(DualSolution([-1, -2], I, [0, 0], I, F), B)
+    state = RationalState(B)
     tight = degdet._slacks(state.support, [-1, -2], [0, 0], state.deg) == 0
     assert state.leading(tight).terms[0].tolist() == [[1, 0], [1, 0]]
-    assert not DualSolution([0, 0], I, [0, 0], I, "general", F).feasible(B)
+    assert not feasible(DualSolution([0, 0], I, [0, 0], I, F), B)
     P = RationalMatrix(F, [[one, RatFn.monomial(F, 3, -1)], [zero, one]])
     ident = RationalSymbolicMatrix(F, [I])
-    assert DualSolution([0, 0], P, [0, 0], I, "general", F).feasible(ident)
-    assert not DualSolution([0, 0, 0], P, [0, 0, 0], I, "general", F).feasible(ident)
+    assert feasible(DualSolution([0, 0], P, [0, 0], I, F), ident)
+    assert not feasible(DualSolution([0, 0, 0], P, [0, 0, 0], I, F), ident)
 
 
 def test_monomial_feasibility_reduces_p_and_q_first():
@@ -596,9 +604,9 @@ def test_monomial_feasibility_reduces_p_and_q_first():
     F = GF(3)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 0), (1, 1, 0)])
     I = linalg.identity(2)
-    assert DualSolution([0, 0], I + 3, [0, 0], I, "monomial", F).feasible(Ac)
+    assert DualSolution([0, 0], I + 3, [0, 0], I, F).feasible(Ac)
     singular = np.array([[2, -1], [-1, 2]])
-    assert not DualSolution([0, 0], singular, [0, 0], I, "monomial", F).feasible(Ac)
+    assert not DualSolution([0, 0], singular, [0, 0], I, F).feasible(Ac)
 
 
 def test_monomial_feasibility_of_side_zero():
@@ -608,7 +616,7 @@ def test_monomial_feasibility_of_side_zero():
     I = linalg.identity(0)
     for m in (0, 1):
         for base in (SymbolicMatrix(F, np.zeros((m, 0, 0))), SymbolicMatrix(F, factors=(np.zeros((m, 0, 1)), np.zeros((m, 1, 0))))):
-            assert DualSolution([], I, [], I, "monomial", F).feasible(WeightedSymbolicMatrix(base, [3] * m))
+            assert DualSolution([], I, [], I, F).feasible(WeightedSymbolicMatrix(base, [3] * m))
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +652,7 @@ def test_dual_forms_convert_identity():
 def test_dual_forms_convert_needs_flat_head():
     F = GF(5)
     sol = DualSolution(
-        [2, 1, 0], linalg.identity(3), [0, 0, 0], linalg.identity(3),
-        "monomial", F,
+        [2, 1, 0], linalg.identity(3), [0, 0, 0], linalg.identity(3), F
     )
     with pytest.raises(NotComplementarySlack):
         dual_forms_convert(sol, 1)
@@ -655,7 +662,7 @@ def test_dual_forms_convert_rejects_unsorted_alpha():
     # the head is flat, but alpha rises after it, so xi would go negative
     F = GF(5)
     I = linalg.identity(2)
-    sol = DualSolution([0, 1], I, [0, 0], I, "monomial", F)
+    sol = DualSolution([0, 1], I, [0, 0], I, F)
     with pytest.raises(NotSorted):
         dual_forms_convert(sol, 1)
 

@@ -171,12 +171,10 @@ import random
 import numpy as np
 from ncdeg import linalg, mvsp
 from ncdeg.apps import BipartiteInstance, build_edmonds
-from ncdeg.degdet import (
-    DualSolution, deg_subdet, dual_forms_convert, hungarian_deg_det, symmetric_hungarian
-)
+from ncdeg.degdet import DualSolution, dual_forms_convert, hungarian_deg_det, symmetric_hungarian
 from ncdeg.errors import AlgorithmStall, NotSorted
 from ncdeg.scalar import GF
-from ncdeg.symbolic import RationalSymbolicMatrix, SymbolicMatrix, WeightedSymbolicMatrix
+from ncdeg.symbolic import SymbolicMatrix, WeightedSymbolicMatrix
 
 print("debug", __debug__)
 F = GF(5)
@@ -184,8 +182,6 @@ inst = BipartiteInstance(2, [(0, 0), (0, 1), (1, 1)], [3, 1, 2])
 Ac = build_edmonds(inst, F)
 prof = hungarian_deg_det(Ac, rng=random.Random(0))
 print("values", sorted(prof.values.items()))
-prof = deg_subdet(RationalSymbolicMatrix.from_weighted(Ac), rng=random.Random(0))
-print("subdet", sorted(prof.values.items()))
 e = linalg.identity(3)
 edges = ((0, 1), (0, 2), (1, 2))
 K3 = SymbolicMatrix(F, [(np.outer(e[i], e[j]) - np.outer(e[j], e[i])) % 5 for i, j in edges])
@@ -204,7 +200,7 @@ except AlgorithmStall:
     print("stall")
 I = linalg.identity(2)
 try:
-    dual_forms_convert(DualSolution([0, 1], I, [0, 0], I, "monomial", F), 1)
+    dual_forms_convert(DualSolution([0, 1], I, [0, 0], I, F), 1)
 except NotSorted:
     print("not sorted")
 """
@@ -218,10 +214,9 @@ except NotSorted:
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:7] == [
+    assert out.stdout.split("\n")[:6] == [
         "debug False",
         "values [(0, 0), (1, 3), (2, 5)]",
-        "subdet [(0, 0), (1, 3), (2, 5)]",
         "symmetric [(0, 0), (1, 2), (2, 4), (3, 4)]",
         "skew [(0, 0), (1, 0), (2, 0), (3, -inf)] (2, 2)",  # dominant U = V = <e1, e2 - e3>
         "stall",

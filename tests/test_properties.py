@@ -35,7 +35,6 @@ from ncdeg import degdet
 from ncdeg.degdet import (
     NEG_INF,
     DualSolution,
-    deg_subdet,
     hungarian_deg_det,
     optimize_Q,
     symmetric_hungarian,
@@ -56,14 +55,22 @@ from ncdeg.mvsp import (
     triangular,
     witness,
 )
-from ncdeg.ratfunc import Poly, RatFn, RationalMatrix, classify_biproper
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
-    RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
     delta_ell_oracle,
+)
+from referee import (
+    Poly,
+    RatFn,
+    RationalMatrix,
+    RationalState,
+    RationalSymbolicMatrix,
+    classify_biproper,
+    deg_subdet,
+    verify_general_dual,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
@@ -467,7 +474,7 @@ def test_general_engine_matches_hungarian(Ac):
     prof = deg_subdet(B, rng=random.Random(0))
     assert prof.values == want
     for l, sol in prof.duals.items():
-        assert sol.mode == "general" and verify_dual(sol, B, l, prof.values[l])
+        assert verify_general_dual(sol, B, l, prof.values[l])
 
 
 def _rational_entry(rng, F):
@@ -497,7 +504,7 @@ def test_general_engine_matches_brute_force_on_rational_entries():
         prof = deg_subdet(B, rng=random.Random(0))
         assert prof.values == want
         for l, sol in prof.duals.items():
-            assert verify_dual(sol, B, l, prof.values[l])
+            assert verify_general_dual(sol, B, l, prof.values[l])
 
 
 def test_rational_fold_conjugates_the_witness_into_p_and_q():
@@ -512,7 +519,7 @@ def test_rational_fold_conjugates_the_witness_into_p_and_q():
             B = RationalSymbolicMatrix(
                 F, [RationalMatrix(F, [[_rational_entry(rng, F) for _ in range(n)] for _ in range(n)]) for _ in range(2)]
             )
-            state = degdet._RationalState(B)
+            state = RationalState(B)
             for _ in range(2):
                 alpha = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
                 beta = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
@@ -735,13 +742,13 @@ def monomial_duals(draw):
     if shift is not None:
         worst = max(dense_sums(Ac, alpha, P, beta, Q), default=0)
         beta = [b - worst + shift for b in beta]
-    return DualSolution(alpha, P, beta, Q, "monomial", A.F), Ac
+    return DualSolution(alpha, P, beta, Q, A.F), Ac
 
 
 # P != P^t: entry (1, 0) lands in row 2, where P[2, 1] = 1 and alpha is
 # 0, feasible; read through P^t it would land in row 0, where alpha is 1
 THREE_CYCLE = (
-    DualSolution([1, 0, 0], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), [0, 0, 0], linalg.identity(3), "monomial", GF(5)),
+    DualSolution([1, 0, 0], np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), [0, 0, 0], linalg.identity(3), GF(5)),
     WeightedSymbolicMatrix(SymbolicMatrix(GF(5), [[[0, 0, 0], [1, 0, 0], [0, 0, 0]]]), [0]),
 )
 
@@ -749,7 +756,7 @@ THREE_CYCLE = (
 # a Fraction subclass after an int must not be cast to int64: entry
 # (1, 1) reads 1/2 + 0 + 0 > 0, infeasible, and cast it would read 0
 SUBCLASS_AFTER_INT = (
-    DualSolution([1, FractionSubclass(1, 2)], linalg.identity(2), [0, 0], linalg.identity(2), "monomial", GF(5)),
+    DualSolution([1, FractionSubclass(1, 2)], linalg.identity(2), [0, 0], linalg.identity(2), GF(5)),
     WeightedSymbolicMatrix(SymbolicMatrix(GF(5), [[[0, 0], [0, 1]]]), [0]),
 )
 

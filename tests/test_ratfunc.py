@@ -4,17 +4,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ncdeg.errors import NotBiproper, ZeroInversion
-from ncdeg.ratfunc import (
-    NEG_INF,
-    POS_INF,
-    Poly,
-    RatFn,
-    RationalMatrix,
-    classify_biproper,
-    poly_gcd,
-)
+from ncdeg.errors import ZeroInversion
+from ncdeg.ratfunc import NEG_INF, POS_INF
 from ncdeg.scalar import GF
+from referee import NotBiproper, Poly, RatFn, RationalMatrix, classify_biproper, poly_gcd
 
 PRIMES = [2, 3, 5, 65521]
 

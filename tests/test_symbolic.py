@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from ncdeg import linalg
-from ncdeg.degdet import _general_degree_data, hungarian_deg_det
+from ncdeg.degdet import hungarian_deg_det
 from ncdeg.errors import (
     BadCardinality,
     EnumerationCapExceeded,
     MissingSymbol,
 )
-from ncdeg.ratfunc import NEG_INF, RatFn, RationalMatrix
+from ncdeg.ratfunc import NEG_INF
 from ncdeg.scalar import GF
 from ncdeg.symbolic import (
     Delta_blowup_oracle,
-    RationalSymbolicMatrix,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
     delta_ell_oracle,
@@ -22,6 +21,7 @@ from ncdeg.symbolic import (
     random_rank,
     weighted_degdet,
 )
+from referee import Poly, RatFn, RationalMatrix, RationalSymbolicMatrix, general_degree_data
 
 
 def unit(n, i, j):
@@ -171,8 +171,6 @@ def rand_polymat_coeffs(rng, n, L, p):
 
 
 def coeffs_to_rational(C, F):
-    from ncdeg.ratfunc import Poly, RatFn
-
     n = C.shape[0]
     return RationalMatrix(
         F,
@@ -323,7 +321,7 @@ def test_rational_symbolic_matrix():
     Ac = rand_weighted(random.Random(10), F, 2, 3, 2, 2)
     R = RationalSymbolicMatrix.from_weighted(Ac)
     assert R.n == 3 and R.n_terms == 2
-    assert _general_degree_data(R)[0] <= 2
+    assert general_degree_data(R)[0] <= 2
     s = [1, 3]
     M = R.shrink(s)
     C, shift = Ac.pad_square().coeff_array(s)
