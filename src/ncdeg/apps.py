@@ -6,7 +6,10 @@ Brascamp-Lieb membership.
 The oracles here are deliberately independent of the iterative engines:
 matching and common-independent-set values come from raw enumeration,
 and the fractional matroid matching LP is solved over the explicitly
-enumerated subspace constraints, so they can referee the engines.
+enumerated subspace constraints, so they can referee the engines.  The
+slower references the tests check these oracles against (literal LP
+vertex enumeration, per-subspace intersection dimensions, the Tutte
+builder) live in tests/referee.py.
 """
 
 import itertools
@@ -20,11 +23,10 @@ from .errors import DimensionMismatch, EnumerationCapExceeded
 from .mvsp import enumerate_subspaces, subspace_residues
 from .ratfunc import NEG_INF
 from .scalar import GF
-from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, as_rng, check_budget
+from .symbolic import SymbolicMatrix, WeightedSymbolicMatrix, check_budget
 
 BRUTE_FORCE_N_CAP = 8
 BRUTE_FORCE_M_CAP = 12
-LP_BASIS_CAP = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -125,32 +127,6 @@ class LineCollection:
         return f"LineCollection(n={self.n}, m={self.m}, p={self.F.p})"
 
 
-class FractionalMatching:
-    """Candidate y >= 0 for the subspace covering constraints."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y):
-        self.y = [Fraction(v) for v in y]
-        if any(v < 0 for v in self.y):
-            raise DimensionMismatch("negative component")
-
-    def verify(self, H: LineCollection) -> bool:
-        """Check sum_k y_k dim(H_k ^ X) <= dim X over every subspace."""
-        if len(self.y) != H.m:
-            raise DimensionMismatch("length does not match the collection")
-        for row, dim_x, _ in _fmp_constraints(H):
-            if sum(yk * rk for yk, rk in zip(self.y, row)) > dim_x:
-                return False
-        return True
-
-    def is_perfect(self, n: int) -> bool:
-        return 2 * sum(self.y, Fraction(0)) == n
-
-    def __repr__(self):
-        return f"FractionalMatching({[str(v) for v in self.y]})"
-
-
 class BLDatum:
     """Surjective 2-row maps B_j : K^n -> K^2 with exponents p_j; n is
     read off the first map unless given, which it must be for no maps."""
@@ -214,20 +190,6 @@ def _skew_terms(F: GF, a: np.ndarray, b: np.ndarray) -> SymbolicMatrix:
     return SymbolicMatrix(F, factors=(np.stack([a, b], axis=2), np.stack([b, -a], axis=1)))
 
 
-def build_tutte(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
-    """Skew-symmetric edge terms e_i e_j^t - e_j e_i^t on n vertices.
-    The diagonal stays zero, so the skew shape survives characteristic 2."""
-    m, n = len(inst.edges), inst.n
-    check_budget(n, m)
-    a = np.zeros((m, n), dtype=np.int64)
-    b = np.zeros((m, n), dtype=np.int64)
-    for k, (i, j) in enumerate(inst.edges):
-        if i == j:
-            raise DimensionMismatch(f"loop ({i}, {i}) has no skew term")
-        a[k, i] = b[k, j] = 1
-    return WeightedSymbolicMatrix(_skew_terms(F, a, b), inst.weights)
-
-
 def build_matroid_matching(H: LineCollection) -> WeightedSymbolicMatrix:
     """Terms a_k b_k^t - b_k a_k^t for the spanning pairs of the lines."""
     check_budget(H.n, H.m)
@@ -237,15 +199,6 @@ def build_matroid_matching(H: LineCollection) -> WeightedSymbolicMatrix:
 
 # ---------------------------------------------------------------------------
 # fractional matroid matching LP
-
-
-def _dim_intersection(B1: np.ndarray, B2: np.ndarray, p: int) -> int:
-    # dim(U ^ W) = dim U + dim W - dim(U + W)
-    if B1.shape[0] == 0 or B2.shape[0] == 0:
-        return 0
-    return (
-        B1.shape[0] + B2.shape[0] - linalg.rank(np.vstack([B1, B2]), p)
-    )
 
 
 def _fmp_constraints(H: LineCollection):
@@ -273,61 +226,6 @@ def _fmp_constraints(H: LineCollection):
     return [(tuple(int(v) for v in 2 - rank[t]), subs[t].shape[0], subs[t]) for t in keep]
 
 
-def _solve_fraction_system(rows, rhs):
-    """Exact Gaussian elimination; None when the system is singular."""
-    m = len(rows)
-    M = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        M[col] = [v / inv for v in M[col]]
-        for r in range(m):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[r][m] for r in range(m)]
-
-
-def _lp_by_basis_enumeration(H, c, ell, constraints):
-    """Literal vertex enumeration: each candidate vertex is cut out by m
-    linearly independent tight constraints drawn from the covering rows,
-    the sign bounds y_k >= 0 and, when a cardinality is fixed, the
-    equation 2 1^t y = ell.  Slow but assumption-free."""
-    m = H.m
-    pool = [(row, dx) for row, dx, _ in constraints]
-    pool += [(tuple(-1 if k == j else 0 for k in range(m)), 0) for j in range(m)]
-    fixed = [] if ell is None else [(tuple(2 for _ in range(m)), ell)]
-    need = m - len(fixed)
-    total = 1
-    for i in range(need):
-        total = total * (len(pool) - i) // (i + 1)
-    if total > LP_BASIS_CAP:
-        raise EnumerationCapExceeded(
-            f"{total} candidate bases exceed cap {LP_BASIS_CAP}"
-        )
-    best = None
-    for combo in itertools.combinations(pool, need):
-        active = fixed + list(combo)
-        y = _solve_fraction_system([a for a, _ in active], [b for _, b in active])
-        if y is None or any(v < 0 for v in y):
-            continue
-        if any(
-            sum(rk * yk for rk, yk in zip(row, y)) > dx for row, dx in pool
-        ):
-            continue
-        if fixed and 2 * sum(y, Fraction(0)) != ell:
-            continue
-        val = sum(Fraction(ck) * yk for ck, yk in zip(c, y))
-        if best is None or val > best[0]:
-            best = (val, y)
-    if best is None:
-        return NEG_INF, None
-    return best
-
-
 def _lp_by_half_integral_points(H, c, ell, constraints):
     """Vertices of the covering polytope are half-integral, so doubled
     candidates live in {0,1,2}^m; a fixed-cardinality optimum lies on a
@@ -345,8 +243,9 @@ def _lp_by_half_integral_points(H, c, ell, constraints):
         ok = (cands @ rows.T <= 2 * rhs[None, :]).all(axis=1)
         cands = cands[ok]
     sizes = cands.sum(axis=1)  # = 2 1^t y
-    cvec = np.array(c, dtype=np.int64)
-    vals = cands @ cvec  # = 2 c^t y
+    # |2 c^t y| <= 2 m max|c| <= 20 max|c|: exact Python ints beyond int64
+    dtype = np.int64 if 20 * max(abs(ck) for ck in c) < 1 << 63 else object
+    vals = cands @ np.array(c, dtype=dtype)  # = 2 c^t y
     by_size = {}
     for idx in range(cands.shape[0]):
         s = int(sizes[idx])
@@ -384,8 +283,8 @@ def fmp_lp_oracle(H: LineCollection, c=None, ell=None):
     """Exact optimum of max c^t y over the covering constraints, plus an
     optimal y; with ell fixed, restricted to 2 1^t y = ell (value -inf
     when that slice is empty).  Read off the half-integral points;
-    _lp_by_basis_enumeration is the assumption-free cross-check for small
-    instances."""
+    _lp_by_basis_enumeration in tests/referee.py is the assumption-free
+    cross-check for small instances."""
     if c is None:
         c = H.weights
     if len(c) != H.m:
@@ -395,26 +294,6 @@ def fmp_lp_oracle(H: LineCollection, c=None, ell=None):
             return Fraction(0), []
         return NEG_INF, None
     return _lp_by_half_integral_points(H, c, ell, _fmp_constraints(H))
-
-
-def fmm_max_weight(H: LineCollection, c=None, rng=None):
-    """Maximum weight of a fractional matroid matching, with the whole
-    per-cardinality curve: value ell holds half the degree the symmetric
-    engine reports at ell."""
-    from .degdet import symmetric_hungarian
-
-    if c is None:
-        c = H.weights
-    if len(c) != H.m:
-        raise DimensionMismatch("one weight per line")
-    rng = as_rng(rng)
-    A = build_matroid_matching(H)
-    prof = symmetric_hungarian(A.base, [int(ck) for ck in c], rng=rng)
-    per_level = {}
-    for l, v in sorted(prof.values.items()):
-        per_level[l] = NEG_INF if v == NEG_INF else Fraction(int(v), 2)
-    best = max(v for v in per_level.values() if v != NEG_INF)
-    return best, per_level
 
 
 # ---------------------------------------------------------------------------

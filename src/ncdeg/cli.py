@@ -94,8 +94,8 @@ def dec_dual(data, F) -> DualSolution:
     mode = _get(data, "mode", "dual")
     if mode != "monomial":
         raise ParseError(f"dual.mode: expected 'monomial', got {mode!r}")
-    alpha = [dec_num(a, f"dual.alpha[{i}]") for i, a in enumerate(_get(data, "alpha", "dual", list))]
-    beta = [dec_num(b, f"dual.beta[{i}]") for i, b in enumerate(_get(data, "beta", "dual", list))]
+    alpha = [_number(a, f"dual.alpha[{i}]") for i, a in enumerate(_get(data, "alpha", "dual", list))]
+    beta = [_number(b, f"dual.beta[{i}]") for i, b in enumerate(_get(data, "beta", "dual", list))]
     n = len(alpha)
     if len(beta) != n:
         raise ParseError(f"dual.beta: expected {n} entries like alpha, got {len(beta)}")
@@ -364,7 +364,7 @@ def _cmd_verify(args):
 
 def _cmd_selftest(args):
     from .scalar import GF
-    from .apps import BLDatum, LineCollection, fmm_max_weight
+    from .apps import BLDatum, LineCollection
     import numpy as np
 
     failures = 0
@@ -406,8 +406,8 @@ def _cmd_selftest(args):
     H = LineCollection(
         F3, [(e[0], e[1]), (e[0], e[2]), (e[1], e[2])], [1, 1, 1]
     )
-    best, _ = fmm_max_weight(H, rng=random.Random(args.seed))
-    check("triangle fmm 3/2", best == Fraction(3, 2))
+    prof = _engine("fmm", build_matroid_matching(H), random.Random(args.seed))
+    check("triangle fmm 3/2", _levels("fmm", prof.values, prof.n)["best"] == "3/2")
 
     half = Fraction(1, 2)
     maps = [np.stack([e[0], e[1]]), np.stack([e[0], e[2]]), np.stack([e[1], e[2]])]

@@ -37,8 +37,6 @@ from .errors import (
     BadCardinality,
     DimensionMismatch,
     LPInfeasible,
-    NotComplementarySlack,
-    NotSorted,
 )
 from .mvsp import (
     _check_skew,
@@ -128,24 +126,6 @@ class DegreeProfile:
         self.values = {0: 0}
         self.duals = {}
         self.meta = {"iterations": 0}
-
-    def delta(self, ell):
-        return self.values[ell]
-
-    def delta_max(self):
-        return max(v for v in self.values.values() if v != NEG_INF)
-
-    def finite_levels(self):
-        return [l for l in range(self.n + 1) if self.values[l] != NEG_INF]
-
-    def is_concave(self) -> bool:
-        """Finite levels form an initial segment and their values are
-        discretely concave."""
-        fin = self.finite_levels()
-        if fin != list(range(len(fin))):
-            return False
-        v = [self.values[l] for l in fin]
-        return all(v[i + 1] - v[i] <= v[i] - v[i - 1] for i in range(1, len(v) - 1))
 
     def __repr__(self):
         vals = [self.values.get(l) for l in range(self.n + 1)]
@@ -254,11 +234,6 @@ class _FieldState:
 # the Hungarian loop and its two callers
 
 
-def _bound(alpha, beta, ell):
-    n = len(alpha)
-    return -sum(alpha[n - ell:]) - sum(beta[n - ell:])
-
-
 def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
     """The Hungarian loop of both engines, on a state holding P, Q and
     the terms P B_k Q, from a feasible sorted (alpha, beta).  Level
@@ -334,7 +309,7 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
             b = [Fraction(x, scale) for x in beta]
         sol = DualSolution(a, state.P, b, state.Q, state.F)
         for l in range(lo, hi + 1):
-            profile.values[l] = _bound(alpha, beta, l) // scale
+            profile.values[l] = sol.objective(l)
             profile.duals[l] = sol
 
     def emit_neg(lo):
@@ -360,7 +335,7 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
             ell = lbar
         if ell == n:
             break
-        if _bound(alpha, beta, ell + 1) < (ell + 1) * cutoff:
+        if -sum(alpha[n - ell - 1:]) - sum(beta[n - ell - 1:]) < (ell + 1) * cutoff:  # objective at ell + 1
             emit_neg(ell + 1)
             break
 
@@ -393,13 +368,11 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
 
 def _field_hungarian(A, c, alpha, beta, symmetric, rng):
     """_hungarian on the field state of a square A[c], capped at
-    16 n^3 + 64 rounds; meta records whether the run kept within 4 ell n^2."""
+    16 n^3 + 64 rounds."""
     n = A.n_rows
     if n == 0:
         return DegreeProfile(0)
-    profile = _hungarian(_FieldState(A, c), alpha, beta, min(c, default=0), 16 * n**3 + 64, symmetric, rng)
-    profile.meta["iteration_bound_ok"] = profile.meta["iterations"] <= 4 * max(profile.meta["r_star"], 1) * n * n
-    return profile
+    return _hungarian(_FieldState(A, c), alpha, beta, min(c, default=0), 16 * n**3 + 64, symmetric, rng)
 
 
 def hungarian_deg_det(Ac: WeightedSymbolicMatrix, rng=None) -> DegreeProfile:
@@ -434,38 +407,7 @@ def symmetric_hungarian(A: SymbolicMatrix, c, rng=None) -> DegreeProfile:
 
 
 # ---------------------------------------------------------------------------
-# dual conversions and the Q_ell polytope
-
-
-def dual_forms_convert(sol: DualSolution, ell):
-    """Flag-form and arithmetic-form duals from a monomial one.
-
-    Requires the top n - ell entries of alpha and of beta to share one
-    value each; emits xi, eta >= 0, the scalar gamma, and the two flags:
-    the canonical (RREF) bases of the spans of P's row prefixes and of
-    Q's column prefixes.
-    """
-    n = sol.n
-    if not 0 <= ell <= n:
-        raise BadCardinality(f"ell={ell} outside [0, {n}]")
-    head = n - ell
-    if len(set(sol.alpha[:head])) > 1 or len(set(sol.beta[:head])) > 1:
-        raise NotComplementarySlack(
-            "alpha and beta must be constant on the leading n - ell entries"
-        )
-    g1 = sol.alpha[0] if n else 0
-    g2 = sol.beta[0] if n else 0
-    xi = [g1 - a for a in sol.alpha]
-    eta = [g2 - b for b in sol.beta]
-    gamma = -(g1 + g2)
-    if min(xi + eta, default=0) < 0:
-        raise NotSorted(f"alpha {sol.alpha} and beta {sol.beta} must be non-increasing")
-    p = sol.F.p
-    P = np.asarray(sol.P, dtype=np.int64)
-    Q = np.asarray(sol.Q, dtype=np.int64)
-    flags_U = [linalg.row_basis(P[:i], p) for i in range(1, n + 1)]
-    flags_V = [linalg.row_basis(Q[:, :j].T, p) for j in range(1, n + 1)]
-    return xi, eta, gamma, flags_U, flags_V
+# the Q_ell polytope
 
 
 def optimize_Q(Ac: WeightedSymbolicMatrix, ell, rng=None):
@@ -506,22 +448,3 @@ def verify_dual(sol: DualSolution, target, ell, expected) -> bool:
     proves Delta_ell <= expected, and nothing more: lowering every beta by 1 keeps a
     dual feasible and raises its objective by ell, so a loosened dual passes a raised value."""
     return sol.feasible(target) and sol.objective(ell) == expected
-
-
-def random_feasible_dual(Ac: WeightedSymbolicMatrix, rng) -> DualSolution:
-    """Random feasible dual with P = Q = I: sorted random
-    alpha, beta with beta shifted until every support constraint clears."""
-    rng = as_rng(rng)
-    sq = Ac.pad_square()
-    n = sq.base.n_rows
-    alpha = sorted((rng.randint(-5, 5) for _ in range(n)), reverse=True)
-    beta = sorted((rng.randint(-5, 5) for _ in range(n)), reverse=True)
-    worst = None
-    for k in range(sq.base.n_terms):
-        M = sq.base.term(k)
-        for i, j in zip(*np.nonzero(M)):
-            v = alpha[i] + beta[j] + sq.c[k]
-            worst = v if worst is None else max(worst, v)
-    if worst is not None and worst > 0:
-        beta = [b - worst for b in beta]
-    return DualSolution(alpha, linalg.identity(n), beta, linalg.identity(n), sq.base.F)

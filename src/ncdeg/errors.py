@@ -5,10 +5,6 @@ class NcdegError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroInversion(NcdegError, ZeroDivisionError):
-    """Inverse of the zero field element was requested."""
-
-
 class DimensionMismatch(NcdegError, ValueError):
     """Operands have incompatible shapes."""
 
@@ -23,14 +19,6 @@ class Singular(NcdegError, ValueError):
 
 class MissingSymbol(NcdegError, KeyError):
     """A substitution does not cover every symbol of the matrix."""
-
-
-class NotSorted(NcdegError, ValueError):
-    """A vector was required to be sorted (non-increasing)."""
-
-
-class NotComplementarySlack(NcdegError, ValueError):
-    """Primal/dual pair fails a complementary slackness condition."""
 
 
 class NotSkewSymmetric(NcdegError, ValueError):

@@ -13,9 +13,11 @@ Every solver returns the dominant optimum, the optimal pair with the
 largest U: the blow-up witness, a random substitution into the d-th
 blow-up, d = 1, 2, 4, ..., n-1, followed by the second Wong sequence and
 certified by the substitution's rank (Las Vegas, any field); Koenig
-max-matching/min-cover for bipartite-support matrices; linear matroid
-intersection for stacks of rank-one terms; and exhaustive subspace
-enumeration over small fields, the referee for tests and the LP oracles.
+max-matching/min-cover for bipartite-support matrices; and linear
+matroid intersection for stacks of rank-one terms.  Subspace
+enumeration over small fields serves the LP oracles here; the
+exhaustive solvers built on it, the tests' referees, live in
+tests/referee.py.
 `witness` is the one route the engines and nc_rank take: Koenig, then
 matroid intersection, else the blow-up witness.  nc_rank is its value,
 so it is deterministic on rank-one stacks and Las Vegas otherwise.
@@ -232,7 +234,7 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive solver
+# subspace enumeration
 
 
 _SUBSPACE_CACHE: dict = {}
@@ -308,42 +310,12 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
-def mvsp_exhaustive(A: SymbolicMatrix) -> FRWitness:
-    """Minimize n_rows + n_cols - dim U - dim V over vanishing pairs by
-    enumerating every U in K^n_rows; the best V for a given U is unique
-    and maximal.
-
-    Returns the witness of the dominant optimum: the one with the largest
-    U of all optima (their sum, since optimal pairs are closed under
-    (U + U', V intersect V')).
-    """
-    best_val, best = None, []  # bases of all optimal U
-    for Ub in enumerate_subspaces(A.F, A.n_rows):
-        val = A.n_rows + A.n_cols - Ub.shape[0] - _max_vanishing_V(A, Ub).shape[0]
-        if best_val is None or val < best_val:
-            best_val, best = val, [Ub]
-        elif val == best_val:
-            best.append(Ub)
-    U = linalg.row_basis(np.concatenate(best), A.F.p)
-    w = FRWitness(A.F, U, _max_vanishing_V(A, U))
-    if w.value() != best_val:
-        raise AlgorithmStall("optimum not closed under joins")
-    return w
-
-
 def _check_skew(A: SymbolicMatrix):
     if A.n_rows != A.n_cols:
         raise NotSkewSymmetric(f"shape {A.shape}")
     T = A.terms
     if ((T + T.transpose(0, 2, 1)) % A.F.p).any() or T.diagonal(axis1=1, axis2=2).any():
         raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
-
-
-def mvsp_symmetric_exhaustive(A: SymbolicMatrix) -> FRWitness:
-    """Dominant witness for a zero-diagonal skew-symmetric matrix, nested
-    (see nested_witness)."""
-    _check_skew(A)
-    return nested_witness(mvsp_exhaustive(A))
 
 
 def nested_witness(w: FRWitness) -> FRWitness:

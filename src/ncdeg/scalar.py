@@ -1,13 +1,9 @@
 """Prime fields with plain-int elements.
 
-Field elements are ordinary Python ints in [0, p); all structure lives in
-the GF context object.  Keeping elements unboxed matters: the numpy kernels
-in linalg.py work on int arrays and only need p at the boundary.
+Field elements are ordinary ints in [0, p), held in numpy int64 arrays;
+the GF object only checks and carries the modulus.  The arithmetic lives
+in the kernels of linalg.py, which need p only at the boundary.
 """
-
-from random import Random
-
-from .errors import ZeroInversion
 
 
 def _is_prime(n: int) -> bool:
@@ -26,7 +22,7 @@ def _is_prime(n: int) -> bool:
 
 
 class GF:
-    """Context for arithmetic in the prime field Z/pZ, for primes p < 2^16.
+    """The prime field Z/pZ, for primes p < 2^16.
 
     The bound keeps the numpy kernels in linalg.py exact in int64 and
     their inverse tables small.
@@ -49,35 +45,3 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def elem(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroInversion(f"0 has no inverse mod {self.p}")
-        # Fermat: a^(p-2) = a^(-1) for a != 0
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def random_elem(self, rng: Random) -> int:
-        return rng.randrange(self.p)
-
-    def random_nonzero(self, rng: Random) -> int:
-        return rng.randrange(1, self.p)
-

@@ -229,15 +229,6 @@ class SymbolicMatrix:
         vals = vals[: self.n_terms] % self.F.p
         return np.einsum("k,kij->ij", vals, self.terms) % self.F.p
 
-    def blow_up(self, d: int) -> "SymbolicMatrix":
-        """Replace each symbol by a d x d grid of fresh symbols: sum A_k (x) X_k."""
-        if d < 1:
-            raise ValueError("blow-up order must be >= 1")
-        m, nr, nc = self.terms.shape
-        E = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
-        out = np.einsum("kab,ecd->keacbd", self.terms, E)  # symbol (k, i, j) at k d^2 + i d + j
-        return SymbolicMatrix(self.F, out.reshape(m * d * d, nr * d, nc * d))
-
     def blowup_substitute(self, Rs: np.ndarray) -> np.ndarray:
         """sum_k A_k (x) R_k for given d x d matrices R_k, without materializing
         the blow-up's term stack."""
@@ -287,11 +278,6 @@ class WeightedSymbolicMatrix:
 
     def pad_square(self):
         return WeightedSymbolicMatrix(self.base.pad_square(), self.c)
-
-    def blow_up(self, d: int) -> "WeightedSymbolicMatrix":
-        return WeightedSymbolicMatrix(
-            self.base.blow_up(d), [w for w in self.c for _ in range(d * d)]
-        )
 
     def coeff_array(self, s):
         """Substituted matrix as polynomial coefficients: (C, shift) with

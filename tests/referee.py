@@ -1,40 +1,73 @@
-"""The rational deg-Det engine, the reference the field engine is checked
-against.
+"""Reference implementations the tests check the package against.  No
+command reaches them.
 
-It runs the Hungarian loop of ncdeg.degdet, unchanged, on matrices
-B = sum_k B_k x_k with B_k over K(t), the general engine of Hirai (2018)
-and Hirai and Ikeda (2022): biproper P, Q over K(t), each entry of
-P B_k Q at its own degree.  Every weighted matrix A[c] lifts to one
-(RationalSymbolicMatrix.from_weighted), and the tests compare the two
-engines' profiles and check this engine's duals with the general
-feasibility check below.
-
-Polynomials and rational functions in t normalize eagerly: gcd
-cancelled, denominator monic and nonzero, so equality is structural.
+* The rational deg-Det engine.  It runs the Hungarian loop of
+  ncdeg.degdet, unchanged, on matrices B = sum_k B_k x_k with B_k over
+  K(t), the general engine of Hirai (2018) and Hirai and Ikeda (2022):
+  biproper P, Q over K(t), each entry of P B_k Q at its own degree.
+  Every weighted matrix A[c] lifts to one
+  (RationalSymbolicMatrix.from_weighted), and the tests compare the two
+  engines' profiles and check this engine's duals with the general
+  feasibility check below.  Polynomials and rational functions in t
+  normalize eagerly: gcd cancelled, denominator monic and nonzero, so
+  equality is structural.
+* The exhaustive vanishing-subspace solvers, over every subspace U.
+* The fractional matroid matching LP by literal vertex enumeration,
+  with per-subspace intersection dimensions, FractionalMatching and the
+  Tutte builder.
+* Random feasible duals, the flag and arithmetic forms of a dual, blow-ups
+  as symbolic matrices, and the concavity of a profile.
 """
 
+import itertools
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from ncdeg.degdet import DegreeProfile, _exact, _hungarian, _slacks
+from ncdeg import linalg
+from ncdeg.apps import BipartiteInstance, LineCollection, _fmp_constraints, _skew_terms
+from ncdeg.degdet import DegreeProfile, DualSolution, _exact, _hungarian, _slacks
 from ncdeg.errors import (
+    AlgorithmStall,
+    BadCardinality,
     DimensionMismatch,
+    EnumerationCapExceeded,
     MissingSymbol,
     NcdegError,
-    NotSorted,
     NotSquare,
     SizeBudgetExceeded,
-    ZeroInversion,
 )
-from ncdeg.linalg import rank
+from ncdeg.mvsp import FRWitness, _check_skew, _max_vanishing_V, enumerate_subspaces, nested_witness
 from ncdeg.ratfunc import NEG_INF, POS_INF
 from ncdeg.scalar import GF
-from ncdeg.symbolic import MAX_STACK, SymbolicMatrix, WeightedSymbolicMatrix, as_rng
+from ncdeg.symbolic import MAX_STACK, SymbolicMatrix, WeightedSymbolicMatrix, as_rng, check_budget
+
+LP_BASIS_CAP = 500_000
 
 
 class NotBiproper(NcdegError, ValueError):
     """A biproper matrix was required (degree <= 0, invertible leading term)."""
+
+
+class ZeroInversion(NcdegError, ZeroDivisionError):
+    """Inverse of the zero field element was requested."""
+
+
+class NotSorted(NcdegError, ValueError):
+    """A vector was required to be sorted (non-increasing)."""
+
+
+class NotComplementarySlack(NcdegError, ValueError):
+    """Primal/dual pair fails a complementary slackness condition."""
+
+
+def inv(F: GF, a: int) -> int:
+    """a^-1 in F, by Fermat: a^(p-2) = a^-1 for a != 0."""
+    a = int(a) % F.p
+    if a == 0:
+        raise ZeroInversion(f"0 has no inverse mod {F.p}")
+    return pow(a, F.p - 2, F.p)
 
 
 class Poly:
@@ -90,7 +123,7 @@ class Poly:
     def monic(self):
         if not self.c:
             return self
-        s = self.F.inv(self.c[-1])
+        s = inv(self.F, self.c[-1])
         return Poly(self.F, [a * s for a in self.c])
 
     def __eq__(self, other):
@@ -144,7 +177,7 @@ class Poly:
         r = list(self.c)
         d = other.c
         dd = len(d) - 1
-        ilc = F.inv(d[-1])
+        ilc = inv(F, d[-1])
         q = [0] * max(0, len(r) - dd)
         for i in range(len(r) - 1, dd - 1, -1):
             if r[i] % F.p == 0:
@@ -187,7 +220,7 @@ class RatFn:
             if g.deg > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            s = F.inv(den.lc())
+            s = inv(F, den.lc())
             num = num * s
             den = den * s
         self.F = F
@@ -281,13 +314,13 @@ class RatFn:
             return 0
         if d > 0:
             raise NotBiproper(f"degree {d} entry has no limit at infinity")
-        return self.F.div(self.num.lc(), self.den.lc())
+        return self.num.lc() * inv(self.F, self.den.lc()) % self.F.p
 
     def eval(self, a: int) -> int:
         db = self.den.eval(a)
         if db == 0:
             raise ZeroInversion(f"pole at t={a}")
-        return self.F.div(self.num.eval(a), db)
+        return self.num.eval(a) * inv(self.F, db) % self.F.p
 
 
 class RationalMatrix:
@@ -429,7 +462,7 @@ def classify_biproper(M: RationalMatrix) -> BiproperFlag:
     if M.max_deg() > 0:
         return BiproperFlag(False, False)
     L = M.leading_matrix()
-    return BiproperFlag(True, rank(L, M.F.p) == n)
+    return BiproperFlag(True, linalg.rank(L, M.F.p) == n)
 
 
 class RationalSymbolicMatrix:
@@ -628,3 +661,223 @@ def feasible(sol, B: RationalSymbolicMatrix) -> bool:
 def verify_general_dual(sol, B: RationalSymbolicMatrix, ell, expected) -> bool:
     """degdet.verify_dual for deg_subdet's duals."""
     return feasible(sol, B) and sol.objective(ell) == expected
+
+
+# ---------------------------------------------------------------------------
+# exhaustive vanishing-subspace solvers
+
+
+def mvsp_exhaustive(A: SymbolicMatrix) -> FRWitness:
+    """Minimize n_rows + n_cols - dim U - dim V over vanishing pairs by
+    enumerating every U in K^n_rows; the best V for a given U is unique
+    and maximal.
+
+    Returns the witness of the dominant optimum: the one with the largest
+    U of all optima (their sum, since optimal pairs are closed under
+    (U + U', V intersect V')).
+    """
+    best_val, best = None, []  # bases of all optimal U
+    for Ub in enumerate_subspaces(A.F, A.n_rows):
+        val = A.n_rows + A.n_cols - Ub.shape[0] - _max_vanishing_V(A, Ub).shape[0]
+        if best_val is None or val < best_val:
+            best_val, best = val, [Ub]
+        elif val == best_val:
+            best.append(Ub)
+    U = linalg.row_basis(np.concatenate(best), A.F.p)
+    w = FRWitness(A.F, U, _max_vanishing_V(A, U))
+    if w.value() != best_val:
+        raise AlgorithmStall("optimum not closed under joins")
+    return w
+
+
+def mvsp_symmetric_exhaustive(A: SymbolicMatrix) -> FRWitness:
+    """Dominant witness for a zero-diagonal skew-symmetric matrix, nested
+    (see nested_witness)."""
+    _check_skew(A)
+    return nested_witness(mvsp_exhaustive(A))
+
+
+# ---------------------------------------------------------------------------
+# fractional matroid matching LP by vertex enumeration, and the Tutte builder
+
+
+def build_tutte(inst: BipartiteInstance, F: GF) -> WeightedSymbolicMatrix:
+    """Skew-symmetric edge terms e_i e_j^t - e_j e_i^t on n vertices.
+    The diagonal stays zero, so the skew shape survives characteristic 2."""
+    m, n = len(inst.edges), inst.n
+    check_budget(n, m)
+    a = np.zeros((m, n), dtype=np.int64)
+    b = np.zeros((m, n), dtype=np.int64)
+    for k, (i, j) in enumerate(inst.edges):
+        if i == j:
+            raise DimensionMismatch(f"loop ({i}, {i}) has no skew term")
+        a[k, i] = b[k, j] = 1
+    return WeightedSymbolicMatrix(_skew_terms(F, a, b), inst.weights)
+
+
+class FractionalMatching:
+    """Candidate y >= 0 for the subspace covering constraints."""
+
+    __slots__ = ("y",)
+
+    def __init__(self, y):
+        self.y = [Fraction(v) for v in y]
+        if any(v < 0 for v in self.y):
+            raise DimensionMismatch("negative component")
+
+    def verify(self, H: LineCollection) -> bool:
+        """Check sum_k y_k dim(H_k ^ X) <= dim X over every subspace."""
+        if len(self.y) != H.m:
+            raise DimensionMismatch("length does not match the collection")
+        for row, dim_x, _ in _fmp_constraints(H):
+            if sum(yk * rk for yk, rk in zip(self.y, row)) > dim_x:
+                return False
+        return True
+
+    def is_perfect(self, n: int) -> bool:
+        return 2 * sum(self.y, Fraction(0)) == n
+
+    def __repr__(self):
+        return f"FractionalMatching({[str(v) for v in self.y]})"
+
+
+def _dim_intersection(B1: np.ndarray, B2: np.ndarray, p: int) -> int:
+    # dim(U ^ W) = dim U + dim W - dim(U + W)
+    if B1.shape[0] == 0 or B2.shape[0] == 0:
+        return 0
+    return (
+        B1.shape[0] + B2.shape[0] - linalg.rank(np.vstack([B1, B2]), p)
+    )
+
+
+def _solve_fraction_system(rows, rhs):
+    """Exact Gaussian elimination; None when the system is singular."""
+    m = len(rows)
+    M = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = M[col][col]
+        M[col] = [v / inv for v in M[col]]
+        for r in range(m):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [M[r][m] for r in range(m)]
+
+
+def _lp_by_basis_enumeration(H, c, ell, constraints):
+    """Literal vertex enumeration: each candidate vertex is cut out by m
+    linearly independent tight constraints drawn from the covering rows,
+    the sign bounds y_k >= 0 and, when a cardinality is fixed, the
+    equation 2 1^t y = ell.  Slow but assumption-free."""
+    m = H.m
+    pool = [(row, dx) for row, dx, _ in constraints]
+    pool += [(tuple(-1 if k == j else 0 for k in range(m)), 0) for j in range(m)]
+    fixed = [] if ell is None else [(tuple(2 for _ in range(m)), ell)]
+    need = m - len(fixed)
+    total = 1
+    for i in range(need):
+        total = total * (len(pool) - i) // (i + 1)
+    if total > LP_BASIS_CAP:
+        raise EnumerationCapExceeded(
+            f"{total} candidate bases exceed cap {LP_BASIS_CAP}"
+        )
+    best = None
+    for combo in itertools.combinations(pool, need):
+        active = fixed + list(combo)
+        y = _solve_fraction_system([a for a, _ in active], [b for _, b in active])
+        if y is None or any(v < 0 for v in y):
+            continue
+        if any(
+            sum(rk * yk for rk, yk in zip(row, y)) > dx for row, dx in pool
+        ):
+            continue
+        if fixed and 2 * sum(y, Fraction(0)) != ell:
+            continue
+        val = sum(Fraction(ck) * yk for ck, yk in zip(c, y))
+        if best is None or val > best[0]:
+            best = (val, y)
+    if best is None:
+        return NEG_INF, None
+    return best
+
+
+# ---------------------------------------------------------------------------
+# duals, blow-ups and profiles
+
+
+def random_feasible_dual(Ac: WeightedSymbolicMatrix, rng) -> DualSolution:
+    """Random feasible dual with P = Q = I: sorted random
+    alpha, beta with beta shifted until every support constraint clears."""
+    rng = as_rng(rng)
+    sq = Ac.pad_square()
+    n = sq.base.n_rows
+    alpha = sorted((rng.randint(-5, 5) for _ in range(n)), reverse=True)
+    beta = sorted((rng.randint(-5, 5) for _ in range(n)), reverse=True)
+    worst = None
+    for k in range(sq.base.n_terms):
+        M = sq.base.term(k)
+        for i, j in zip(*np.nonzero(M)):
+            v = alpha[i] + beta[j] + sq.c[k]
+            worst = v if worst is None else max(worst, v)
+    if worst is not None and worst > 0:
+        beta = [b - worst for b in beta]
+    return DualSolution(alpha, linalg.identity(n), beta, linalg.identity(n), sq.base.F)
+
+
+def dual_forms_convert(sol: DualSolution, ell):
+    """Flag-form and arithmetic-form duals from a monomial one.
+
+    Requires the top n - ell entries of alpha and of beta to share one
+    value each; emits xi, eta >= 0, the scalar gamma, and the two flags:
+    the canonical (RREF) bases of the spans of P's row prefixes and of
+    Q's column prefixes.
+    """
+    n = sol.n
+    if not 0 <= ell <= n:
+        raise BadCardinality(f"ell={ell} outside [0, {n}]")
+    head = n - ell
+    if len(set(sol.alpha[:head])) > 1 or len(set(sol.beta[:head])) > 1:
+        raise NotComplementarySlack(
+            "alpha and beta must be constant on the leading n - ell entries"
+        )
+    g1 = sol.alpha[0] if n else 0
+    g2 = sol.beta[0] if n else 0
+    xi = [g1 - a for a in sol.alpha]
+    eta = [g2 - b for b in sol.beta]
+    gamma = -(g1 + g2)
+    if min(xi + eta, default=0) < 0:
+        raise NotSorted(f"alpha {sol.alpha} and beta {sol.beta} must be non-increasing")
+    p = sol.F.p
+    P = np.asarray(sol.P, dtype=np.int64)
+    Q = np.asarray(sol.Q, dtype=np.int64)
+    flags_U = [linalg.row_basis(P[:i], p) for i in range(1, n + 1)]
+    flags_V = [linalg.row_basis(Q[:, :j].T, p) for j in range(1, n + 1)]
+    return xi, eta, gamma, flags_U, flags_V
+
+
+def blow_up(A: SymbolicMatrix, d: int) -> SymbolicMatrix:
+    """Replace each symbol by a d x d grid of fresh symbols: sum A_k (x) X_k."""
+    if d < 1:
+        raise ValueError("blow-up order must be >= 1")
+    m, nr, nc = A.terms.shape
+    E = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    out = np.einsum("kab,ecd->keacbd", A.terms, E)  # symbol (k, i, j) at k d^2 + i d + j
+    return SymbolicMatrix(A.F, out.reshape(m * d * d, nr * d, nc * d))
+
+
+def blow_up_weighted(Ac: WeightedSymbolicMatrix, d: int) -> WeightedSymbolicMatrix:
+    return WeightedSymbolicMatrix(blow_up(Ac.base, d), [w for w in Ac.c for _ in range(d * d)])
+
+
+def is_concave(prof: DegreeProfile) -> bool:
+    """Finite levels form an initial segment and their values are
+    discretely concave."""
+    fin = [l for l in range(prof.n + 1) if prof.values[l] != NEG_INF]
+    if fin != list(range(len(fin))):
+        return False
+    v = [prof.values[l] for l in fin]
+    return all(v[i + 1] - v[i] <= v[i] - v[i - 1] for i in range(1, len(v) - 1))

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncdeg import cli
 from ncdeg.apps import (
     BLDatum,
     BipartiteInstance,
-    FractionalMatching,
     LineCollection,
     MatroidPairInstance,
     NEG_INF,
@@ -16,21 +16,19 @@ from ncdeg.apps import (
     build_edmonds,
     build_matroid_intersection,
     build_matroid_matching,
-    build_tutte,
-    fmm_max_weight,
     fmp_lp_oracle,
     _fmp_constraints,
-    _lp_by_basis_enumeration,
 )
 from ncdeg.degdet import hungarian_deg_det, symmetric_hungarian
 from ncdeg.errors import DimensionMismatch
 from ncdeg.scalar import GF
+from referee import FractionalMatching, _dim_intersection, _lp_by_basis_enumeration, build_tutte
 
 
-def k3_lines(F):
+def k3_lines(F, c=(1, 1, 1)):
     e = np.eye(3, dtype=np.int64)
     return LineCollection(
-        F, [(e[0], e[1]), (e[0], e[2]), (e[1], e[2])], [1, 1, 1]
+        F, [(e[0], e[1]), (e[0], e[2]), (e[1], e[2])], c
     )
 
 
@@ -195,39 +193,41 @@ def test_fractional_matching_verify():
 # weighted fractional matroid matching vs the symmetric engine
 
 
+def fmm_values(H, seed):
+    """The fmm command's values for H: the symmetric engine's levels laid
+    out by cli._levels."""
+    prof = cli._engine("fmm", build_matroid_matching(H), random.Random(seed))
+    return cli._levels("fmm", prof.values, prof.n)
+
+
 def test_fmm_k3_unit_weights():
-    H = k3_lines(GF(3))
-    best, curve = fmm_max_weight(H, rng=random.Random(0))
-    assert best == Fraction(3, 2)
-    assert curve == {
-        0: 0,
-        1: Fraction(1, 2),
-        2: Fraction(1),
-        3: Fraction(3, 2),
+    assert fmm_values(k3_lines(GF(3)), 0) == {
+        "best": "3/2",
+        "curve": {"0": 0, "1": "1/2", "2": 1, "3": "3/2"},
     }
 
 
 def test_fmm_single_line():
     F = GF(3)
     H = LineCollection(F, [([1, 0], [0, 1])], [7])
-    best, curve = fmm_max_weight(H, rng=random.Random(1))
-    assert best == 7
-    assert curve[2] == 7 and curve[1] == Fraction(7, 2)
+    values = fmm_values(H, 1)
+    assert values["best"] == 7
+    assert values["curve"]["2"] == 7 and values["curve"]["1"] == "7/2"
 
 
 def test_fmm_nonpositive_weights():
-    H = k3_lines(GF(3))
-    best, _ = fmm_max_weight(H, c=[-1, -2, -1], rng=random.Random(2))
-    assert best == 0
+    assert fmm_values(k3_lines(GF(3), [-1, -2, -1]), 2)["best"] == 0
 
 
 def test_fmm_matches_lp_random():
     rng = random.Random(77)
-    for _ in range(8):
+    for t in range(12):
         F = GF(rng.choice([2, 3]))
         n = rng.randint(2, 4)
         m = rng.randint(1, 4)
         H = random_lines(rng, F, n, m)
+        if t >= 8:  # weights near +-2^62: 2 c^t y leaves int64
+            H = LineCollection(F, H.pairs, [rng.choice([-1, 1]) * (1 << 62) + ck for ck in H.weights])
         A = build_matroid_matching(H)
         prof = symmetric_hungarian(A.base, H.weights, rng=random.Random(5))
         for ell in range(n + 1):
@@ -268,8 +268,6 @@ def test_bl_subspace_reject():
     assert not ok
     assert cert["kind"] == "subspace"
     # recheck the certificate arithmetic against the returned basis
-    from ncdeg.apps import _dim_intersection
-
     X = np.array(cert["basis"], dtype=np.int64)
     H = datum.lines()
     lhs = sum(
@@ -282,7 +280,6 @@ def test_bl_subspace_reject():
 def test_fmp_constraints_match_per_subspace_reference():
     # the batched kernel against one _dim_intersection per line and X,
     # keeping the first X of least dimension for each coefficient row
-    from ncdeg.apps import _dim_intersection, _fmp_constraints
     from ncdeg.mvsp import enumerate_subspaces
 
     rng = random.Random(11)

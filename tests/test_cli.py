@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -352,6 +353,24 @@ def test_oracle_lines_doubles_lp(tmp_path, capsys):
     assert json.loads(out)["values"] == {"0": 0, "1": 1, "2": 2, "3": 3}
 
 
+@pytest.mark.parametrize(
+    "weights, values",
+    [([1 << 62] * 3, [0, 1 << 62, 1 << 63, 3 << 62]), ([1 << 63, -(1 << 70), 1 << 63], [0, 1 << 63, 1 << 64, (1 << 64) - (1 << 70)])],
+)
+def test_oracle_lines_stays_exact_beyond_int64(tmp_path, capsys, weights, values):
+    # 2 c^t y leaves int64 on these weights; the curve stays twice fmm's
+    doc = k3_lines_doc()
+    doc["payload"]["weights"] = weights
+    path = write(tmp_path, "wide.json", doc)
+    code, out = run(capsys, "oracle", path, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["values"] == {str(l): v for l, v in enumerate(values)}
+    curve = json.loads(run(capsys, "fmm", path, "--json")[1])["values"]["curve"]
+    assert report["values"] == {l: 2 * Fraction(v) for l, v in curve.items()}
+    assert verified(capsys, report, path, tmp_path)
+
+
 def test_oracle_weighted_verifies(tmp_path, capsys):
     path = write(tmp_path, "diag.json", diag_weighted_doc())
     code, out = run(capsys, "oracle", path, "--json", "--seed", "4")
@@ -416,6 +435,14 @@ def _no_alpha(report):
     del report["duals"]["1"]["alpha"]
 
 
+def _null_alpha(report):
+    report["duals"]["1"]["alpha"][0] = None
+
+
+def _null_beta(report):
+    report["duals"]["2"]["beta"][1] = None
+
+
 def _dual_not_object(report):
     report["duals"]["1"] = 1
 
@@ -457,6 +484,8 @@ def _bool_seed(report):
     [
         ("hungarian", _bogus_mode),
         ("hungarian", _no_alpha),
+        ("hungarian", _null_alpha),
+        ("subdet", _null_beta),
         ("subdet", _dual_not_object),
         ("subdet", _small_P),
         ("hungarian", _extra_level),

@@ -11,26 +11,21 @@ from ncdeg.degdet import (
     DegreeProfile,
     DualSolution,
     NEG_INF,
-    dual_forms_convert,
     hungarian_deg_det,
     optimize_Q,
-    random_feasible_dual,
     symmetric_hungarian,
     verify_dual,
 )
 from ncdeg.errors import (
     AlgorithmStall,
     LPInfeasible,
-    NotComplementarySlack,
     NotSkewSymmetric,
-    NotSorted,
     Singular,
 )
 from ncdeg.mvsp import (
     FRWitness,
     blowup_witness,
     mvsp_bipartite,
-    mvsp_exhaustive,
     mvsp_matroid_intersection,
     triangular,
 )
@@ -40,6 +35,8 @@ from ncdeg.symbolic import (
     WeightedSymbolicMatrix,
 )
 from referee import (
+    NotComplementarySlack,
+    NotSorted,
     Poly,
     RatFn,
     RationalMatrix,
@@ -48,7 +45,11 @@ from referee import (
     classify_biproper,
     deg_det,
     deg_subdet,
+    dual_forms_convert,
     feasible,
+    is_concave,
+    mvsp_exhaustive,
+    random_feasible_dual,
     verify_general_dual,
 )
 
@@ -156,7 +157,7 @@ def test_deg_subdet_single_variable_diagonal():
     )
     prof = deg_subdet(B, rng=random.Random(4))
     assert prof.values == {0: 0, 1: 2, 2: 3}
-    assert prof.is_concave()
+    assert is_concave(prof)
 
 
 def test_deg_subdet_k3_unit_weights():
@@ -235,7 +236,7 @@ def test_hungarian_two_by_two_complete():
     Ac = edmonds_w(F, 2, 2, [(0, 0, 3), (0, 1, 1), (1, 0, 2), (1, 1, 4)])
     prof = hungarian_deg_det(Ac, rng=random.Random(12))
     assert prof.values == {0: 0, 1: 4, 2: 7}
-    assert prof.meta["iteration_bound_ok"]
+    assert prof.meta["iterations"] <= 4 * max(prof.meta["r_star"], 1) * prof.n**2
     for ell in (1, 2):
         assert verify_dual(prof.duals[ell], Ac, ell, prof.values[ell])
 
@@ -289,8 +290,8 @@ def test_hungarian_matches_brute_force():
         Ac = edmonds_w(F, n_r, n_c, cells)
         prof = hungarian_deg_det(Ac, rng=random.Random(16))
         n = prof.n
-        assert prof.is_concave()
-        assert prof.meta["iteration_bound_ok"]
+        assert is_concave(prof)
+        assert prof.meta["iterations"] <= 4 * max(prof.meta["r_star"], 1) * prof.n**2
         for ell in range(n + 1):
             expect = bf_matching(cells, ell) if ell <= min(n_r, n_c) else NEG_INF
             assert prof.values[ell] == expect, (cells, ell)
@@ -780,10 +781,10 @@ def test_profile_accessors():
     F = GF(65521)
     Ac = edmonds_w(F, 2, 2, [(0, 0, 3), (1, 1, 4)])
     prof = hungarian_deg_det(Ac, rng=random.Random(34))
-    assert prof.delta(2) == 7
-    assert prof.delta_max() == 7
-    assert prof.finite_levels() == [0, 1, 2]
-    assert prof.is_concave()
+    assert prof.values[2] == 7
+    assert max(v for v in prof.values.values() if v != NEG_INF) == 7
+    assert [l for l in range(prof.n + 1) if prof.values[l] != NEG_INF] == [0, 1, 2]
+    assert is_concave(prof)
     assert "DegreeProfile" in repr(prof)
 
 

@@ -22,9 +22,7 @@ from ncdeg.mvsp import (
     matroid_intersection,
     max_matching,
     mvsp_bipartite,
-    mvsp_exhaustive,
     mvsp_matroid_intersection,
-    mvsp_symmetric_exhaustive,
     nc_rank,
     nested_witness,
     triangular,
@@ -33,6 +31,7 @@ from ncdeg.mvsp import (
 )
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, default_trials
+from referee import mvsp_exhaustive, mvsp_symmetric_exhaustive
 
 
 def unit(n_rows, n_cols, i, j):
@@ -171,10 +170,11 @@ import random
 import numpy as np
 from ncdeg import linalg, mvsp
 from ncdeg.apps import BipartiteInstance, build_edmonds
-from ncdeg.degdet import DualSolution, dual_forms_convert, hungarian_deg_det, symmetric_hungarian
-from ncdeg.errors import AlgorithmStall, NotSorted
+from ncdeg.degdet import DualSolution, hungarian_deg_det, symmetric_hungarian
+from ncdeg.errors import AlgorithmStall
 from ncdeg.scalar import GF
 from ncdeg.symbolic import SymbolicMatrix, WeightedSymbolicMatrix
+from referee import NotSorted, dual_forms_convert
 
 print("debug", __debug__)
 F = GF(5)
@@ -205,7 +205,7 @@ except NotSorted:
     print("not sorted")
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(mvsp.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=env,

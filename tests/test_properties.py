@@ -29,7 +29,6 @@ from ncdeg.apps import (
     build_edmonds,
     build_matroid_intersection,
     build_matroid_matching,
-    build_tutte,
 )
 from ncdeg import degdet
 from ncdeg.degdet import (
@@ -48,7 +47,6 @@ from ncdeg.mvsp import (
     blowup_witness,
     count_subspaces,
     matroid_intersection,
-    mvsp_exhaustive,
     mvsp_matroid_intersection,
     nc_rank,
     nested_witness,
@@ -68,8 +66,10 @@ from referee import (
     RationalMatrix,
     RationalState,
     RationalSymbolicMatrix,
+    build_tutte,
     classify_biproper,
     deg_subdet,
+    mvsp_exhaustive,
     verify_general_dual,
 )
 
@@ -80,7 +80,7 @@ def check_profile(prof, Ac, want):
     """A Hungarian profile: the wanted values, within the iteration bound,
     and every dual sorted and certifying its level."""
     assert [prof.values[l] for l in range(prof.n + 1)] == want
-    assert prof.meta["iteration_bound_ok"]
+    assert prof.meta["iterations"] <= 4 * max(prof.meta["r_star"], 1) * prof.n**2
     for l, sol in prof.duals.items():
         assert sol.is_sorted()
         assert verify_dual(sol, Ac, l, prof.values[l])

@@ -4,10 +4,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ncdeg.errors import ZeroInversion
 from ncdeg.ratfunc import NEG_INF, POS_INF
 from ncdeg.scalar import GF
-from referee import NotBiproper, Poly, RatFn, RationalMatrix, classify_biproper, poly_gcd
+from referee import NotBiproper, Poly, RatFn, RationalMatrix, ZeroInversion, classify_biproper, inv, poly_gcd
 
 PRIMES = [2, 3, 5, 65521]
 
@@ -16,7 +15,7 @@ def rand_poly(rng, F, maxdeg):
     d = rng.randrange(-1, maxdeg + 1)
     if d < 0:
         return Poly.zero(F)
-    c = [F.random_elem(rng) for _ in range(d)] + [F.random_nonzero(rng)]
+    c = [rng.randrange(F.p) for _ in range(d)] + [rng.randrange(1, F.p)]
     return Poly(F, c)
 
 
@@ -35,10 +34,10 @@ def test_poly_arithmetic_via_evaluation(p):
     for _ in range(200):
         f = rand_poly(rng, F, 5)
         g = rand_poly(rng, F, 5)
-        a = F.random_elem(rng)
-        assert (f + g).eval(a) == F.add(f.eval(a), g.eval(a))
-        assert (f * g).eval(a) == F.mul(f.eval(a), g.eval(a))
-        assert (f - g).eval(a) == F.sub(f.eval(a), g.eval(a))
+        a = rng.randrange(F.p)
+        assert (f + g).eval(a) == (f.eval(a) + g.eval(a)) % F.p
+        assert (f * g).eval(a) == (f.eval(a) * g.eval(a)) % F.p
+        assert (f - g).eval(a) == (f.eval(a) - g.eval(a)) % F.p
         if not (f.is_zero() or g.is_zero()):
             assert (f * g).deg == f.deg + g.deg
             assert (f * g).ord == f.ord + g.ord
@@ -99,16 +98,16 @@ def test_ratfn_field_ops_via_evaluation(p):
     while checked < 150:
         f = rand_ratfn(rng, F, 3)
         g = rand_ratfn(rng, F, 3)
-        a = F.random_elem(rng)
+        a = rng.randrange(F.p)
         try:
             fa, ga = f.eval(a), g.eval(a)
         except ZeroInversion:
             continue
-        assert (f + g).eval(a) == F.add(fa, ga)
-        assert (f * g).eval(a) == F.mul(fa, ga)
-        assert (f - g).eval(a) == F.sub(fa, ga)
+        assert (f + g).eval(a) == (fa + ga) % F.p
+        assert (f * g).eval(a) == (fa * ga) % F.p
+        assert (f - g).eval(a) == (fa - ga) % F.p
         if ga != 0 and not g.is_zero():
-            assert (f / g).eval(a) == F.div(fa, ga)
+            assert (f / g).eval(a) == fa * inv(F, ga) % F.p
         checked += 1
 
 
@@ -142,7 +141,7 @@ def test_ratfn_at_infinity():
     F = GF(7)
     # (3t^2 + 1) / (2t^2 + t) -> 3/2 = 5 mod 7
     f = RatFn(Poly(F, [1, 0, 3]), Poly(F, [0, 1, 2]))
-    assert f.at_infinity() == F.div(3, 2)
+    assert f.at_infinity() == 5
     g = RatFn(Poly(F, [1]), Poly(F, [0, 1]))
     assert g.at_infinity() == 0
     h = RatFn(Poly(F, [0, 0, 1]), Poly(F, [1, 1]))

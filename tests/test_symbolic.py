@@ -21,7 +21,7 @@ from ncdeg.symbolic import (
     random_rank,
     weighted_degdet,
 )
-from referee import Poly, RatFn, RationalMatrix, RationalSymbolicMatrix, general_degree_data
+from referee import Poly, RatFn, RationalMatrix, RationalSymbolicMatrix, blow_up, blow_up_weighted, general_degree_data
 
 
 def unit(n, i, j):
@@ -91,10 +91,10 @@ def test_k3_rank_two():
 def test_blow_up_shapes():
     F = GF(5)
     A = SymbolicMatrix(F, np.stack([unit(2, 0, 1)]))
-    B1 = A.blow_up(1)
+    B1 = blow_up(A, 1)
     assert B1.n_terms == 1 and B1.shape == (2, 2)
     assert np.array_equal(B1.terms, A.terms)
-    B2 = A.blow_up(2)
+    B2 = blow_up(A, 2)
     assert B2.shape == (4, 4) and B2.n_terms == 4
     # cell (0, i, j) holds A_0 (x) E_ij
     cells = B2.terms.reshape(1, 2, 2, 4, 4)
@@ -107,7 +107,7 @@ def test_blow_up_shapes():
 def test_k3_blowup_rank_six():
     F = GF(65521)
     A = tutte_k3(F)
-    B = A.blow_up(2)
+    B = blow_up(A, 2)
     assert B.shape == (6, 6) and B.n_terms == 12
     rng = random.Random(7)
     s = rand_values(rng, F, 12)
@@ -118,7 +118,7 @@ def test_blowup_substitute_matches_materialized():
     F = GF(65521)
     rng = random.Random(11)
     A = SymbolicMatrix(F, np.stack([linalg.rand_mat(rng, 2, 3, F.p) for _ in range(2)]))
-    B = A.blow_up(2)
+    B = blow_up(A, 2)
     Rs = np.stack([linalg.rand_mat(rng, 2, 2, F.p) for _ in range(2)])
     direct = A.blowup_substitute(Rs)
     # the blow-up's symbols run k-major, then row-major over each R_k
@@ -132,7 +132,7 @@ def test_block_scalar_substitution_multiplies_rank():
     s = rand_values(rng, F, 2)
     base_rank = linalg.rank(A.substitute(s), F.p)
     for d in [2, 3]:
-        B = A.blow_up(d)
+        B = blow_up(A, d)
         vals = np.einsum("k,ij->kij", s, np.eye(d, dtype=np.int64)).reshape(-1)
         assert linalg.rank(B.substitute(vals), F.p) == d * base_rank
 
@@ -286,7 +286,7 @@ def test_blowup_oracle_k3_unit_weights():
     got = Delta_blowup_oracle(Ac, 3, rng=random.Random(5))
     assert got == 3
     # dual route: materialize the 6x6 blow-up, shrink, exact deg det over K(t)
-    B = Ac.blow_up(2)
+    B = blow_up_weighted(Ac, 2)
     s = rand_values(random.Random(6), F, B.n_terms)
     dd = RationalSymbolicMatrix.from_weighted(B).shrink(s).degdet()
     assert dd == 6  # divided by d = 2 gives 3
