@@ -7,7 +7,7 @@ for inner dimensions up to 2^31.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSquare
+from .errors import DimensionMismatch
 
 _INV_TABLES: dict = {}
 
@@ -106,42 +106,3 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     N[np.arange(free.size), free] = 1
     N[:, piv] = (-R[: len(piv), free].T) % p
     return N[::-1, ::-1].copy()
-
-
-def det(A: np.ndarray, p: int) -> int:
-    A = np.asarray(A, dtype=np.int64)
-    if A.shape[0] != A.shape[1]:
-        raise NotSquare(f"shape {A.shape}")
-    if A.shape[0] == 0:
-        return 1 % p
-    return int(batched_det(A[None, :, :] % p, p)[0])
-
-
-def batched_det(stack: np.ndarray, p: int) -> np.ndarray:
-    """Determinants of a (B, n, n) stack, eliminating all B matrices in lockstep.
-
-    Dead batch members (no pivot in some column) pick up a zero pivot and
-    stay zero from then on, so no mask is needed.
-    """
-    A = np.array(stack, dtype=np.int64, copy=True) % p
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise NotSquare(f"shape {A.shape}")
-    nb, n, _ = A.shape
-    inv = inv_table(p)
-    d = np.ones(nb, dtype=np.int64)
-    for j in range(n):
-        nz = A[:, j:, j] != 0
-        piv = np.argmax(nz, axis=1)
-        moved = np.nonzero(piv > 0)[0]
-        if moved.size:
-            src = j + piv[moved]
-            tmp = A[moved, j, :].copy()
-            A[moved, j, :] = A[moved, src, :]
-            A[moved, src, :] = tmp
-            d[moved] = (-d[moved]) % p
-        pv = A[:, j, j]
-        d = (d * pv) % p
-        if j + 1 < n:
-            f = (A[:, j + 1 :, j] * inv[pv][:, None]) % p
-            A[:, j + 1 :, :] = (A[:, j + 1 :, :] - f[:, :, None] * A[:, j, :][:, None, :]) % p
-    return d

@@ -1,13 +1,11 @@
 """Linear symbolic matrices A = sum_k A_k x_k, weighted variants A[c] with
-monomial coefficients t^{c_k}, blow-ups, random substitution, and the
-Monte-Carlo degree oracles delta_ell / Delta via one compressed blow-up.
+monomial coefficients t^{c_k}, blow-up substitution, random substitution,
+and the Monte-Carlo degree oracle Delta via one compressed blow-up.
 
-The degree oracles need no rational-function arithmetic: a substituted
+The degree oracle needs no rational-function arithmetic: a substituted
 weighted matrix is a matrix of polynomials in t, held as an
 (n_rows, n_cols, L) int64 coefficient array, and its deg det is computed
-exactly either by evaluation-interpolation (enough points available,
-p > degree bound, the evaluation stack within the budget) or by
-fraction-free elimination on the coefficient arrays.
+exactly by column reduction on that array, in place, over any p.
 """
 
 from random import Random
@@ -326,135 +324,44 @@ def random_rank(A: SymbolicMatrix, rng=None, trials: int = None) -> int:
 # deg det of polynomial matrices given as coefficient arrays
 
 
-def poly_degree(coeffs: np.ndarray):
-    nz = np.nonzero(coeffs)[0]
-    return int(nz[-1]) if nz.size else NEG_INF
-
-
-def _newton_degree(x: np.ndarray, v: np.ndarray, p: int):
-    """Degree of the polynomial taking the values v at the distinct points
-    x.  len(x) must exceed the true degree, which makes the
-    divided-difference tail exactly zero and the last nonzero index the
-    degree.
-    """
-    a = v % p
-    x = x % p
-    inv = linalg.inv_table(p)
-    for k in range(1, x.shape[0]):
-        a[k:] = ((a[k:] - a[k - 1 : -1]) * inv[(x[k:] - x[:-k]) % p]) % p
-    return poly_degree(a)
-
-
-def _trim3(C: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(C.any(axis=(0, 1)))[0]
-    L = int(nz[-1]) + 1 if nz.size else 1
-    return np.ascontiguousarray(C[:, :, :L])
-
-
-def _conv_with_poly(R: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
-    r, c, L = R.shape
-    out = np.zeros((r, c, L + q.shape[0] - 1), dtype=np.int64)
-    for d2 in range(q.shape[0]):
-        a = int(q[d2])
-        if a:
-            out[:, :, d2 : d2 + L] += a * R
-    return out % p
-
-
-def _outer_conv(colv: np.ndarray, rowv: np.ndarray, p: int) -> np.ndarray:
-    r, L = colv.shape
-    c = rowv.shape[0]
-    out = np.zeros((r, c, 2 * L - 1), dtype=np.int64)
-    for d2 in range(L):
-        cd = colv[:, d2]
-        if cd.any():
-            out[:, :, d2 : d2 + L] += cd[:, None, None] * rowv[None, :, :]
-    return out % p
-
-
-def _exact_div(M: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise exact polynomial division by q; the elimination identity
-    guarantees zero remainder, checked."""
-    if q.shape[0] == 1:
-        return (M * int(linalg.inv_table(p)[q[0]])) % p
-    r, c, Ln = M.shape
-    Lq = q.shape[0]
-    if Ln < Lq:
-        if M.any():
-            raise AlgorithmStall("non-exact division in fraction-free elimination")
-        return np.zeros((r, c, 1), dtype=np.int64)
-    ilead = int(linalg.inv_table(p)[q[-1]])
-    Q = np.zeros((r, c, Ln - Lq + 1), dtype=np.int64)
-    W = M.copy()
-    for i in range(Ln - 1, Lq - 2, -1):
-        f = (W[:, :, i] * ilead) % p
-        Q[:, :, i - Lq + 1] = f
-        W[:, :, i - Lq + 1 : i + 1] = (
-            W[:, :, i - Lq + 1 : i + 1] - f[:, :, None] * q[None, None, :]
-        ) % p
-    if W.any():
-        raise AlgorithmStall("non-exact division in fraction-free elimination")
-    return Q
-
-
-def _degdet_bareiss(C: np.ndarray, p: int):
-    """Fraction-free elimination on polynomial coefficient arrays.
-
-    Works over any p; used when the field is too small for interpolation.
-    Row/column swaps only flip the sign of det, which degrees ignore.
-    """
-    B = _trim3(C.copy() % p)
-    prev = np.ones(1, dtype=np.int64)
-    while True:
-        m = B.shape[0]
-        nz = B.any(axis=2)
-        if not nz.any():
-            return NEG_INF
-        i0, j0 = map(int, np.argwhere(nz)[0])
-        if i0:
-            B[[0, i0]] = B[[i0, 0]]
-        if j0:
-            B[:, [0, j0]] = B[:, [j0, 0]]
-        piv = B[0, 0][: poly_degree(B[0, 0]) + 1].copy()
-        if m == 1:
-            return poly_degree(B[0, 0])
-        T1 = _conv_with_poly(B[1:, 1:, :], piv, p)
-        T2 = _outer_conv(B[1:, 0, :], B[0, 1:, :], p)
-        L = max(T1.shape[2], T2.shape[2])
-        M = np.zeros((m - 1, m - 1, L), dtype=np.int64)
-        M[:, :, : T1.shape[2]] = T1
-        M[:, :, : T2.shape[2]] -= T2
-        B = _trim3(_exact_div(M % p, prev, p))
-        prev = piv
-
-
-def _degdet_interp(C: np.ndarray, p: int, bound: int):
-    pts = np.arange(bound + 1, dtype=np.int64)
-    L = C.shape[2]
-    P = np.ones((bound + 1, L), dtype=np.int64)
-    for e in range(1, L):
-        P[:, e] = (P[:, e - 1] * pts) % p
-    stack = np.einsum("ijl,pl->pij", C % p, P) % p
-    vals = linalg.batched_det(stack, p)
-    return _newton_degree(pts, vals, p)
-
-
 def polymat_degdet(C: np.ndarray, p: int):
     """deg det of a square polynomial matrix, exactly; -inf if det = 0.
 
-    C has shape (n, n, L): entry (i, j) is sum_l C[i,j,l] t^l.  Evaluation
-    and interpolation need p above the degree bound and a (bound+1, n, n)
-    stack within MAX_STACK; otherwise fraction-free elimination runs.
+    C has shape (n, n, L): entry (i, j) is sum_l C[i,j,l] t^l.  Column
+    reduction (Kailath, Linear Systems, 1980; Murota, SIAM J. Comput.
+    1995): with d_j the degree of column j, det C has degree sum_j d_j
+    exactly when the leading column-coefficient matrix C[:, j, d_j] is
+    nonsingular; a zero column makes det C = 0.  Otherwise each round
+    orders the columns by d, descending and stable, and takes the RREF
+    basis of the leading matrix's kernel.  A basis vector v has a 1 at a
+    free column f and its other nonzeros on pivot columns i after f, so
+    d_i <= d_f, and col_f += sum_i v_i t^(d_f - d_i) col_i cancels col_f's
+    leading coefficients, dropping d_f by at least 1.  Pivot columns never
+    change, so every free column updates at once, in place, and the move
+    is unimodular: det C keeps its value.  sum_j d_j <= n (L - 1) bounds
+    the rounds, nothing grows beyond C's own n x n x L array, and an entry
+    stays below n p^2 before it is reduced: below 2^44 for every array
+    coeff_array admits, as n^2 <= MAX_STACK.
     """
     n = C.shape[0]
     if C.ndim != 3 or C.shape[1] != n:
         raise NotSquare(f"shape {C.shape}")
-    if n == 0:
-        return 0
-    bound = n * (C.shape[2] - 1)
-    if p > bound and (bound + 1) * n * n <= MAX_STACK:
-        return _degdet_interp(C, p, bound)
-    return _degdet_bareiss(C, p)
+    C = C % p
+    L = C.shape[2]
+    while True:
+        d = np.where(C.any(axis=0), np.arange(L), -1).max(axis=1, initial=-1)
+        if (d < 0).any():
+            return NEG_INF
+        order = np.argsort(-d, kind="stable")
+        K = linalg.nullspace(C[:, order, d[order]], p)
+        if not len(K):
+            return int(d.sum())
+        for v in K:
+            k = np.flatnonzero(v)
+            f = order[k[0]]
+            for i, a in zip(order[k[1:]], v[k[1:]]):
+                C[:, f, d[f] - d[i] : d[f] + 1] += a * C[:, i, : d[i] + 1]
+            C[:, f] %= p
 
 
 def weighted_degdet(Ac: WeightedSymbolicMatrix, s):
@@ -485,15 +392,6 @@ def _check_cap(Ac):
         raise EnumerationCapExceeded(
             f"degree oracle refused for side {side} > {ENUM_CAP}"
         )
-
-
-def delta_ell_oracle(Ac: WeightedSymbolicMatrix, ell: int, trials: int = None, rng=None):
-    """Monte-Carlo delta_l, the largest deg det of an l x l submatrix
-    over K(x): the compressed blow-up kernel at order d = 1.
-
-    One-sided: result <= true delta_l, equality w.h.p.  l = 0 gives 0.
-    """
-    return _compressed_blowup_oracle(Ac, ell, 1, trials, rng)
 
 
 def Delta_blowup_oracle(Ac: WeightedSymbolicMatrix, ell: int, trials: int = None, rng=None):

@@ -16,7 +16,8 @@ command reaches them.
   with per-subspace intersection dimensions, FractionalMatching and the
   Tutte builder.
 * Random feasible duals, the flag and arithmetic forms of a dual, blow-ups
-  as symbolic matrices, and the concavity of a profile.
+  as symbolic matrices, the Monte-Carlo delta_l oracle (the compressed
+  blow-up at order 1), and the concavity of a profile.
 """
 
 import itertools
@@ -41,7 +42,14 @@ from ncdeg.errors import (
 from ncdeg.mvsp import FRWitness, _check_skew, _max_vanishing_V, enumerate_subspaces, nested_witness
 from ncdeg.ratfunc import NEG_INF, POS_INF
 from ncdeg.scalar import GF
-from ncdeg.symbolic import MAX_STACK, SymbolicMatrix, WeightedSymbolicMatrix, as_rng, check_budget
+from ncdeg.symbolic import (
+    MAX_STACK,
+    SymbolicMatrix,
+    WeightedSymbolicMatrix,
+    _compressed_blowup_oracle,
+    as_rng,
+    check_budget,
+)
 
 LP_BASIS_CAP = 500_000
 
@@ -871,6 +879,15 @@ def blow_up(A: SymbolicMatrix, d: int) -> SymbolicMatrix:
 
 def blow_up_weighted(Ac: WeightedSymbolicMatrix, d: int) -> WeightedSymbolicMatrix:
     return WeightedSymbolicMatrix(blow_up(Ac.base, d), [w for w in Ac.c for _ in range(d * d)])
+
+
+def delta_ell_oracle(Ac: WeightedSymbolicMatrix, ell: int, trials: int = None, rng=None):
+    """Monte-Carlo delta_l, the largest deg det of an l x l submatrix
+    over K(x): the compressed blow-up kernel at order d = 1.
+
+    One-sided: result <= true delta_l, equality w.h.p.  l = 0 gives 0.
+    """
+    return _compressed_blowup_oracle(Ac, ell, 1, trials, rng)
 
 
 def is_concave(prof: DegreeProfile) -> bool:

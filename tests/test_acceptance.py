@@ -38,10 +38,16 @@ from ncdeg.symbolic import (
     Delta_blowup_oracle,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
-    delta_ell_oracle,
     random_rank,
 )
-from referee import RationalSymbolicMatrix, deg_subdet, general_degree_data, is_concave, random_feasible_dual
+from referee import (
+    RationalSymbolicMatrix,
+    deg_subdet,
+    delta_ell_oracle,
+    general_degree_data,
+    is_concave,
+    random_feasible_dual,
+)
 
 _SUITES = {}
 

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -378,6 +379,34 @@ def test_oracle_weighted_verifies(tmp_path, capsys):
     report = json.loads(out)
     assert report["values"] == {"0": 0, "1": 3, "2": 5}
     assert report["guarantee"] == "monte-carlo"
+    assert verified(capsys, report, path, tmp_path)
+
+
+def test_oracle_small_field_wide_weights_is_fast(tmp_path, capsys):
+    # level 4 takes deg det of 12 x 12 matrices with 301 coefficients over
+    # GF(3); column reduction answers in well under a second
+    doc = {
+        "field": {"p": 3},
+        "kind": "weighted",
+        "payload": {
+            "rows": 4,
+            "cols": 4,
+            "terms": [
+                [[1, 2, 1], [2, 2, 2], [3, 4, 1]],
+                [[1, 3, 1], [2, 1, 2], [3, 3, 2], [4, 1, 2], [4, 3, 1], [4, 4, 2]],
+                [[1, 1, 1], [1, 4, 1], [2, 2, 2], [3, 2, 1], [4, 2, 2]],
+            ],
+            "weights": [0, 150, 300],
+        },
+    }
+    path = write(tmp_path, "wide.json", doc)
+    start = time.perf_counter()
+    code, out = run(capsys, "oracle", path, "--json")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    report = json.loads(out)
+    exact = json.loads(run(capsys, "hungarian", path, "--json")[1])["values"]
+    assert all(report["values"][l] <= v for l, v in exact.items())
     assert verified(capsys, report, path, tmp_path)
 
 

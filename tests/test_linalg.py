@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import numpy as np
 import pytest
@@ -7,46 +6,6 @@ import pytest
 from ncdeg import linalg as la
 
 PRIMES = [2, 3, 5, 65521]
-
-
-def naive_det(A, p):
-    n = A.shape[0]
-    if n == 0:
-        return 1 % p
-    total = 0
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for sign
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        term = sign
-        for i in range(n):
-            term *= int(A[i, perm[i]])
-        total += term
-    return total % p
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_det_matches_permanent_expansion(p):
-    rng = random.Random(500 + p)
-    for _ in range(60):
-        n = rng.randrange(0, 5)
-        A = la.rand_mat(rng, n, n, p)
-        assert la.det(A, p) == naive_det(A, p)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_batched_det_agrees_with_scalar(p):
-    rng = random.Random(77 + p)
-    stack = np.stack([la.rand_mat(rng, 4, 4, p) for _ in range(40)])
-    bd = la.batched_det(stack, p)
-    for i in range(40):
-        assert bd[i] == la.det(stack[i], p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

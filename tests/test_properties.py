@@ -58,7 +58,6 @@ from ncdeg.symbolic import (
     Delta_blowup_oracle,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
-    delta_ell_oracle,
 )
 from referee import (
     Poly,
@@ -69,6 +68,7 @@ from referee import (
     build_tutte,
     classify_biproper,
     deg_subdet,
+    delta_ell_oracle,
     mvsp_exhaustive,
     verify_general_dual,
 )

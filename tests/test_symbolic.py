@@ -16,12 +16,20 @@ from ncdeg.symbolic import (
     Delta_blowup_oracle,
     SymbolicMatrix,
     WeightedSymbolicMatrix,
-    delta_ell_oracle,
     polymat_degdet,
     random_rank,
     weighted_degdet,
 )
-from referee import Poly, RatFn, RationalMatrix, RationalSymbolicMatrix, blow_up, blow_up_weighted, general_degree_data
+from referee import (
+    Poly,
+    RatFn,
+    RationalMatrix,
+    RationalSymbolicMatrix,
+    blow_up,
+    blow_up_weighted,
+    delta_ell_oracle,
+    general_degree_data,
+)
 
 
 def unit(n, i, j):
@@ -181,44 +189,50 @@ def coeffs_to_rational(C, F):
     )
 
 
+def column_reduction_cases(rng, p):
+    """Polynomial matrices, n <= 5, at the edges of column reduction: a
+    zero column, a repeated column, a column t^2 times another, monomial
+    entries c_ij t^(a_i + b_j) with nonsingular c and a nonzero last row
+    (a leading matrix of rank one, a nonzero det), and the chain
+    col_j + t col_(j-1) + t^2 col_(j-2) + ..., which takes several
+    rounds."""
+    for n in range(2, 6):
+        C = rand_polymat_coeffs(rng, n, 3, p)
+        zero, rep, shift = C.copy(), C.copy(), C.copy()
+        zero[:, rng.randrange(n)] = 0
+        rep[:, 1] = C[:, 0]
+        shift[:, 0, 1:] = 0
+        shift[:, 1] = np.roll(shift[:, 0], 2, axis=1)
+        c = np.ones((n, n), dtype=np.int64)
+        while linalg.rank(c, p) < n:
+            c[:-1] = linalg.rand_mat(rng, n - 1, n, p)
+        a, b = [0] * (n - 1) + [1], [rng.randrange(2) for _ in range(n)]
+        mono = np.zeros((n, n, 4), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                mono[i, j, a[i] + b[j]] = c[i, j]
+        chain = np.zeros((n, n, 3 + n), dtype=np.int64)
+        chain[:, 0, :3] = C[:, 0]
+        for j in range(1, n):
+            chain[:, j, :3] = C[:, j]
+            chain[:, j, 1:] += chain[:, j - 1, :-1]
+        yield from (zero, rep, shift, mono, chain % p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 65521])
-def test_polymat_degdet_vs_rational_elimination(p):
+def test_polymat_degdet_vs_rational_elimination(p, monkeypatch):
     F = GF(p)
     rng = random.Random(800 + p)
-    for _ in range(25):
-        n = rng.randrange(1, 4)
-        L = rng.randrange(1, 4)
-        C = rand_polymat_coeffs(rng, n, L, p)
-        got = polymat_degdet(C, p)
-        want = coeffs_to_rational(C, F).degdet()
-        assert got == want
+    cases = [rand_polymat_coeffs(rng, rng.randrange(1, 4), rng.randrange(1, 4), p) for _ in range(25)]
+    cases += column_reduction_cases(rng, p)
+    for C in cases:
+        assert polymat_degdet(C, p) == coeffs_to_rational(C, F).degdet()
     assert polymat_degdet(np.zeros((0, 0, 1), dtype=np.int64), p) == 0
-
-
-@pytest.mark.parametrize("p", [2, 65521])
-def test_polymat_degdet_forced_paths(p):
-    # same matrices through both kernels regardless of p-based dispatch
-    from ncdeg.symbolic import _degdet_bareiss, _degdet_interp
-
-    F = GF(65521)
-    rng = random.Random(801)
-    for _ in range(20):
-        n = rng.randrange(1, 5)
-        L = rng.randrange(1, 4)
-        C = rand_polymat_coeffs(rng, n, L, 65521)
-        bound = n * (L - 1)
-        assert _degdet_bareiss(C, 65521) == _degdet_interp(C, 65521, bound)
-
-
-def test_polymat_degdet_keeps_the_evaluation_stack_in_budget(monkeypatch):
-    import ncdeg.symbolic as sym
-
-    C = rand_polymat_coeffs(random.Random(803), 3, 3, 65521)
-    want = polymat_degdet(C, 65521)
-    # 7 evaluation points make a 7 x 3 x 3 stack, beyond a budget of 27
-    monkeypatch.setattr(sym, "MAX_STACK", 27)
-    monkeypatch.setattr(sym, "_degdet_interp", None)
-    assert polymat_degdet(C, 65521) == want
+    # the last case, the chain of side 5, takes several rounds
+    rounds = []
+    monkeypatch.setattr(linalg, "nullspace", lambda M, p, f=linalg.nullspace: rounds.append(1) or f(M, p))
+    polymat_degdet(cases[-1], p)
+    assert len(rounds) >= 4
 
 
 @pytest.mark.parametrize("p", [2, 3, 65521])
