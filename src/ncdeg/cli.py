@@ -1,13 +1,16 @@
 """Command-line surface.
 
 Every run prints a report (a table, or canonical JSON with --json) that
-is a pure function of (instance, seed, version).  The engine commands
-hungarian, subdet and degdet run the field engine on the instance's
+is a pure function of (instance, seed, version).  The field is the
+instance's field.p and every Monte-Carlo trial count is
+default_trials(p), so --seed and --json are the only flags.  The engine
+commands subdet and degdet run the field engine on the instance's
 weighted matrix, and fmm the symmetric engine.  Their duals are always
 part of the JSON report, every one monomial (field matrices P and Q),
 so that `ncdeg verify report.json instance.json` can re-check each
 dual's feasibility and objective without trusting the original run,
-which proves each value an upper bound (see verify_dual).
+which proves each value an upper bound (see verify_dual); the rest of
+the report must be what the command writes for that instance.
 Exit codes: 0 computed, 2 computed but the headline value is -inf or the
 membership verdict is negative, 1 any error.
 """
@@ -40,7 +43,7 @@ from .mvsp import nc_rank
 from .symbolic import Delta_blowup_oracle, WeightedSymbolicMatrix, random_rank
 
 ENGINE_KINDS = ("symbolic", "weighted", "bipartite", "matroid-pair")
-ENGINES = ("hungarian", "subdet", "degdet", "fmm")
+ENGINES = ("degdet", "subdet", "fmm")
 
 
 class _UsageError(NcdegError, ValueError):
@@ -130,7 +133,8 @@ def _base_matrix(inst: ParsedInstance):
     return _weighted(inst).base
 
 
-def _require_kind(inst, allowed, command):
+def _require_kind(inst, command):
+    allowed = {"fmm": ("lines",), "bl-member": ("bl",)}.get(command, ENGINE_KINDS)
     if inst.kind not in allowed:
         raise _UsageError(
             f"{command} expects kind in {{{', '.join(allowed)}}}, got {inst.kind!r}"
@@ -148,7 +152,7 @@ def _report(args, inst, values, duals, iterations, guarantee, exit_code):
         "kind": inst.kind,
         "field": {"p": inst.F.p},
         "seed": args.seed,
-        "trials": getattr(args, "trials", None),
+        "trials": None,  # no flag sets it; the key goes with the next report-format change
         "values": values,
         "duals": duals,
         "iterations": iterations,
@@ -157,15 +161,15 @@ def _report(args, inst, values, duals, iterations, guarantee, exit_code):
     }
 
 
-def _print_report(report, as_json, out=None):
-    out = out if out is not None else sys.stdout
+def _print_report(report, as_json):
+    out = sys.stdout
     if as_json:
         out.write(json.dumps(report, indent=2) + "\n")
         return
     cmd = report["command"]
     out.write(f"ncdeg {cmd} (p={report['field']['p']}, seed={report['seed']})\n")
     vals = report["values"]
-    if cmd in ("subdet", "hungarian", "oracle"):
+    if cmd in ("subdet", "oracle"):
         for l, v in vals.items():
             out.write(f"  Delta_{l} = {'-inf' if v is None else v}\n")
     elif cmd == "degdet":
@@ -189,17 +193,10 @@ def _print_report(report, as_json, out=None):
 
 
 def _cmd_ncrank(args):
-    inst = parse_instance(args.instance, args.prime)
+    inst = parse_instance(args.instance)
     A = _base_matrix(inst)
-    rng = random.Random(args.seed)
-    r = nc_rank(A, rng)
-    ordinary = random_rank(A, random.Random(args.seed), args.trials)
-    values = {
-        "nc_rank": r,
-        "rank": ordinary,
-        "rows": A.n_rows,
-        "cols": A.n_cols,
-    }
+    rank, ordinary = nc_rank(A, random.Random(args.seed)), random_rank(A, random.Random(args.seed))
+    values = {"nc_rank": rank, "rank": ordinary, "rows": A.n_rows, "cols": A.n_cols}
     return _report(args, inst, values, {}, None, "monte-carlo", 0)
 
 
@@ -224,21 +221,26 @@ def _levels(cmd, values, n):
 
 def _cmd_engine(args):
     """One engine run laid out by _levels.  degdet carries only the top
-    dual.  fmm's headline, best, is never -inf, so it exits 0; the others
-    exit 2 when the top level is -inf."""
+    dual."""
     cmd = args.command
-    inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ("lines",) if cmd == "fmm" else ENGINE_KINDS, cmd)
+    inst = parse_instance(args.instance)
+    _require_kind(inst, cmd)
     prof = _engine(cmd, _weighted(inst), random.Random(args.seed))
     n = prof.n
     duals = {str(l): enc_dual(sol) for l, sol in sorted(prof.duals.items()) if cmd != "degdet" or l == n}
-    code = 2 if cmd != "fmm" and prof.values[n] == NEG_INF else 0
+    code = _exit_code(cmd, prof.values[n])
     return _report(args, inst, _levels(cmd, prof.values, n), duals, prof.meta["iterations"], "strong", code)
 
 
+def _exit_code(cmd, top):
+    """fmm's headline, best, is never -inf, so it exits 0; the other
+    commands with levels exit 2 when the top level is -inf."""
+    return 2 if cmd != "fmm" and top == NEG_INF else 0
+
+
 def _cmd_bl_member(args):
-    inst = parse_instance(args.instance, args.prime)
-    _require_kind(inst, ("bl",), "bl-member")
+    inst = parse_instance(args.instance)
+    _require_kind(inst, "bl-member")
     ok, cert = bl_membership_rank2(inst.obj)
     if cert is not None:
         cert = dict(cert)
@@ -250,30 +252,35 @@ def _cmd_bl_member(args):
 
 
 def _cmd_oracle(args):
-    inst = parse_instance(args.instance, args.prime)
+    inst = parse_instance(args.instance)
     kind, F, obj = inst
-    rng = random.Random(args.seed)
     if kind in ("bipartite", "matroid-pair"):
-        n = obj.n
-        curve = {str(l): enc_num(brute_force_matching_oracles(obj, l)) for l in range(n + 1)}
-        top = curve[str(n)]
-        return _report(args, inst, curve, {}, None, "exhaustive", 2 if top is None else 0)
-    if kind == "lines":
-        curve = {}
-        for l in range(obj.n + 1):
-            val, _ = fmp_lp_oracle(obj, ell=l)
-            curve[str(l)] = enc_num(val if val == NEG_INF else 2 * val)
-        top = curve[str(obj.n)]
-        return _report(args, inst, curve, {}, None, "exhaustive", 2 if top is None else 0)
-    if kind in ("symbolic", "weighted"):
-        Ac = _weighted(inst).pad_square()
-        n = Ac.base.n_rows
-        curve = {}
-        for l in range(n + 1):
-            curve[str(l)] = enc_num(Delta_blowup_oracle(Ac, l, args.trials, rng))
-        top = curve[str(n)]
-        return _report(args, inst, curve, {}, None, "monte-carlo", 2 if top is None else 0)
-    raise _UsageError(f"oracle does not handle kind {kind!r}")
+        curve, guarantee = [brute_force_matching_oracles(obj, l) for l in range(obj.n + 1)], "exhaustive"
+    elif kind == "lines":
+        lp = (fmp_lp_oracle(obj, ell=l)[0] for l in range(obj.n + 1))
+        curve, guarantee = [v if v == NEG_INF else 2 * v for v in lp], "exhaustive"
+    elif kind in ("symbolic", "weighted"):
+        Ac, rng = _weighted(inst).pad_square(), random.Random(args.seed)
+        curve = [Delta_blowup_oracle(Ac, l, rng=rng) for l in range(Ac.base.n_rows + 1)]
+        guarantee = "monte-carlo"
+    else:
+        raise _UsageError(f"oracle does not handle kind {kind!r}")
+    values = {str(l): enc_num(v) for l, v in enumerate(curve)}
+    return _report(args, inst, values, {}, None, guarantee, _exit_code("oracle", curve[-1]))
+
+
+def _same(a, b):
+    """Equal as JSON, so that false is not 0 and 2.0 is not 2."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _expect_fields(report, want):
+    """Refuse the report unless each key of want holds exactly that value,
+    naming the first key that does not."""
+    for key, value in want.items():
+        if key not in report or not _same(report[key], value):
+            got = json.dumps(report[key]) if key in report else "nothing"
+            raise ParseError(f"report.{key}: expected {json.dumps(value)}, got {got}")
 
 
 def _expect_keys(obj, keys, ctx):
@@ -317,18 +324,17 @@ def _cmd_verify(args):
         raise ParseError(f"{args.report}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(report, dict):
         raise ParseError(f"{args.report}: expected a JSON object")
-    seed, trials = report.get("seed", 0), report.get("trials")
-    if not _is_int_list([seed]):
-        raise ParseError("report: seed must be an integer")
-    if trials is not None and not (_is_int_list([trials]) and trials > 0):
-        raise ParseError("report: trials must be null or a positive integer")
-    prime = args.prime
-    if prime is None and isinstance(report.get("field"), dict):
-        prime = report["field"].get("p")
-    inst = parse_instance(args.instance, prime)
     cmd = report.get("command")
+    if not (isinstance(cmd, str) and cmd in _DISPATCH):
+        raise ParseError(f"report has no verifiable command (got {cmd!r}); expected one of {', '.join(_DISPATCH)}")
+    inst = parse_instance(args.instance)
+    _expect_fields(report, {"field": {"p": inst.F.p}, "trials": None})
+    seed = report.get("seed")
+    if not _is_int_list([seed]):
+        raise ParseError("report.seed: expected an integer")
     values = _get(report, "values", "report", dict)
     if cmd in ENGINES:
+        _require_kind(inst, cmd)
         Ac = _weighted(inst)
         n = max(Ac.n_rows, Ac.n_cols)
         levels = [str(l) for l in range(n + 1)]
@@ -349,117 +355,59 @@ def _cmd_verify(args):
         if cmd == "fmm":
             best = dec_num(values["best"], "values.best")
             checks.append(("best", enc_num(best) == _levels(cmd, expected, n)["best"]))
-    elif cmd in ("ncrank", "bl-member", "oracle"):
-        sub = argparse.Namespace(command=cmd, instance=args.instance, prime=prime, seed=seed, trials=trials)
-        redo = _DISPATCH[cmd](sub)
-        checks = [("recomputation", redo["values"] == values)]
+        code = _exit_code(cmd, expected[str(n)])
+        envelope = {"version": __version__, "kind": inst.kind, "guarantee": "strong", "exit": code}
     else:
-        raise ParseError(f"report has no verifiable command (got {cmd!r})")
+        redo = _DISPATCH[cmd](argparse.Namespace(command=cmd, instance=args.instance, seed=seed))
+        checks = [("recomputation", _same(redo["values"], values))]
+        envelope = {key: redo[key] for key in ("version", "kind", "guarantee", "exit")}
+    _expect_fields(report, envelope)
+    return _print_checks(checks, "verified", "NOT verified")
+
+
+def _cmd_selftest():
+    """Fixed instances with known answers: the triangle's Tutte matrix
+    over GF(65521), its three lines over GF(3) and a Brascamp-Lieb datum
+    on them."""
+    import numpy as np
+
+    from .apps import BLDatum, LineCollection
+    from .scalar import GF
+    from .symbolic import SymbolicMatrix
+
+    e = np.eye(3, dtype=np.int64)
+    pairs = [(e[0], e[1]), (e[0], e[2]), (e[1], e[2])]
+    F, F3, half = GF(65521), GF(3), Fraction(1, 2)
+    A = SymbolicMatrix(F, [(np.outer(a, b) - np.outer(b, a)) % F.p for a, b in pairs])
+    Ac = WeightedSymbolicMatrix(A, [1, 1, 1])
+    prof = hungarian_deg_det(Ac, rng=random.Random(0))
+    fmm = _engine("fmm", build_matroid_matching(LineCollection(F3, pairs, [1, 1, 1])), random.Random(0))
+    maps = [np.stack(pair) for pair in pairs]
+    member, _ = bl_membership_rank2(BLDatum(F3, maps, [half, half, half]))
+    outside, cert = bl_membership_rank2(BLDatum(F3, maps, [half, half, Fraction(3, 4)]))
+    checks = [
+        ("triangle rank 2", random_rank(A, random.Random(0)) == 2),
+        ("triangle nc-rank 3", nc_rank(A, random.Random(0)) == 3),
+        ("triangle profile 0,1,2,3", [prof.values[l] for l in range(4)] == [0, 1, 2, 3]),
+        ("profile duals verify", all(verify_dual(sol, Ac, l, prof.values[l]) for l, sol in prof.duals.items())),
+        ("triangle fmm 3/2", _levels("fmm", fmm.values, fmm.n)["best"] == "3/2"),
+        ("bl accept", member),
+        ("bl reject with certificate", not outside and cert is not None),
+    ]
+    return _print_checks(checks, "selftest passed", "selftest FAILED")
+
+
+def _print_checks(checks, passed, failed):
+    """One line per check, then the verdict; exit 0 when all pass."""
     ok = all(flag for _, flag in checks)
     for name, flag in checks:
         sys.stdout.write(f"  {name}: {'ok' if flag else 'FAIL'}\n")
-    sys.stdout.write(("verified" if ok else "NOT verified") + "\n")
+    sys.stdout.write((passed if ok else failed) + "\n")
     return 0 if ok else 1
-
-
-def _cmd_selftest(args):
-    from .scalar import GF
-    from .apps import BLDatum, LineCollection
-    import numpy as np
-
-    failures = 0
-
-    def check(name, cond):
-        nonlocal failures
-        sys.stdout.write(f"  {name}: {'ok' if cond else 'FAIL'}\n")
-        if not cond:
-            failures += 1
-
-    F = GF(65521)
-    e = np.eye(3, dtype=np.int64)
-    tutte = [
-        np.outer(e[i], e[j]) - np.outer(e[j], e[i])
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    from .symbolic import SymbolicMatrix
-
-    A = SymbolicMatrix(F, [M % F.p for M in tutte])
-    rng = random.Random(args.seed)
-    check("triangle rank 2", random_rank(A, rng) == 2)
-    check("triangle nc-rank 3", nc_rank(A, random.Random(args.seed)) == 3)
-
-    Ac = WeightedSymbolicMatrix(A, [1, 1, 1])
-    prof = hungarian_deg_det(Ac, rng=random.Random(args.seed))
-    check(
-        "triangle profile 0,1,2,3",
-        [prof.values[l] for l in range(4)] == [0, 1, 2, 3],
-    )
-    check(
-        "profile duals verify",
-        all(
-            verify_dual(prof.duals[l], Ac, l, prof.values[l])
-            for l in prof.duals
-        ),
-    )
-
-    F3 = GF(3)
-    H = LineCollection(
-        F3, [(e[0], e[1]), (e[0], e[2]), (e[1], e[2])], [1, 1, 1]
-    )
-    prof = _engine("fmm", build_matroid_matching(H), random.Random(args.seed))
-    check("triangle fmm 3/2", _levels("fmm", prof.values, prof.n)["best"] == "3/2")
-
-    half = Fraction(1, 2)
-    maps = [np.stack([e[0], e[1]]), np.stack([e[0], e[2]]), np.stack([e[1], e[2]])]
-    ok1, _ = bl_membership_rank2(BLDatum(F3, maps, [half, half, half]))
-    ok2, cert = bl_membership_rank2(
-        BLDatum(F3, maps, [half, half, Fraction(3, 4)])
-    )
-    check("bl accept", ok1)
-    check("bl reject with certificate", (not ok2) and cert is not None)
-
-    sys.stdout.write(("selftest passed" if failures == 0 else "selftest FAILED") + "\n")
-    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------
 # argument surface
-
-
-def _positive_int(text):
-    if not (text.isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-_FLAGS = {
-    "seed": {"type": int, "default": 0},
-    "prime": {"type": int, "default": None},
-    "trials": {"type": _positive_int, "default": None},
-    "json": {"action": "store_true"},
-}
-
-
-def _build_parser():
-    """Each subcommand takes only the flags it reads: only ncrank and
-    oracle draw Monte-Carlo trials, verify re-checks with the report's
-    own seed and trials, selftest runs fixed instances."""
-    parser = _Parser(prog="ncdeg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, positional, flags):
-        sp = sub.add_parser(name)
-        for arg in positional:
-            sp.add_argument(arg)
-        for flag in flags:
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
-
-    for name in ("ncrank", "degdet", "subdet", "hungarian", "fmm", "bl-member", "oracle"):
-        trials = ["trials"] if name in ("ncrank", "oracle") else []
-        command(name, ["instance"], ["seed", "prime", *trials, "json"])
-    command("verify", ["report", "instance"], ["prime"])
-    command("selftest", [], ["seed"])
-    return parser
 
 
 _DISPATCH = {
@@ -470,14 +418,32 @@ _DISPATCH = {
 }
 
 
+def _build_parser():
+    """A subcommand for each _DISPATCH key, taking an instance, --seed and
+    --json; verify, which re-checks a report with the report's own seed;
+    selftest, which runs fixed instances.  No flag sets the field or a
+    trial count: the instance and default_trials(p) decide both."""
+    parser = _Parser(prog="ncdeg", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _DISPATCH:
+        sp = sub.add_parser(name)
+        sp.add_argument("instance")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--json", action="store_true")
+    sp = sub.add_parser("verify")
+    sp.add_argument("report")
+    sp.add_argument("instance")
+    sub.add_parser("selftest")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "selftest":
-            return _cmd_selftest(args)
+            return _cmd_selftest()
         report = _DISPATCH[args.command](args)
     except NcdegError as e:
         sys.stderr.write(f"ncdeg: error: {e}\n")

@@ -213,18 +213,15 @@ def _parse_bl(payload, F):
     return BLDatum(F, maps, pv, n)
 
 
-def parse_text(text, name="<instance>", prime=None) -> ParsedInstance:
-    """Parse an instance document; prime, when given, replaces field.p."""
+def parse_text(text, name="<instance>") -> ParsedInstance:
+    """Parse an instance document over its own field.p."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{name}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         _fail(name, "top level must be an object")
-    field = _get(doc, "field", "instance")
-    if prime is not None and isinstance(field, dict):
-        field["p"] = prime
-    p = _get(field, "p", "field", int)
+    p = _get(_get(doc, "field", "instance"), "p", "field", int)
     try:
         F = GF(p)
     except Exception as e:
@@ -253,14 +250,14 @@ def parse_text(text, name="<instance>", prime=None) -> ParsedInstance:
     return ParsedInstance(kind, F, obj)
 
 
-def parse_instance(path, prime=None) -> ParsedInstance:
-    """Read and parse an instance file; see parse_text for prime."""
+def parse_instance(path) -> ParsedInstance:
+    """Read and parse an instance file."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise ParseError(str(e)) from None
-    return parse_text(text, name=str(path), prime=prime)
+    return parse_text(text, name=str(path))
 
 
 def _triples(M):

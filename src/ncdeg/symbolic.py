@@ -300,17 +300,16 @@ class WeightedSymbolicMatrix:
         return C % p, shift
 
 
-def random_rank(A: SymbolicMatrix, rng=None, trials: int = None) -> int:
-    """Monte-Carlo commutative rank: max rank over random substitutions.
+def random_rank(A: SymbolicMatrix, rng=None) -> int:
+    """Monte-Carlo commutative rank: max rank over default_trials(p)
+    random substitutions.
 
     One-sided: never exceeds the true rank over K(x), attains it w.h.p.
     """
     rng = as_rng(rng)
-    if trials is None:
-        trials = default_trials(A.F.p)
     best = 0
     top = min(A.shape)
-    for _ in range(trials):
+    for _ in range(default_trials(A.F.p)):
         s = linalg.rand_mat(rng, 1, A.n_terms, A.F.p)[0]
         r = linalg.rank(A.substitute(s), A.F.p)
         if r > best:

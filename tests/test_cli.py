@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -189,7 +192,7 @@ def test_parse_bipartite_matches_builder(tmp_path):
 
 def test_hungarian_k3(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    code, out = run(capsys, "hungarian", path, "--seed", "1", "--json")
+    code, out = run(capsys, "subdet", path, "--seed", "1", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["values"] == {"0": 0, "1": 1, "2": 2, "3": 3}
@@ -405,7 +408,7 @@ def test_oracle_small_field_wide_weights_is_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert code == 0
     report = json.loads(out)
-    exact = json.loads(run(capsys, "hungarian", path, "--json")[1])["values"]
+    exact = json.loads(run(capsys, "subdet", path, "--json")[1])["values"]
     assert all(report["values"][l] <= v for l, v in exact.items())
     assert verified(capsys, report, path, tmp_path)
 
@@ -415,30 +418,23 @@ def test_oracle_small_field_wide_weights_is_fast(tmp_path, capsys):
 
 
 def test_verify_hungarian_report(tmp_path, capsys):
-    path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    _, out = run(capsys, "hungarian", path, "--json")
-    report_path = tmp_path / "report.json"
-    report_path.write_text(out)
-    code, vout = run(capsys, "verify", str(report_path), path)
-    assert code == 0
-    assert "verified" in vout
-
-    tampered = json.loads(out)
-    tampered["values"]["3"] = 99
-    report_path.write_text(json.dumps(tampered))
-    code, _ = run(capsys, "verify", str(report_path), path)
-    assert code == 1
+    # hungarian was subdet under another name; verify refuses its old
+    # reports and lists the commands it accepts
+    report, path = report_and_instance(tmp_path, capsys, "subdet")
+    code, captured = verify_edited(tmp_path, capsys, report, path, lambda r: r.update(command="hungarian"))
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "ncdeg: error: report has no verifiable command (got 'hungarian'); "
+        "expected one of ncrank, degdet, subdet, fmm, bl-member, oracle\n"
+    )
 
 
 def test_verify_subdet_report(tmp_path, capsys):
-    path = write(tmp_path, "diag.json", diag_weighted_doc())
-    code, out = run(capsys, "subdet", path, "--json")
-    assert code == 0
-    report = json.loads(out)
+    report, path = report_and_instance(tmp_path, capsys, "subdet")
     assert report["values"] == {"0": 0, "1": 3, "2": 5}
-    report_path = tmp_path / "report.json"
-    report_path.write_text(out)
-    assert run(capsys, "verify", str(report_path), path)[0] == 0
+    assert verified(capsys, report, path, tmp_path)
+    report["values"]["2"] = 99
+    assert not verified(capsys, report, path, tmp_path)
 
 
 def report_and_instance(tmp_path, capsys, command):
@@ -500,10 +496,6 @@ def _list_seed(report):
     report["seed"] = [1]
 
 
-def _negative_trials(report):
-    report["trials"] = -1
-
-
 def _bool_seed(report):
     report["seed"] = True
 
@@ -511,19 +503,18 @@ def _bool_seed(report):
 @pytest.mark.parametrize(
     "command, edit",
     [
-        ("hungarian", _bogus_mode),
-        ("hungarian", _no_alpha),
-        ("hungarian", _null_alpha),
+        ("subdet", _bogus_mode),
+        ("subdet", _no_alpha),
+        ("subdet", _null_alpha),
         ("subdet", _null_beta),
         ("subdet", _dual_not_object),
         ("subdet", _small_P),
-        ("hungarian", _extra_level),
-        ("hungarian", _drop_top_level),
+        ("subdet", _extra_level),
+        ("subdet", _drop_top_level),
         ("subdet", _no_levels),
         ("degdet", _extra_value),
         ("ncrank", _list_seed),
-        ("hungarian", _negative_trials),
-        ("hungarian", _bool_seed),
+        ("subdet", _bool_seed),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
@@ -535,7 +526,7 @@ def test_verify_rejects_malformed_report(tmp_path, capsys, command, edit):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+@pytest.mark.parametrize("command", ["subdet"])
 def test_verify_flags_corrupted_dual(tmp_path, capsys, command):
     report, path = report_and_instance(tmp_path, capsys, command)
 
@@ -547,7 +538,7 @@ def test_verify_flags_corrupted_dual(tmp_path, capsys, command):
     assert captured.out.splitlines()[-1] == "NOT verified"
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+@pytest.mark.parametrize("command", ["subdet"])
 def test_verify_rejects_singular_P(tmp_path, capsys, command):
     # P = 0 clears every support constraint, so without an invertibility
     # check any claimed value would verify
@@ -564,10 +555,10 @@ def test_verify_rejects_singular_P(tmp_path, capsys, command):
     assert captured.out.splitlines()[-1] == "NOT verified"
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+@pytest.mark.parametrize("command", ["subdet"])
 def test_verify_rejects_a_dual_of_the_wrong_side(tmp_path, capsys, command):
     # a level-1 dual cut to 1 x 1 on a 2 x 2 instance is a malformed
-    # report in both modes, and the error names the dual
+    # report, and the error names the dual
     doc = {
         "field": {"p": 5},
         "kind": "bipartite",
@@ -623,7 +614,7 @@ def test_verify_refuses_a_general_dual(tmp_path, capsys):
         "2": {"mode": "general", "alpha": [1, 1], "beta": [-3, -4], "P": I, "Q": swap},
     }
     for command, values, kept in (("subdet", {"0": 0, "1": 3, "2": 5}, duals), ("degdet", {"deg_det": 5}, {"2": duals["2"]})):
-        report = {"command": command, "field": {"p": 5}, "seed": 0, "values": values, "duals": kept}
+        report = {"command": command, "field": {"p": 5}, "seed": 0, "trials": None, "values": values, "duals": kept}
         code, captured = verify_edited(tmp_path, capsys, report, path, lambda r: None)
         assert code == 1
         assert captured.err.splitlines() == ["ncdeg: error: dual.mode: expected 'monomial', got 'general'"]
@@ -631,15 +622,13 @@ def test_verify_refuses_a_general_dual(tmp_path, capsys):
 
 def test_verify_fmm_report(tmp_path, capsys):
     path = write(tmp_path, "lines.json", k3_lines_doc())
-    _, out = run(capsys, "fmm", path, "--json")
-    report_path = tmp_path / "report.json"
-    report_path.write_text(out)
-    assert run(capsys, "verify", str(report_path), path)[0] == 0
+    assert verified(capsys, json.loads(run(capsys, "fmm", path, "--json")[1]), path, tmp_path)
 
 
 def _claim_neg_inf_without_dual(report):
     report["values"]["3"] = None
     del report["duals"]["3"]
+    report["exit"] = 2  # as a singular top level exits
 
 
 def _drop_finite_dual(report):
@@ -657,7 +646,7 @@ def test_verify_checks_every_level(tmp_path, capsys, edit):
     # a -inf claim is refuted by nc_rank, a finite level needs its dual,
     # and level 0 is always 0
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    _, out = run(capsys, "hungarian", path, "--json")
+    _, out = run(capsys, "subdet", path, "--json")
     code, captured = verify_edited(tmp_path, capsys, json.loads(out), path, edit)
     assert code == 1
     assert captured.out.splitlines()[-1] == "NOT verified"
@@ -667,7 +656,7 @@ def test_verify_accepts_true_neg_inf_levels(tmp_path, capsys):
     doc = k3_bipartite_doc()
     doc["payload"] = {"size": 3, "edges": [[1, 1], [2, 1], [3, 1]], "weights": [1, 2, 3]}
     path = write(tmp_path, "star.json", doc)
-    code, out = run(capsys, "hungarian", path, "--json")
+    code, out = run(capsys, "subdet", path, "--json")
     assert code == 2
     assert json.loads(out)["values"] == {"0": 0, "1": 3, "2": None, "3": None}
     report_path = write(tmp_path, "report.json", json.loads(out))
@@ -713,7 +702,7 @@ def verified(capsys, report, path, tmp_path):
     return code == 0 and out.splitlines()[-1] == "verified"
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet", "degdet", "ncrank"])
+@pytest.mark.parametrize("command", ["subdet", "degdet", "ncrank"])
 def test_bipartite_without_edges(tmp_path, capsys, command):
     # an empty (0, 3, 3) term stack: every level above 0 is -inf, as the
     # brute-force oracle reports
@@ -758,7 +747,7 @@ def gf2_matroid_pair_doc():
 
 def test_neg_inf_levels_verify_over_gf2(tmp_path, capsys):
     path = write(tmp_path, "gf2.json", gf2_matroid_pair_doc())
-    code, out = run(capsys, "hungarian", path, "--json")
+    code, out = run(capsys, "subdet", path, "--json")
     report = json.loads(out)
     assert code == 2 and report["values"]["7"] is None and report["values"]["8"] is None
     assert verified(capsys, report, path, tmp_path)
@@ -804,7 +793,7 @@ def test_nc_rank_of_rank_one_terms_draws_no_blowup(monkeypatch):
 def test_verify_of_rank_one_terms_draws_no_blowup(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mvsp, "blowup_witness", no_blowup)
     path = write(tmp_path, "gf2_12.json", gf2_matroid_pair_12_doc())
-    code, out = run(capsys, "hungarian", path, "--json")
+    code, out = run(capsys, "subdet", path, "--json")
     report = json.loads(out)
     assert code == 2 and report["values"]["11"] is None and report["values"]["12"] is None
     assert verified(capsys, report, path, tmp_path)
@@ -840,7 +829,6 @@ def skew_lines_doc():
 @pytest.mark.parametrize(
     "command, values",
     [
-        ("hungarian", {"0": 0, "1": 0, "2": 0, "3": None}),
         ("subdet", {"0": 0, "1": 0, "2": 0, "3": None}),
         ("degdet", {"deg_det": None}),
     ],
@@ -855,7 +843,7 @@ def test_rank_two_terms_over_a_large_field(tmp_path, capsys, command, values):
     assert verified(capsys, report, path, tmp_path)
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet"])
+@pytest.mark.parametrize("command", ["subdet"])
 def test_matroid_pair_reports_strong_guarantee(tmp_path, capsys, command):
     # matroid intersection returns the dominant optimum like every other
     # witness route, so a run over rank-one terms keeps the strong tier
@@ -891,45 +879,93 @@ def test_fmm_of_one_line_over_a_large_field(tmp_path, capsys):
 
 def test_byte_identical_reports(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    _, first = run(capsys, "hungarian", path, "--seed", "7", "--json")
-    _, second = run(capsys, "hungarian", path, "--seed", "7", "--json")
+    _, first = run(capsys, "subdet", path, "--seed", "7", "--json")
+    _, second = run(capsys, "subdet", path, "--seed", "7", "--json")
     assert first == second
     _, third = run(capsys, "ncrank", path, "--seed", "7", "--json")
     _, fourth = run(capsys, "ncrank", path, "--seed", "7", "--json")
     assert third == fourth
 
 
-def test_prime_override(tmp_path, capsys):
-    path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    _, out = run(capsys, "hungarian", path, "--prime", "7", "--json")
-    assert json.loads(out)["field"] == {"p": 7}
-
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"field": {"p": 5},\n  "kind": oops}')
-    assert cli.main(["hungarian", str(bad), "--prime", "7"]) == 1
-    assert "bad.json:2" in capsys.readouterr().err
-
-
 def test_usage_errors(tmp_path, capsys):
-    assert cli.main(["hungarian", str(tmp_path / "missing.json")]) == 1
+    assert cli.main(["subdet", str(tmp_path / "missing.json")]) == 1
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    assert cli.main(["hungarian", path, "--solver", "bogus"]) == 1
-    assert cli.main(["hungarian", path, "--solver", "auto"]) == 1  # no such flag
-    assert cli.main(["ncrank", path, "--trials", "0"]) == 1
-    assert cli.main(["hungarian", path, "--trials", "-1"]) == 1
-    capsys.readouterr()
-    for command in ("hungarian", "subdet", "fmm", "bl-member"):  # only ncrank and oracle draw trials
-        assert cli.main([command, path, "--trials", "3"]) == 1
-        assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
+    assert cli.main(["subdet", path, "--solver", "bogus"]) == 1
+    assert cli.main(["subdet", path, "--solver", "auto"]) == 1  # no such flag
     assert cli.main(["fmm", path]) == 1  # wrong kind
     assert cli.main(["nonsense"]) == 1
-    # each subcommand takes only the flags it reads
-    assert cli.main(["selftest", "--json", "--trials", "3", "--prime", "7"]) == 1
-    assert cli.main(["verify", "R.json", "I.json", "--trials", "1", "--seed", "5"]) == 1
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["hungarian", "subdet", "ncrank", "oracle"])
+_INSTANCE_OF = {"fmm": k3_lines_doc(), "bl-member": bl_doc(["1/2", "1/2", "1/2"])}
+_COMMANDS = ("ncrank", "degdet", "subdet", "fmm", "bl-member", "oracle", "verify", "selftest")
+_REMOVED = [[c, flag, "7"] for c in _COMMANDS for flag in ("--prime", "--trials")] + [["selftest", "--seed", "7"], ["hungarian"]]
+
+
+@pytest.mark.parametrize("argv", _REMOVED, ids="".join)
+def test_removed_flags_and_commands_are_usage_errors(tmp_path, capsys, argv):
+    # the instance decides the field and default_trials(p) the trial
+    # counts, selftest runs fixed instances, and hungarian was subdet
+    command, *flags = argv
+    report, path = report_and_instance(tmp_path, capsys, "subdet")
+    if command in _INSTANCE_OF:
+        path = write(tmp_path, "inst.json", _INSTANCE_OF[command])
+    files = {"selftest": [], "verify": [write(tmp_path, "report.json", report), path]}.get(command, [path])
+    assert cli.main([command, *files, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("ncdeg: error:") and (command != "hungarian" or "subdet" in line)
+
+
+_ENVELOPE_EDITS = [
+    *(("subdet", diag_weighted_doc(), {"field": field}) for field in (None, {}, {"p": 7}, {"p": 5, "q": 1}, "5")),
+    ("subdet", diag_weighted_doc(), {"trials": -1}),
+    ("ncrank", diag_weighted_doc(), {"guarantee": "strong", "kind": "lines", "version": "9.9"}),
+    ("degdet", ones_weighted_doc(), {"exit": 0, "guarantee": "exhaustive"}),
+    ("subdet", ones_weighted_doc(), {"exit": 0}),
+    ("subdet", diag_weighted_doc(), {"exit": False}),
+    ("subdet", diag_weighted_doc(), {"version": "9.9"}),
+    ("subdet", diag_weighted_doc(), {"kind": "symbolic"}),
+    ("subdet", diag_weighted_doc(), {"guarantee": "exhaustive"}),
+    ("fmm", k3_lines_doc(), {"exit": 2}),
+    ("bl-member", bl_doc(["1/2", "1/2", "3/4"]), {"exit": 2.0}),
+    ("oracle", diag_weighted_doc(), {"guarantee": "strong"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, edit", _ENVELOPE_EDITS, ids=[c + "".join(f"-{k}={json.dumps(v, separators=(',', ':'))}".replace('"', "") for k, v in e.items()) for c, _, e in _ENVELOPE_EDITS]
+)
+def test_verify_checks_the_envelope(tmp_path, capsys, command, doc, edit):
+    # the field is the instance's, trials is null, and version, kind,
+    # guarantee and exit are what the command writes, to the JSON type:
+    # false is not 0 and 2.0 is not 2
+    path = write(tmp_path, "inst.json", doc)
+    report = json.loads(run(capsys, command, path, "--json")[1])
+    assert verified(capsys, report, path, tmp_path)
+    code, captured = verify_edited(tmp_path, capsys, report, path, lambda r: r.update(edit))
+    assert (code, captured.out) == (1, "")
+    [line] = captured.err.splitlines()
+    assert any(line.startswith(f"ncdeg: error: report.{key}: expected") for key in edit)
+
+
+def test_verify_refuses_trials_without_recomputing(tmp_path, capsys):
+    # on this rank-deficient file, recomputing with the report's trials
+    # would run every one of its 10^7 draws
+    path = write(tmp_path, "ones.json", ones_weighted_doc())
+    report = json.loads(run(capsys, "ncrank", path, "--json")[1])
+    report["trials"] = 10**7
+    argv = [sys.executable, "-m", "ncdeg.cli", "verify", write(tmp_path, "report.json", report), path]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+    start = time.perf_counter()
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr.splitlines() == ["ncdeg: error: report.trials: expected null, got 10000000"]
+
+
+@pytest.mark.parametrize("command", ["subdet", "ncrank", "oracle"])
 def test_size_budget_refuses_before_allocating(tmp_path, capsys, command):
     # a dense 200000 x 200000 stack would take 298 GiB
     doc = k3_bipartite_doc()
@@ -992,7 +1028,7 @@ def test_selftest(capsys):
 
 def test_human_output(tmp_path, capsys):
     path = write(tmp_path, "k3.json", k3_bipartite_doc())
-    code, out = run(capsys, "hungarian", path)
+    code, out = run(capsys, "subdet", path)
     assert code == 0
     assert "Delta_3 = 3" in out
 
