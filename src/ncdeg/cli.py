@@ -68,7 +68,12 @@ def enc_num(v):
 
 
 def dec_num(v, ctx):
-    return NEG_INF if v is None else _number(v, ctx)
+    """The number v stands for, refusing any form enc_num does not write:
+    a 'num/den' string must be in lowest terms with den > 1."""
+    x = NEG_INF if v is None else _number(v, ctx)
+    if not _same(enc_num(x), v):
+        raise ParseError(f"{ctx}: expected {json.dumps(enc_num(x))}, got {json.dumps(v)}")
+    return x
 
 
 def _dec_matrix(data, F, n, ctx):
@@ -93,12 +98,17 @@ def enc_dual(sol: DualSolution):
     }
 
 
+def _dec_finite(data, ctx):
+    """A list of finite numbers, each in the form enc_num writes; null,
+    which dec_num reads as -inf, is refused."""
+    return [_number(x, f"{ctx}[{i}]") if x is None else dec_num(x, f"{ctx}[{i}]") for i, x in enumerate(data)]
+
+
 def dec_dual(data, F) -> DualSolution:
     mode = _get(data, "mode", "dual")
     if mode != "monomial":
         raise ParseError(f"dual.mode: expected 'monomial', got {mode!r}")
-    alpha = [_number(a, f"dual.alpha[{i}]") for i, a in enumerate(_get(data, "alpha", "dual", list))]
-    beta = [_number(b, f"dual.beta[{i}]") for i, b in enumerate(_get(data, "beta", "dual", list))]
+    alpha, beta = (_dec_finite(_get(data, key, "dual", list), f"dual.{key}") for key in ("alpha", "beta"))
     n = len(alpha)
     if len(beta) != n:
         raise ParseError(f"dual.beta: expected {n} entries like alpha, got {len(beta)}")
@@ -340,27 +350,30 @@ def _cmd_verify(args):
         levels = [str(l) for l in range(n + 1)]
         _expect_keys(values, {"degdet": ["deg_det"], "fmm": ["best", "curve"]}.get(cmd, levels), "values")
         if cmd == "degdet":
-            raw = {str(n): values["deg_det"]}
+            raw, where = {str(n): values["deg_det"]}, "report.values.deg_det"
         elif cmd == "fmm":
-            raw = _get(values, "curve", "values", dict)
+            raw, where = _get(values, "curve", "values", dict), "report.values.curve[{}]"
             _expect_keys(raw, levels, "values.curve")
         else:
-            raw = values
+            raw, where = values, "report.values[{}]"
         scale = 2 if cmd == "fmm" else 1  # fmm reports half the symmetric value
-        expected = {k: scale * dec_num(v, f"values[{k}]") for k, v in raw.items()}
+        expected = {k: scale * dec_num(v, where.format(k)) for k, v in raw.items()}
         rank = 0  # the nc-rank, needed only to check -inf levels
         if NEG_INF in expected.values():
             rank = nc_rank(Ac.base, random.Random(seed))
         checks = _verify_levels(report, n, Ac, expected, rank)
         if cmd == "fmm":
-            best = dec_num(values["best"], "values.best")
+            best = dec_num(values["best"], "report.values.best")
             checks.append(("best", enc_num(best) == _levels(cmd, expected, n)["best"]))
         code = _exit_code(cmd, expected[str(n)])
         envelope = {"version": __version__, "kind": inst.kind, "guarantee": "strong", "exit": code}
+        iterations = report.get("iterations")  # only a rerun could check more than its form
+        if type(iterations) is not int or iterations < 0:
+            raise ParseError(f"report.iterations: expected a non-negative integer, got {json.dumps(iterations)}")
     else:
         redo = _DISPATCH[cmd](argparse.Namespace(command=cmd, instance=args.instance, seed=seed))
         checks = [("recomputation", _same(redo["values"], values))]
-        envelope = {key: redo[key] for key in ("version", "kind", "guarantee", "exit")}
+        envelope = {key: redo[key] for key in ("version", "kind", "guarantee", "exit", "iterations")}
     _expect_fields(report, envelope)
     return _print_checks(checks, "verified", "NOT verified")
 

@@ -276,11 +276,14 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
     of term k the product of u on the rows where alpha is largest over
     supp u and v on the columns where beta is largest over supp v (or
     zero), so the leading matrix comes out factored.  Higher ranks mask
-    the dense terms.  On the matroid route the loop hands each round's
-    common independent set J back to witness as the next start, as
-    Frank's weight-splitting algorithm keeps its J across dual steps:
-    the sorting permutations move rows and columns only, so J's term
-    indices stay valid.
+    the dense terms.  Each round hands the witness route's start' back
+    as the next round's start.  On the matroid route that is the common
+    independent set J, as Frank's weight-splitting algorithm keeps its J
+    across dual steps: the sorting permutations move rows and columns
+    only, so J's term indices stay valid.  On the blow-up route it is
+    the certifying draw, one R_k per term, which the next leading
+    matrix, the same terms folded and re-sorted, tries first; the
+    symmetric engine calls the blow-up route directly.
 
     A step runs until the next entry becomes tight (kappa1), as in Kuhn's
     Hungarian method; sorting permutations then reorder alpha with the
@@ -298,7 +301,7 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
     profile = DegreeProfile(n)
     scale = 2 if symmetric else 1
     ell = 0
-    J = ()
+    start = ()
 
     def emit(lo, hi):
         """One dual certifies levels lo..hi.  It holds state.P and state.Q
@@ -324,9 +327,10 @@ def _hungarian(state, alpha, beta, cutoff, cap, symmetric, rng):
             raise AlgorithmStall(f"dual infeasible at entry ({i},{j}) of term {k}")
         At = state.leading(slack == 0)
         if symmetric:
-            w = nested_witness(blowup_witness(At, rng))
+            w, start = blowup_witness(At, rng, start)
+            w = nested_witness(w)
         else:
-            w, J = witness(At, rng, J)
+            w, start = witness(At, rng, start)
         lbar = w.value()
         if lbar < ell:
             raise AlgorithmStall(f"leading rank dropped from {ell} to {lbar}")

@@ -131,12 +131,14 @@ def witness(A: SymbolicMatrix, rng=None, start=()):
     are read as module globals at call time, so the bench tracer's
     wrappers see every call.
 
-    Returns (w, J).  On the matroid route J is the maximum common
-    independent set, as term indices of A, and start, term indices too,
-    seeds the search: a caller whose next matrix keeps the terms' indices
-    passes J back, and whatever of it is dead or dependent there is
-    dropped.  The witness does not depend on start.  Other routes return
-    J = ().
+    Returns (w, start'), where start' seeds the next call's search: a
+    caller whose next matrix keeps the terms' indices passes it back as
+    start.  On the matroid route it is the maximum common independent
+    set J, as term indices of A, and whatever of a start J is dead or
+    dependent there is dropped.  On the blow-up route it is the
+    certifying draw (see blowup_witness).  Koenig's route returns ().  A
+    start from another route is dropped, and the witness does not depend
+    on start.
     """
     C, R = A.factors
     if C.shape[2] == 1:
@@ -148,9 +150,10 @@ def witness(A: SymbolicMatrix, rng=None, start=()):
             return mvsp_bipartite(A.n_rows, A.n_cols, edges, A.F), ()
         terms = np.flatnonzero(live)
         at = np.cumsum(live) - 1  # a live term's index among the live ones
-        w, J = mvsp_matroid_intersection(u, v, A.F, [int(at[k]) for k in start if live[k]])
+        J = start if np.ndim(start) == 1 else ()  # a draw is no set of term indices
+        w, J = mvsp_matroid_intersection(u, v, A.F, [int(at[k]) for k in J if live[k]])
         return w, tuple(terms[list(J)].tolist())
-    return blowup_witness(A, rng), ()
+    return blowup_witness(A, rng, start)
 
 
 def nc_rank(A: SymbolicMatrix, rng=None) -> int:
@@ -178,7 +181,7 @@ def _wong_limit(A: SymbolicMatrix, B: np.ndarray, d: int) -> np.ndarray:
         Wb = grown
 
 
-def blowup_witness(A: SymbolicMatrix, rng=None):
+def blowup_witness(A: SymbolicMatrix, rng=None, start=()):
     """Dominant optimum from a random blow-up, certified by its rank.
 
     Draw B = sum_k A_k (x) R_k into the d-th blow-up and run the second
@@ -186,14 +189,32 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     then U = W^perp and V is the largest vanishing space for U.  Every
     vanishing pair bounds the nc-rank from above and rank(B) / d bounds it
     from below, so value * d == rank(B) certifies the optimum at every
-    order d.  With n = max(n_rows, n_cols), each of at most 64 rounds
-    spends default_trials(p) draws at each order d = 1, 2, 4, ..., n - 1
-    whose side n d is within MAX_SIDE; the answer is certified, so the
-    count only sets the time.  Low orders are cheap and certify whenever
-    their maximum rank reaches d * nc-rank; d = n - 1 always can, by
-    blow-up regularity (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank is
-    not a multiple of d, or not above every earlier rank at its order,
+    order d, and a draw certifies exactly when rank(B) = d * nc-rank.
+    With n = max(n_rows, n_cols), each of at most 64 rounds spends
+    default_trials(p) draws at each order d = 1, 2, 4, ..., n - 1 whose
+    side n d is within MAX_SIDE; the answer is certified, so the count
+    only sets the time.  Low orders are cheap and certify whenever their
+    maximum rank reaches d * nc-rank; d = n - 1 always can, by blow-up
+    regularity (Ivanyos-Qiao-Subrahmanyam).  A draw whose rank is not a
+    multiple of d, or not above every earlier failed rank at its order,
     cannot certify and skips the Wong sequence.
+
+    start, a draw that an earlier call returned, is tried before any
+    draw from rng: the engines' next leading matrix often certifies with
+    the last one.  It is the (m, d, d) stack of the R_k, so it carries
+    its order d, and it is used only when it has one R_k per term of A
+    and d is in the order list; otherwise it is dropped.
+
+    When every term of A is alternating (skew with a zero diagonal),
+    order 1 stops once a failed draw pins an odd nc-rank.  A failed
+    draw has rank(B) < d * nc-rank, and its pair's value bounds the
+    nc-rank from above, so an order-1 pair of value rank(B) + 1 pins
+    nc-rank = rank(B) + 1.  Every order-1 B = sum_k r_k A_k is then
+    alternating, of even rank, so rank(B) + 1 is odd and no order-1 draw
+    can reach it.  The test reads A's terms, never one draw: over GF(2)
+    B + B^t = 0 does not make B alternating, and a zero draw is
+    alternating whatever A is, so on a 1 x 1 stack [1] it would pin 1
+    and leave no order to draw.
 
     The certified witness is also dominant; the proof uses only
     rank(B) = d * nc-rank, so it holds at every order.  Write A V' for
@@ -202,31 +223,43 @@ def blowup_witness(A: SymbolicMatrix, rng=None):
     in A V', then B^-1(W (x) K^d) lies in V' (x) K^d, its slices lie in
     V', and the next W lies in A V' again: by induction the limit W is
     the least image of all optima, and U = W^perp is the largest optimal
-    U.
+    U.  So the witness does not depend on the draw, or on start.
 
-    Returns the witness in A's own shape, U in K^n_rows and V in
-    K^n_cols; a matrix with a zero dimension gives the pair of whole
-    spaces with no draw.  Raises SizeBudgetExceeded when nothing
-    certified and n - 1 was beyond the budget, else AlgorithmStall.
+    Returns (w, R) with R the certifying draw, w in A's own shape, U in
+    K^n_rows and V in K^n_cols; a matrix with a zero dimension gives the
+    pair of whole spaces with no draw, and R = ().  Raises
+    SizeBudgetExceeded when nothing certified and n - 1 was beyond the
+    budget, else AlgorithmStall.
     """
     rng = as_rng(rng)
     F = A.F
     if 0 in A.shape:
-        return FRWitness(F, linalg.identity(A.n_rows), linalg.identity(A.n_cols))
+        return FRWitness(F, linalg.identity(A.n_rows), linalg.identity(A.n_cols)), ()
     n = max(A.shape)
     top = max(n - 1, 1)
     doubling = [1 << i for i in range((top - 1).bit_length())]
     orders = [d for d in doubling + [top] if d == 1 or n * d <= MAX_SIDE]
-    best = dict.fromkeys(orders, -1)
-    for _, d, _ in itertools.product(range(64), orders, range(default_trials(F.p))):
-        Rs = linalg.rand_mat(rng, A.n_terms * d, d, F.p).reshape(-1, d, d)
+    best = dict.fromkeys(orders, -1)  # the orders still drawn, each with its highest failed rank
+    m, d = np.shape(start)[:2] if np.ndim(start) == 3 else (0, 0)
+    first = [start] if m == A.n_terms and d in best else []
+    draws = (
+        linalg.rand_mat(rng, A.n_terms * d, d, F.p).reshape(-1, d, d)
+        for _, d, _ in itertools.product(range(64), orders, range(default_trials(F.p)))
+        if d in best
+    )
+    alternating = _is_alternating(A)
+    for Rs in itertools.chain(first, draws):
+        d = Rs.shape[1]
         B = A.blowup_substitute(Rs)
         rB = linalg.rank(B, F.p)
         if rB % d == 0 and rB > best[d]:
             U = _wong_limit(A, B, d)
             w = FRWitness(F, U, _max_vanishing_V(A, U))
             if w.value() * d == rB:
-                return w
+                return w, Rs
+            if d == 1 and alternating and w.value() == rB + 1:
+                del best[1]  # the nc-rank is odd, out of order 1's reach
+                continue
         best[d] = max(best[d], rB)
     if orders[-1] < top:
         raise SizeBudgetExceeded(f"no draw certified, and order {top} needs side {n * top} > {MAX_SIDE}")
@@ -310,11 +343,18 @@ def _max_vanishing_V(A: SymbolicMatrix, Ubasis: np.ndarray) -> np.ndarray:
     return linalg.nullspace(W, p)
 
 
+def _is_alternating(A: SymbolicMatrix) -> bool:
+    """Whether A is square with every term skew and zero on the diagonal."""
+    if A.n_rows != A.n_cols:
+        return False
+    T = A.terms
+    return not (((T + T.transpose(0, 2, 1)) % A.F.p).any() or T.diagonal(axis1=1, axis2=2).any())
+
+
 def _check_skew(A: SymbolicMatrix):
     if A.n_rows != A.n_cols:
         raise NotSkewSymmetric(f"shape {A.shape}")
-    T = A.terms
-    if ((T + T.transpose(0, 2, 1)) % A.F.p).any() or T.diagonal(axis1=1, axis2=2).any():
+    if not _is_alternating(A):
         raise NotSkewSymmetric("terms must be skew-symmetric with zero diagonal")
 
 

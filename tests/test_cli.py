@@ -620,6 +620,69 @@ def test_verify_refuses_a_general_dual(tmp_path, capsys):
         assert captured.err.splitlines() == ["ncdeg: error: dual.mode: expected 'monomial', got 'general'"]
 
 
+def _level_two_unreduced(report):
+    report["values"]["2"] = "10/2"
+
+
+def _alpha_over_one(report):
+    dual = report["duals"]["2"]
+    dual["alpha"] = [f"{a}/1" for a in dual["alpha"]]
+
+
+def _beta_unreduced(report):
+    report["duals"]["1"]["beta"][0] = "-6/2"
+
+
+def _iterations(value):
+    def edit(report):
+        if value is None:
+            del report["iterations"]
+        else:
+            report["iterations"] = value
+    return edit
+
+
+def _found_report(report):
+    # the three edits at once, a report that verify used to pass
+    for edit in (_level_two_unreduced, _alpha_over_one, _iterations(-5)):
+        edit(report)
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (_level_two_unreduced, 'report.values[2]: expected 5, got "10/2"'),
+        (_alpha_over_one, 'dual.alpha[0]: expected 1, got "1/1"'),
+        (_beta_unreduced, 'dual.beta[0]: expected -3, got "-6/2"'),
+        (_iterations(-5), "report.iterations: expected a non-negative integer, got -5"),
+        (_iterations("1"), 'report.iterations: expected a non-negative integer, got "1"'),
+        (_iterations(True), "report.iterations: expected a non-negative integer, got true"),
+        (_iterations(1.0), "report.iterations: expected a non-negative integer, got 1.0"),
+        (_iterations(None), "report.iterations: expected a non-negative integer, got null"),
+        (_found_report, 'report.values[2]: expected 5, got "10/2"'),
+    ],
+    ids=["value", "alpha", "beta", "iterations-5", "iterations-str", "iterations-bool", "iterations-float", "no-iterations", "found"],
+)
+def test_verify_refuses_forms_the_command_never_writes(tmp_path, capsys, edit, line):
+    # values and dual entries must read as enc_num writes them, and
+    # iterations must be a count; each edit used to print verified
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
+    code, out = run(capsys, "subdet", path, "--json")
+    report = json.loads(out)
+    assert code == 0 and report["values"]["2"] == 5 and report["duals"]["2"]["alpha"] == [1, 1]
+    code, captured = verify_edited(tmp_path, capsys, report, path, edit)
+    assert code == 1
+    assert captured.err.splitlines() == ["ncdeg: error: " + line]
+
+
+def test_verify_refuses_an_ncrank_report_with_iterations(tmp_path, capsys):
+    path = write(tmp_path, "diag.json", diag_weighted_doc())
+    report = json.loads(run(capsys, "ncrank", path, "--json")[1])
+    code, captured = verify_edited(tmp_path, capsys, report, path, _iterations(0))
+    assert code == 1
+    assert captured.err.splitlines() == ["ncdeg: error: report.iterations: expected null, got 0"]
+
+
 def test_verify_fmm_report(tmp_path, capsys):
     path = write(tmp_path, "lines.json", k3_lines_doc())
     assert verified(capsys, json.loads(run(capsys, "fmm", path, "--json")[1]), path, tmp_path)

@@ -334,7 +334,7 @@ def test_hungarian_solver_variants_agree(monkeypatch):
     assert len(seen) == 5
     n_bipartite = 0
     for A in seen:
-        witnesses = [mvsp_exhaustive(A), blowup_witness(A, random.Random(0))]
+        witnesses = [mvsp_exhaustive(A), blowup_witness(A, random.Random(0))[0]]
         C, R = A.factors
         if C.shape[2] == 1:
             u, v = C[:, :, 0], R[:, 0, :]
@@ -444,7 +444,7 @@ def test_hungarian_stalls_at_the_step_on_a_pair_that_does_not_vanish(monkeypatch
 
 
 def test_symmetric_stalls_at_the_step_on_a_pair_that_does_not_vanish(monkeypatch):
-    monkeypatch.setattr(degdet, "blowup_witness", whole_space_pair)
+    monkeypatch.setattr(degdet, "blowup_witness", lambda A, rng, start=(): (whole_space_pair(A), ()))
     with pytest.raises(AlgorithmStall, match="zero block"):
         symmetric_hungarian(tutte_k3(GF(5)), [2, 1, 1], rng=random.Random(0))
 

@@ -151,7 +151,7 @@ def test_nc_rank_of_a_perfect_matching_certifies_at_order_one(monkeypatch):
     shapes = []
     rank = mvsp.linalg.rank
     monkeypatch.setattr(mvsp.linalg, "rank", lambda M, p: shapes.append(M.shape) or rank(M, p))
-    assert blowup_witness(A, random.Random(0)).value() == n
+    assert blowup_witness(A, random.Random(0))[0].value() == n
     assert shapes and set(shapes) == {(n, n)}
 
 
@@ -160,6 +160,59 @@ def test_blowup_witness_refuses_orders_beyond_the_side_cap(monkeypatch):
     monkeypatch.setattr(mvsp, "MAX_SIDE", 5)
     with pytest.raises(SizeBudgetExceeded, match="order"):
         blowup_witness(tutte_k3(GF(65521)), random.Random(0))
+
+
+def draw_orders(monkeypatch):
+    """The order d of every draw blowup_witness takes from rng, in turn."""
+    orders = []
+    rand_mat = mvsp.linalg.rand_mat
+    monkeypatch.setattr(mvsp.linalg, "rand_mat", lambda rng, m, d, p: orders.append(d) or rand_mat(rng, m, d, p))
+    return orders
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_alternating_stack_leaves_order_one_once_an_odd_nc_rank_is_pinned(monkeypatch, p):
+    # K3's Tutte matrix is alternating with nc-rank 3: the first order-1
+    # draw has rank 2 and a pair of value 3, so order 1 is spent, where
+    # it used to take default_trials(p) draws
+    orders = draw_orders(monkeypatch)
+    w, R = blowup_witness(tutte_k3(GF(p)), random.Random(0))
+    assert w.value() == 3 and R.shape == (3, 2, 2)
+    assert orders[:2] == [1, 2] and orders.count(1) == 1
+
+
+def test_symmetric_gf2_stack_keeps_its_order_one_draws(monkeypatch):
+    # diag(x, y, x + y) over GF(2) is symmetric, so every draw B has
+    # B + B^t = 0, and a draw such as diag(1, 0, 1) has rank 2 and a pair
+    # of value 3; but the terms have a nonzero diagonal, so order 1 runs
+    # its full trials (its det xy(x + y) vanishes on GF(2)) before order 2
+    F = GF(2)
+    A = SymbolicMatrix(F, [np.diag([1, 0, 1]), np.diag([0, 1, 1])])
+    orders = draw_orders(monkeypatch)
+    w, R = blowup_witness(A, random.Random(0))
+    assert w.value() == 3 and R.shape[1] == 2
+    assert orders.index(2) == default_trials(2) and set(orders[: default_trials(2)]) == {1}
+
+
+def test_zero_draw_of_a_non_alternating_stack_keeps_order_one(monkeypatch):
+    # the 1 x 1 stack [x] over GF(2) has only order 1; seed 2 draws
+    # x = 0, 0, 0, 1: a zero, and so alternating, B of rank 0 whose pair
+    # has value 1, twice repeated, and then the draw that certifies
+    orders = draw_orders(monkeypatch)
+    w, R = blowup_witness(SymbolicMatrix(GF(2), [[[1]]]), random.Random(2))
+    assert w.value() == 1 and R.tolist() == [[[1]]]
+    assert orders == [1, 1, 1, 1]
+
+
+def test_certifying_start_draws_nothing(monkeypatch):
+    A = tutte_k3(GF(5))
+    w, R = blowup_witness(A, random.Random(0))
+    monkeypatch.setattr(mvsp.linalg, "rand_mat", lambda *a: pytest.fail("a certifying start needs no draw"))
+    warm, R2 = blowup_witness(A, None, R)
+    assert np.array_equal(warm.U, w.U) and np.array_equal(warm.V, w.V)
+    assert np.array_equal(R2, R)
+    # the route hands the start to the blow-up witness too
+    assert np.array_equal(mvsp.witness(A, None, R)[1], R)
 
 
 def test_guarantees_hold_under_optimize_flag():
@@ -191,7 +244,7 @@ G = GF(65521)
 skew = [np.outer(a, b) - np.outer(b, a) for a, b in ((e[2], e[1]), (e[1] + e[2], e[0]))]
 S = SymbolicMatrix(G, skew)
 prof = hungarian_deg_det(WeightedSymbolicMatrix(S, [0, 0]), rng=random.Random(0))
-w = mvsp.blowup_witness(S, random.Random(0))
+w, _ = mvsp.blowup_witness(S, random.Random(0))
 print("skew", sorted(prof.values.items()), (w.r, w.s))
 mvsp.linalg.rank = lambda A, p: 1
 try:
@@ -448,7 +501,7 @@ def test_matroid_dependent_a_side():
     w, J = mvsp_matroid_intersection(va, vb, F)
     A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(2)])
     assert w.verify(A)
-    assert w.value() == blowup_witness(A, random.Random(2)).value() == 1
+    assert w.value() == blowup_witness(A, random.Random(2))[0].value() == 1
     # a start dependent on the a side is pruned to what both sides keep
     # independent, and the witness does not move
     warm, Jw = mvsp_matroid_intersection(va, vb, F, start=(0, 1))
@@ -467,7 +520,7 @@ def test_matroid_matches_nc_rank_random():
         A = SymbolicMatrix(F, [np.outer(va[k], vb[k]) for k in range(m)])
         w, _ = mvsp_matroid_intersection(va, vb, F)
         assert w.verify(A)
-        assert w.value() == blowup_witness(A, rng).value()
+        assert w.value() == blowup_witness(A, rng)[0].value()
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +644,7 @@ def test_blockdiag_keeps_a_nested_witness_nested():
     A = tutte_k3(F)
     for alpha, c in (([0, 0, 0], [0, 0, -1]), ([1, 1, 0], [-2, -2, -1]), ([2, 1, 0], [-3, -2, -2])):
         At = tight_part(A, alpha, alpha, c)
-        w = nested_witness(blowup_witness(At, random.Random(0)))
+        w = nested_witness(blowup_witness(At, random.Random(0))[0])
         assert w.verify(At) and np.array_equal(w.U[: w.s], w.V)
         assert w.value() == 2
         assert not across_runs(triangular(w.U), alpha).any()
@@ -609,7 +662,7 @@ def test_blockdiag_structure_is_block_diagonal():
         terms = [np.outer(linalg.rand_mat(rng, 1, n, 3), linalg.rand_mat(rng, 1, n, 3)) for _ in range(m)]
         c = [rng.choice([-6, -5, 1, 2]) for _ in range(m)]
         At = tight_part(SymbolicMatrix(F, terms), alpha, beta, c)
-        for w in (mvsp.witness(At)[0], blowup_witness(At, random.Random(0)), mvsp_exhaustive(At)):
+        for w in (mvsp.witness(At)[0], blowup_witness(At, random.Random(0))[0], mvsp_exhaustive(At)):
             assert w.verify(At)
             for B, values in ((w.U, alpha), (w.V, beta)):
                 L = triangular(B)

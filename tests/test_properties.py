@@ -283,14 +283,29 @@ def witness_inputs(draw):
 @PROPERTY
 @given(witness_inputs(), st.randoms(use_true_random=False))
 def test_blowup_witness_is_the_enumerated_dominant_optimum(A, rnd):
-    # on rank-one stacks matroid intersection started from any subset of
-    # the terms, dependent ones included, finds the cold start's I and so
-    # the same witness
-    w = blowup_witness(A, random.Random(0))
+    # from any start the blow-up witness finds the cold start's pair: its
+    # own certifying draw, another draw at the same order, and, dropped
+    # without touching rng, a draw of an order it never draws or with one
+    # R_k too few or too many; the route drops a draw on the rank-one
+    # routes.  On rank-one stacks matroid intersection started from any
+    # subset of the terms, dependent ones included, finds the cold
+    # start's I and so the same witness
+    w, R = blowup_witness(A, random.Random(0))
     enum = mvsp_exhaustive(A)
     assert np.array_equal(w.U, enum.U) and np.array_equal(w.V, enum.V)
     assert w.verify(A)
     assert nc_rank(A, random.Random(1)) == w.value()
+    p, m, d, n = A.F.p, A.n_terms, R.shape[1], max(A.shape)
+    seed = rnd.randrange(1 << 16)
+    cold = blowup_witness(A, random.Random(seed))[1]
+    wrong_order = linalg.rand_mat(rnd, m * (n + 1), n + 1, p).reshape(m, n + 1, n + 1)
+    for start in (R, linalg.rand_mat(rnd, m * d, d, p).reshape(m, d, d), wrong_order, R[1:], np.concatenate([R, R[:1]])):
+        warm, Rw = blowup_witness(A, random.Random(seed), start)
+        assert np.array_equal(warm.U, enum.U) and np.array_equal(warm.V, enum.V)
+        if start.shape[1] != d or len(start) != m:  # dropped, so rng draws as from a cold start
+            assert np.array_equal(Rw, cold)
+        warm = witness(A, random.Random(seed), start)[0]
+        assert np.array_equal(warm.U, enum.U) and np.array_equal(warm.V, enum.V)
     C, R = A.factors
     if C.shape[2] == 1:
         va, vb = C[:, :, 0], R[:, 0, :]
@@ -348,7 +363,7 @@ def test_witnesses_are_in_pivot_form_and_block_diagonalize(case):
     # block-diagonal for the runs
     A, alpha, beta, skew = case
     F, n = A.F, A.n_rows
-    w_blowup = blowup_witness(A, random.Random(0))
+    w_blowup, _ = blowup_witness(A, random.Random(0))
     witnesses = [witness(A, random.Random(1))[0], w_blowup]
     if count_subspaces(F.p, n) <= SUBSPACE_CAP:
         witnesses.append(mvsp_exhaustive(A))
